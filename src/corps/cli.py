@@ -6,8 +6,9 @@
     corps simulate FILE [--schedule rr|random] [--seed S] [--runs N] [--trace FILE]
     corps ni FILE --input NAME --observe PATH --values V1,V2,... [--trials N] [--seed S]
 
-Exit codes: 0 success, 1 type or projection error, 2 parse error,
-3 runtime finding (deadlock, disagreement, interference), 4 usage error.
+Exit codes: 0 success, 1 type or projection error, 2 parse error or
+input nested too deeply, 3 runtime finding (deadlock, disagreement,
+interference), 4 usage error.
 """
 
 from __future__ import annotations
@@ -314,6 +315,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(err, file=sys.stderr)
         return USAGE
+    except RecursionError:
+        # Last resort: every stage recurses over the syntax tree.
+        print("input nests too deeply", file=sys.stderr)
+        return PARSE_ERROR
 
 
 if __name__ == "__main__":

@@ -18,11 +18,28 @@ matches through them, and they are never erased.  Erasing them eagerly
 would leave reducts the bidirectional checker cannot re-type (a bare
 injection in an inference position), which would defeat type
 preservation testing.
+
+Two engines share one table of evaluation positions (`_HOLES`) and one
+copy of the redex rules (`_contract`):
+
+* `step` finds the next redex by searching from the root, so iterating
+  it costs time quadratic in the number of steps along a deep context.
+  It is the reference semantics: the type preservation suite re-types
+  every term it produces, and the tests check `normalize` against it.
+* `normalize` is a refocused abstract machine (Danvy and Nielsen,
+  "Refocusing in reduction semantics", 2004).  It keeps the evaluation
+  context as an explicit stack of frames, one per node on the path to
+  the hole, and walks down to the leftmost redex.  After a contraction
+  it resumes the search at the reduct, in the same stack, rather than at
+  the root: every position left of the hole is already normal.  When a
+  subterm turns out normal it pops one frame and rebuilds only that
+  node.  The loop is iterative, so context depth costs no Python stack.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import (
@@ -81,120 +98,103 @@ def is_positive_value(e: Expr) -> bool:
 
 Step = tuple[Expr, str, Optional[Span]]
 
+Hole = tuple[Callable[[Expr], Expr], Callable[[Expr, Expr], Expr]]
+
+# The evaluation positions of each node form, left to right, as a pair
+# (read the subterm in the hole, plug a new subterm into the hole).  A
+# plugged node keeps its span, so redexes under it still report theirs.
+_HOLES: dict[type, tuple[Hole, ...]] = {
+    Var: (), UnitVal: (), Lam: (),
+    Annot: ((attrgetter("inner"), lambda e, k: Annot(k, e.ty, span=e.span)),),
+    Located: ((attrgetter("body"),
+               lambda e, k: Located(e.agent, k, span=e.span)),),
+    Pair: ((attrgetter("left"), lambda e, k: Pair(k, e.right, span=e.span)),
+           (attrgetter("right"), lambda e, k: Pair(e.left, k, span=e.span))),
+    Inl: ((attrgetter("inner"), lambda e, k: Inl(k, span=e.span)),),
+    Inr: ((attrgetter("inner"), lambda e, k: Inr(k, span=e.span)),),
+    Fst: ((attrgetter("inner"), lambda e, k: Fst(k, span=e.span)),),
+    Snd: ((attrgetter("inner"), lambda e, k: Snd(k, span=e.span)),),
+    Absurd: ((attrgetter("inner"), lambda e, k: Absurd(k, span=e.span)),),
+    App: ((attrgetter("fn"), lambda e, k: App(k, e.arg, span=e.span)),
+          (attrgetter("arg"), lambda e, k: App(e.fn, k, span=e.span))),
+    Case: ((attrgetter("scrutinee"),
+            lambda e, k: Case(k, e.left_var, e.left_body, e.right_var,
+                              e.right_body, span=e.span)),),
+    ModalLet: ((attrgetter("bound"),
+                lambda e, k: ModalLet(e.open_path, e.stack_path, e.var, k,
+                                      e.body, span=e.span)),),
+    Send: ((attrgetter("payload"),
+            lambda e, k: Send(k, e.dest, span=e.span)),),
+    Up: ((attrgetter("body"), lambda e, k: Up(e.path, k, span=e.span)),),
+    Down: ((attrgetter("body"), lambda e, k: Down(e.path, k, span=e.span)),),
+}
+
+
+def _holes(e: Expr) -> tuple[Hole, ...]:
+    try:
+        return _HOLES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+
+
+def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
+    """Fire the rule at the head of `e`, whose evaluation positions hold
+    normal forms: the reduct and the rule tag, or None if `e` is no redex.
+    """
+    kind = type(e)
+    if kind is App:
+        fn = unannot(e.fn)
+        if isinstance(fn, Lam) and is_value(e.arg):
+            return substitute(fn.body, fn.var, e.arg), "beta"
+    elif kind is Fst or kind is Snd:
+        pair = unannot(e.inner)
+        if isinstance(pair, Pair) and is_value(pair):
+            return (pair.left, "fst") if kind is Fst else (pair.right, "snd")
+    elif kind is Case:
+        scrutinee = unannot(e.scrutinee)
+        if isinstance(scrutinee, Inl) and is_value(scrutinee):
+            return (substitute(e.left_body, e.left_var, scrutinee.inner),
+                    "case-inl")
+        if isinstance(scrutinee, Inr) and is_value(scrutinee):
+            return (substitute(e.right_body, e.right_var, scrutinee.inner),
+                    "case-inr")
+    elif kind is ModalLet:
+        if is_value(e.bound):
+            core = match_located(e.bound, e.stack_path)
+            if core is not None:
+                return substitute(e.body, e.var, core), "modal-let"
+    elif kind is Send and positive:
+        if is_value(e.payload):
+            _, core = peel_located(e.payload)
+            if is_positive_value(core):
+                return wrap_located(e.dest, core), "send"
+    elif kind is Up and positive:
+        if is_positive_value(e.body):
+            return wrap_located(e.path, e.body), "up"
+    elif kind is Down and positive:
+        if is_value(e.body):
+            core = match_located(e.body, e.path)
+            if core is not None and is_positive_value(core):
+                return core, "down"
+    return None
+
 
 def step(mode: EvalMode, e: Expr) -> Optional[Step]:
     """One reduction step, or None on a normal form.
 
     Returns the reduct, the rule tag, and the span of the redex when the
-    source position is known.
+    source position is known.  This restarts at the root every time; it
+    is the reference semantics that `normalize` must agree with.
     """
     positive = mode is EvalMode.POSITIVE_COMM
 
     def go(e: Expr) -> Optional[Step]:
-        match e:
-            case Var() | UnitVal() | Lam():
-                return None
-            case Annot(inner, ty):
-                r = go(inner)
-                if r:
-                    return Annot(r[0], ty), r[1], r[2]
-                return None
-            case Located(agent, body):
-                r = go(body)
-                if r:
-                    return Located(agent, r[0]), r[1], r[2]
-                return None
-            case Pair(left, right):
-                r = go(left)
-                if r:
-                    return Pair(r[0], right), r[1], r[2]
-                r = go(right)
-                if r:
-                    return Pair(left, r[0]), r[1], r[2]
-                return None
-            case Inl(inner):
-                r = go(inner)
-                return (Inl(r[0]), r[1], r[2]) if r else None
-            case Inr(inner):
-                r = go(inner)
-                return (Inr(r[0]), r[1], r[2]) if r else None
-            case Fst(inner):
-                r = go(inner)
-                if r:
-                    return Fst(r[0]), r[1], r[2]
-                stripped = unannot(inner)
-                if isinstance(stripped, Pair) and is_value(stripped):
-                    return stripped.left, "fst", e.span
-                return None
-            case Snd(inner):
-                r = go(inner)
-                if r:
-                    return Snd(r[0]), r[1], r[2]
-                stripped = unannot(inner)
-                if isinstance(stripped, Pair) and is_value(stripped):
-                    return stripped.right, "snd", e.span
-                return None
-            case Absurd(inner):
-                r = go(inner)
-                return (Absurd(r[0]), r[1], r[2]) if r else None
-            case App(fn, arg):
-                r = go(fn)
-                if r:
-                    return App(r[0], arg), r[1], r[2]
-                r = go(arg)
-                if r:
-                    return App(fn, r[0]), r[1], r[2]
-                stripped = unannot(fn)
-                if isinstance(stripped, Lam) and is_value(arg):
-                    return (substitute(stripped.body, stripped.var, arg),
-                            "beta", e.span)
-                return None
-            case Case(scrutinee, lv, lb, rv, rb):
-                r = go(scrutinee)
-                if r:
-                    return Case(r[0], lv, lb, rv, rb), r[1], r[2]
-                stripped = unannot(scrutinee)
-                if isinstance(stripped, Inl) and is_value(stripped):
-                    return substitute(lb, lv, stripped.inner), "case-inl", e.span
-                if isinstance(stripped, Inr) and is_value(stripped):
-                    return substitute(rb, rv, stripped.inner), "case-inr", e.span
-                return None
-            case ModalLet(_, g2, var, bound, body):
-                r = go(bound)
-                if r:
-                    return (ModalLet(e.open_path, g2, var, r[0], body),
-                            r[1], r[2])
-                if is_value(bound):
-                    core = match_located(bound, g2)
-                    if core is not None:
-                        return substitute(body, var, core), "modal-let", e.span
-                return None
-            case Send(payload, dest):
-                r = go(payload)
-                if r:
-                    return Send(r[0], dest), r[1], r[2]
-                if positive and is_value(payload):
-                    _, core = peel_located(payload)
-                    if is_positive_value(core):
-                        return wrap_located(dest, core), "send", e.span
-                return None
-            case Up(path, body):
-                r = go(body)
-                if r:
-                    return Up(path, r[0]), r[1], r[2]
-                if positive and is_positive_value(body):
-                    return wrap_located(path, body), "up", e.span
-                return None
-            case Down(path, body):
-                r = go(body)
-                if r:
-                    return Down(path, r[0]), r[1], r[2]
-                if positive and is_value(body):
-                    core = match_located(body, path)
-                    if core is not None and is_positive_value(core):
-                        return core, "down", e.span
-                return None
-        raise TypeError(f"not an expression: {e!r}")
+        for get, plug in _holes(e):
+            r = go(get(e))
+            if r:
+                return plug(e, r[0]), r[1], r[2]
+        r = _contract(positive, e)
+        return (r[0], r[1], e.span) if r else None
 
     return go(e)
 
@@ -276,17 +276,57 @@ def classify(mode: EvalMode, e: Expr) -> NormalFormClass:
 def normalize(mode: EvalMode, e: Expr, fuel: int,
               on_step: Optional[Callable[[int, str, Optional[Span]], None]] = None,
               ) -> tuple[Expr, NormalFormClass, int]:
-    """Iterate `step` to a normal form; deterministic."""
+    """Reduce to a normal form; deterministic.
+
+    Takes the same steps as iterating `step`, in the same order, with the
+    same rule tags and spans, and raises `FuelExhausted` on the same term.
+    """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
+    positive = mode is EvalMode.POSITIVE_COMM
     steps = 0
+    # The evaluation context of `focus`, outermost frame first: a node and
+    # the index of the evaluation position that holds the hole.  Every
+    # position left of a hole already holds a normal form.
+    frames: list[tuple[Expr, int]] = []
+    focus = e
     while True:
-        r = step(mode, e)
-        if r is None:
-            return e, classify(mode, e), steps
-        if steps >= fuel:
-            raise FuelExhausted(e, steps)
-        e = r[0]
-        if on_step is not None:
-            on_step(steps, r[1], r[2])
-        steps += 1
+        # Descend through first positions to a leaf, which is normal.
+        holes = _holes(focus)
+        while holes:
+            frames.append((focus, 0))
+            focus = holes[0][0](focus)
+            holes = _holes(focus)
+        # Climb with the normal form `focus`: plug it into its frame, then
+        # move right to the next position, contract the node and refocus
+        # on the reduct, or, if the node is normal too, climb on.
+        while frames:
+            node, i = frames.pop()
+            holes = _HOLES[type(node)]
+            get, plug = holes[i]
+            if get(node) is not focus:
+                node = plug(node, focus)
+            i += 1
+            if i < len(holes):
+                frames.append((node, i))
+                focus = holes[i][0](node)
+                break
+            r = _contract(positive, node)
+            if r is None:
+                focus = node
+                continue
+            if steps >= fuel:
+                raise FuelExhausted(_plug_frames(frames, node), steps)
+            focus = r[0]
+            if on_step is not None:
+                on_step(steps, r[1], node.span)
+            steps += 1
+            break
+        else:
+            return focus, classify(mode, focus), steps
+
+
+def _plug_frames(frames: list[tuple[Expr, int]], e: Expr) -> Expr:
+    for node, i in reversed(frames):
+        e = _HOLES[type(node)][i][1](node, e)
+    return e

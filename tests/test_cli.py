@@ -59,6 +59,14 @@ class TestCheck:
         assert "point of view" in out
         assert "Send" in out
 
+    def test_deep_nesting_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.corps"
+        path.write_text("main : unit = " + "(" * 300 + "()" + ")" * 300 + ";\n")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "input nests too deeply"
+        assert "Traceback" not in err
+
 
 class TestNormalize:
     def test_positive(self, p4, capsys):
@@ -82,6 +90,25 @@ class TestNormalize:
         records = [json.loads(line) for line in trace.read_text().splitlines()]
         assert records and records[0]["rule"] == "send"
         assert set(records[0]) == {"index", "rule", "redex"}
+
+    def test_trace_spans_survive_rebuilt_contexts(self, tmp_path, capsys):
+        path = tmp_path / "chain.corps"
+        path.write_text(
+            "topology choreo;\nmain : [A] unit = send (send (send (send "
+            "(A.()) to [B]) to [A]) to [B]) to [A];\n")
+        trace = tmp_path / "steps.jsonl"
+        assert main(["normalize", str(path), "--trace", str(trace)]) == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["rule"] for r in records] == ["send"] * 4
+        spans = []
+        for record in records:
+            file, offsets = record["redex"].rsplit(":", 1)
+            assert file == str(path)
+            start, end = map(int, offsets.split("-"))
+            spans.append((start, end))
+        # innermost send first; each later redex strictly encloses the last
+        for inner, outer in zip(spans, spans[1:]):
+            assert outer[0] < inner[0] and inner[1] < outer[1]
 
 
 class TestProject:

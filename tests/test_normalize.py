@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from corps import syntax as S
@@ -192,3 +194,56 @@ class TestSuiteProperties:
         text, cls, _ = nf(POS, "down [A] (A.(fun x -> x))", 50)
         assert cls is NormalFormClass.COMM_NEUTRAL
         assert text == "down [A] A.(fun x -> x)"
+
+
+def _iterate_step(mode, e):
+    """The reference engine: every term and (rule, span) of `step` iterated."""
+    terms, trail = [e], []
+    while (r := step(mode, e)) is not None:
+        e = r[0]
+        terms.append(e)
+        trail.append((r[1], r[2]))
+    return terms, trail
+
+
+def _send_chain(n):
+    """A.() sent n times, alternately to [B] and [A], built without the parser."""
+    e = S.Located("A", S.UnitVal())
+    for i in range(n):
+        e = S.Send(e, ("A",) if i % 2 else ("B",))
+    return e
+
+
+class TestRefocusedMachine:
+    def test_agrees_with_step_on_generated_suites(self):
+        for preset in ("doxastic", "choreo", "siblings"):
+            topo = load_preset(preset)
+            for projectable in (False, True):
+                for seed in range(40):
+                    program = ProgramGen(seed, topo,
+                                         projectable=projectable).gen_program()
+                    main, _ = inline_main(program)
+                    main = parse_expr(expr_str(main))  # every node has a span
+                    for mode in (CF, POS):
+                        terms, trail = _iterate_step(mode, main)
+                        seen = []
+                        e, cls, steps = normalize(
+                            mode, main, 100_000,
+                            lambda i, rule, span: seen.append((i, rule, span)))
+                        assert e == terms[-1] and expr_equal(e, terms[-1])
+                        assert cls is classify(mode, terms[-1])
+                        assert steps == len(trail)
+                        assert seen == [(i, *t) for i, t in enumerate(trail)]
+                        for fuel in range(1, steps):
+                            with pytest.raises(FuelExhausted) as exc:
+                                normalize(mode, main, fuel)
+                            assert exc.value.steps == fuel
+                            assert exc.value.last == terms[fuel]
+
+    def test_deep_context_needs_no_python_stack(self):
+        # Far past the default recursion limit; never compare or print the
+        # input itself, since dataclass == and repr recurse.
+        assert sys.getrecursionlimit() < 5_000
+        e, cls, steps = normalize(POS, _send_chain(5_000), 100_000)
+        assert (e, cls, steps) == (S.Located("A", S.UnitVal()),
+                                   NormalFormClass.VALUE, 5_000)
