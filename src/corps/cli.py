@@ -2,7 +2,7 @@
 
     corps check FILE [--topology NAME|FILE] [--derivation]
     corps normalize FILE [--mode comm-free|positive] [--fuel N] [--trace FILE]
-    corps project FILE (--agent PATH | --all) [--emit]
+    corps project FILE (--agent PATH | --all)
     corps simulate FILE [--schedule rr|random] [--seed S] [--runs N] [--trace FILE]
     corps ni FILE --input NAME --observe PATH --values V1,V2,... [--trials N] [--seed S]
 
@@ -23,11 +23,9 @@ from .normalize import EvalMode, FuelExhausted, StuckUnexpected, normalize
 from .parser import ParseError, parse_expr, parse_path, parse_program
 from .printer import expr_str, path_str, type_str
 from .projection import MergeConflict, ProjectionError, local_str, project, project_network
-from .syntax import ctx_bind
 from .topology import TopologyError
 from .typecheck import (
-    Checker, Derivation, TypeCheckError, check_program, inline_main,
-    resolve_topology,
+    Derivation, TypeCheckError, check_program, inline_main, resolve_topology,
 )
 
 OK, TYPE_ERROR, PARSE_ERROR, FINDING, USAGE = 0, 1, 2, 3, 4
@@ -49,11 +47,10 @@ def _topology(program, args):
                             base_dir=os.path.dirname(os.path.abspath(args.file)))
 
 
-def _checked(program, topology):
-    errors = check_program(program, topology)
-    if errors:
-        for err in errors:
-            print(err, file=sys.stderr)
+def _checked(program, topology, deriv=None):
+    errors = check_program(program, topology, deriv=deriv)
+    for err in errors:
+        print(err, file=sys.stderr)
     return errors
 
 
@@ -77,26 +74,11 @@ def _split_values(text: str) -> list[str]:
 def cmd_check(args) -> int:
     program = _load(args.file)
     topology = _topology(program, args)
-    if args.derivation:
-        checker = Checker(topology)
-        deriv: list[Derivation] = []
-        try:
-            ctx = ()
-            for name, ty in program.inputs:
-                ctx = ctx_bind(ctx, name, ty, ())
-            for name, ty, body in program.defs:
-                checker.check(ctx, body, ty, deriv)
-                ctx = ctx_bind(ctx, name, ty, ())
-            checker.check(ctx, program.main_expr, program.main_type, deriv)
-        except TypeCheckError as err:
-            print(err, file=sys.stderr)
-            return TYPE_ERROR
-        for node in deriv:
-            print(node.render())
-        print(f"OK : {type_str(program.main_type)}")
-        return OK
-    if _checked(program, topology):
+    deriv: list[Derivation] = []
+    if _checked(program, topology, deriv if args.derivation else None):
         return TYPE_ERROR
+    for node in deriv:
+        print(node.render())
     print(f"OK : {type_str(program.main_type)}")
     return OK
 
@@ -141,8 +123,8 @@ def cmd_project(args) -> int:
     topology = _topology(program, args)
     if _checked(program, topology):
         return TYPE_ERROR
-    if args.agent is None and not args.all and not args.emit:
-        raise _Usage("give --agent PATH, --all, or --emit")
+    if args.agent is None and not args.all:
+        raise _Usage("give --agent PATH or --all")
     try:
         if args.agent is not None:
             address = parse_path(args.agent)
@@ -266,8 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--agent", default=None, help="address to project, e.g. [A.B]")
     group.add_argument("--all", action="store_true")
-    p.add_argument("--emit", action="store_true",
-                   help="same as --all; render every process")
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("simulate", help="run the projected network")

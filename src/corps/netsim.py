@@ -23,14 +23,11 @@ from typing import Optional, Union
 from .normalize import EvalMode, NormalFormClass, normalize
 from .parser import Program
 from .printer import path_str
-from .projection import (
-    SKIP, LocalExpr, Network, RecvFrom, SendTo, Seq, Skip,
-    local_expr_equal, local_str, local_substitute, project_expr,
-    project_network,
-)
+from .projection import Network, local_str, project_expr, project_network
 from .syntax import (
-    Absurd, App, Case, Fst, Inl, Inr, Lam, Pair, Path, Snd, UnitVal, Var,
-    match_located, split_stack,
+    SKIP, Absurd, App, Case, Fst, Inl, Inr, Lam, LocalExpr, Pair, Path,
+    RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, expr_equal,
+    match_located, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import check_program, inline_main, resolve_topology
@@ -188,7 +185,7 @@ def _step_local(e: LocalExpr, addr: Path,
                     return "act", App(fn, r[1]), r[2], r[3], r[4]
                 if is_local_value(fn) and is_local_value(arg):
                     if isinstance(fn, Lam):
-                        return ("act", local_substitute(fn.body, fn.var, arg),
+                        return ("act", substitute(fn.body, fn.var, arg),
                                 "LocalStep", None, None)
                     if fn == SKIP:
                         return "act", SKIP, "LocalStep", None, None
@@ -242,14 +239,14 @@ def _step_local(e: LocalExpr, addr: Path,
                     return "act", Case(r[1], lv, lb, rv, rb), r[2], r[3], r[4]
                 if is_local_value(scrutinee):
                     if isinstance(scrutinee, Inl):
-                        return ("act", local_substitute(lb, lv, scrutinee.inner),
+                        return ("act", substitute(lb, lv, scrutinee.inner),
                                 "LocalStep", None, None)
                     if isinstance(scrutinee, Inr):
-                        return ("act", local_substitute(rb, rv, scrutinee.inner),
+                        return ("act", substitute(rb, rv, scrutinee.inner),
                                 "LocalStep", None, None)
                     if scrutinee == SKIP:
                         # Branches were merged; run the left one with a hole.
-                        return ("act", local_substitute(lb, lv, SKIP),
+                        return ("act", substitute(lb, lv, SKIP),
                                 "LocalStep", None, None)
                     raise NetStuck(f"case of non-sum value in {path_str(addr)}")
         if blocked:
@@ -396,7 +393,7 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
             agree = False
             continue
         got = result.values[network.result_address]
-        if local_expr_equal(got, expected):
+        if expr_equal(got, expected):
             outcomes.append((label, "agree"))
         else:
             outcomes.append((label, f"disagree: got {local_str(got)}"))

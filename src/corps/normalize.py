@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, get_args
 
 from .syntax import (
-    Absurd, Annot, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located,
+    SCHEMA, Absurd, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located,
     ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children,
     match_located, peel_located, substitute, unannot, wrap_located,
 )
@@ -74,21 +74,29 @@ class StuckUnexpected(Exception):
 
 
 def is_value(e: Expr) -> bool:
-    match unannot(e):
-        case UnitVal() | Lam():
-            return True
-        case Pair(left, right):
-            return is_value(left) and is_value(right)
-        case Inl(inner) | Inr(inner) | Located(_, inner):
-            return is_value(inner)
-        case _:
+    pending = [e]
+    while pending:
+        e = unannot(pending.pop())
+        kind = type(e)
+        if kind is Pair:
+            pending += (e.left, e.right)
+        elif kind is Located:
+            pending.append(e.body)
+        elif kind is Inl or kind is Inr:
+            pending.append(e.inner)
+        elif kind is not UnitVal and kind is not Lam:
             return False
+    return True
 
 
 def _has_lam(e: Expr) -> bool:
-    if isinstance(e, Lam):
-        return True
-    return any(_has_lam(child) for child in children(e))
+    pending = [e]
+    while pending:
+        e = pending.pop()
+        if isinstance(e, Lam):
+            return True
+        pending += children(e)
+    return False
 
 
 def is_positive_value(e: Expr) -> bool:
@@ -100,33 +108,24 @@ Step = tuple[Expr, str, Optional[Span]]
 
 Hole = tuple[Callable[[Expr], Expr], Callable[[Expr, Expr], Expr]]
 
+
+def _hole(cls: type, names: tuple[str, ...], i: int) -> Hole:
+    def plug(e: Expr, k: Expr) -> Expr:
+        parts = [getattr(e, name) for name in names]
+        parts[i] = k
+        return cls(*parts, span=e.span)
+
+    return attrgetter(names[i]), plug
+
+
 # The evaluation positions of each node form, left to right, as a pair
-# (read the subterm in the hole, plug a new subterm into the hole).  A
-# plugged node keeps its span, so redexes under it still report theirs.
+# (read the subterm in the hole, plug a new subterm into the hole): every
+# subterm that no binder scopes.  A plugged node keeps its span, so
+# redexes under it still report theirs.
 _HOLES: dict[type, tuple[Hole, ...]] = {
-    Var: (), UnitVal: (), Lam: (),
-    Annot: ((attrgetter("inner"), lambda e, k: Annot(k, e.ty, span=e.span)),),
-    Located: ((attrgetter("body"),
-               lambda e, k: Located(e.agent, k, span=e.span)),),
-    Pair: ((attrgetter("left"), lambda e, k: Pair(k, e.right, span=e.span)),
-           (attrgetter("right"), lambda e, k: Pair(e.left, k, span=e.span))),
-    Inl: ((attrgetter("inner"), lambda e, k: Inl(k, span=e.span)),),
-    Inr: ((attrgetter("inner"), lambda e, k: Inr(k, span=e.span)),),
-    Fst: ((attrgetter("inner"), lambda e, k: Fst(k, span=e.span)),),
-    Snd: ((attrgetter("inner"), lambda e, k: Snd(k, span=e.span)),),
-    Absurd: ((attrgetter("inner"), lambda e, k: Absurd(k, span=e.span)),),
-    App: ((attrgetter("fn"), lambda e, k: App(k, e.arg, span=e.span)),
-          (attrgetter("arg"), lambda e, k: App(e.fn, k, span=e.span))),
-    Case: ((attrgetter("scrutinee"),
-            lambda e, k: Case(k, e.left_var, e.left_body, e.right_var,
-                              e.right_body, span=e.span)),),
-    ModalLet: ((attrgetter("bound"),
-                lambda e, k: ModalLet(e.open_path, e.stack_path, e.var, k,
-                                      e.body, span=e.span)),),
-    Send: ((attrgetter("payload"),
-            lambda e, k: Send(k, e.dest, span=e.span)),),
-    Up: ((attrgetter("body"), lambda e, k: Up(e.path, k, span=e.span)),),
-    Down: ((attrgetter("body"), lambda e, k: Down(e.path, k, span=e.span)),),
+    cls: tuple(_hole(cls, SCHEMA[cls].fields, i)
+               for i, binder in SCHEMA[cls].subterms if binder is None)
+    for cls in get_args(Expr)
 }
 
 
@@ -202,62 +201,31 @@ def step(mode: EvalMode, e: Expr) -> Optional[Step]:
 _COMM, _VAR, _STUCK = "comm", "var", "stuck"
 
 
-def _blockers(mode: EvalMode, e: Expr) -> set[str]:
+# Why a node that is no redex, though its evaluation positions all hold
+# values, blocks: a stuck term or a frozen communication.  A `down`
+# whose body does not carry its path is stuck instead.
+_BLOCKED_ON = {
+    Fst: _STUCK, Snd: _STUCK, Absurd: _STUCK, App: _STUCK, Case: _STUCK,
+    ModalLet: _STUCK, Send: _COMM, Up: _COMM, Down: _COMM,
+}
+
+
+def _blockers(e: Expr) -> set[str]:
     """Why a normal form fails to be a value, per blocked position."""
     out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        match e:
-            case UnitVal() | Lam():
-                return
-            case Var():
-                out.add(_VAR)
-            case Located(_, body) | Inl(body) | Inr(body):
-                walk(body)
-            case Pair(left, right):
-                walk(left)
-                walk(right)
-            case Fst(inner) | Snd(inner):
-                walk(inner)
-                if is_value(inner):
-                    out.add(_STUCK)
-            case Absurd(inner):
-                walk(inner)
-                if is_value(inner):
-                    out.add(_STUCK)
-            case App(fn, arg):
-                walk(fn)
-                walk(arg)
-                if is_value(fn) and is_value(arg):
-                    out.add(_STUCK)
-            case Case(scrutinee, _, _, _, _):
-                walk(scrutinee)
-                if is_value(scrutinee):
-                    out.add(_STUCK)
-            case ModalLet(_, _, _, bound, _):
-                walk(bound)
-                if is_value(bound):
-                    out.add(_STUCK)
-            case Send(payload, _):
-                walk(payload)
-                if is_value(payload):
-                    out.add(_COMM)
-            case Up(_, body):
-                walk(body)
-                if is_value(body):
-                    out.add(_COMM)
-            case Down(path, body):
-                walk(body)
-                if is_value(body):
-                    core = match_located(body, path)
-                    if core is None:
-                        out.add(_STUCK)
-                    else:
-                        out.add(_COMM)
-            case Annot(inner, _):
-                walk(inner)
-
-    walk(e)
+    pending = [e]
+    while pending:
+        e = pending.pop()
+        kind = type(e)
+        if kind is Var:
+            out.add(_VAR)
+        parts = [get(e) for get, _ in _HOLES[kind]]
+        pending += parts
+        reason = _BLOCKED_ON.get(kind)
+        if reason is not None and all(map(is_value, parts)):
+            if kind is Down and match_located(e.body, e.path) is None:
+                reason = _STUCK
+            out.add(reason)
     return out
 
 
@@ -265,7 +233,7 @@ def classify(mode: EvalMode, e: Expr) -> NormalFormClass:
     """Classify a normal form; raises StuckUnexpected on internal errors."""
     if is_value(e):
         return NormalFormClass.VALUE
-    blockers = _blockers(mode, e)
+    blockers = _blockers(e)
     if _COMM in blockers:
         return NormalFormClass.COMM_NEUTRAL
     if _VAR in blockers:

@@ -35,15 +35,16 @@ need to know the outcome of a choice it cannot observe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
-    Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl, Inr,
-    Lam, Located, ModalLet, Pair, Path, Product, Send, Snd, Sum, Type,
-    UnitVal, Up, Var, Void, belief_stack, children, ctx_bind, ctx_lock,
-    fresh_name, path_concat, peel_stack, split_stack,
+    SKIP, Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl,
+    Inr, Lam, LocalExpr, Located, ModalLet, Pair, Path, Product, RecvFrom,
+    Send, SendTo, Seq, Skip, Snd, Sum, Type, UnitVal, Up, Var, Void,
+    belief_stack, ctx_bind, ctx_lock, expr_equal, path_concat, peel_stack,
+    split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import Checker, TypeCheckError, resolve_topology
@@ -58,37 +59,7 @@ class MergeConflict(ProjectionError):
 
 
 # ---------------------------------------------------------------------------
-# Local expressions: the intuitionistic fragment plus four process forms.
-
-@dataclass(frozen=True)
-class Skip:
-    pass
-
-
-@dataclass(frozen=True)
-class SendTo:
-    dest: Path
-    payload: "LocalExpr"
-
-
-@dataclass(frozen=True)
-class RecvFrom:
-    src: Path
-
-
-@dataclass(frozen=True)
-class Seq:
-    first: "LocalExpr"
-    rest: "LocalExpr"
-
-
-LocalExpr = Union[
-    Skip, SendTo, RecvFrom, Seq,
-    Var, Lam, App, Pair, Fst, Snd, Inl, Inr, Case, UnitVal, Absurd,
-]
-
-SKIP = Skip()
-
+# Rendering local processes (their forms live in syntax)
 
 def local_str(e: LocalExpr, prec: int = 0) -> str:
     """Render a local process; seq binds loosest, below the keyword level."""
@@ -131,130 +102,9 @@ def local_str(e: LocalExpr, prec: int = 0) -> str:
     raise TypeError(f"not a local expression: {e!r}")
 
 
-def local_free_vars(e: LocalExpr) -> frozenset[str]:
-    match e:
-        case Skip() | RecvFrom():
-            return frozenset()
-        case SendTo(_, payload):
-            return local_free_vars(payload)
-        case Seq(first, rest):
-            return local_free_vars(first) | local_free_vars(rest)
-        case Var(name):
-            return frozenset((name,))
-        case Lam(var, body):
-            return local_free_vars(body) - {var}
-        case Case(scrutinee, lv, lb, rv, rb):
-            return (local_free_vars(scrutinee)
-                    | (local_free_vars(lb) - {lv})
-                    | (local_free_vars(rb) - {rv}))
-        case _:
-            out: frozenset[str] = frozenset()
-            for child in children(e):
-                out |= local_free_vars(child)
-            return out
-
-
-def local_substitute(e: LocalExpr, x: str, v: LocalExpr) -> LocalExpr:
-    fvv = local_free_vars(v)
-
-    def under_binder(var: str, body: LocalExpr) -> tuple[str, LocalExpr]:
-        if var in fvv and x in local_free_vars(body):
-            renamed = fresh_name(var, fvv | local_free_vars(body))
-            return renamed, local_substitute(body, var, Var(renamed))
-        return var, body
-
-    def go(e: LocalExpr) -> LocalExpr:
-        match e:
-            case Skip() | RecvFrom() | UnitVal():
-                return e
-            case SendTo(dest, payload):
-                return SendTo(dest, go(payload))
-            case Seq(first, rest):
-                return Seq(go(first), go(rest))
-            case Var(name):
-                return v if name == x else e
-            case Lam(var, body):
-                if var == x:
-                    return e
-                var, body = under_binder(var, body)
-                return Lam(var, go(body))
-            case Case(scrutinee, lv, lb, rv, rb):
-                scrutinee = go(scrutinee)
-                if lv != x:
-                    lv, lb = under_binder(lv, lb)
-                    lb = go(lb)
-                if rv != x:
-                    rv, rb = under_binder(rv, rb)
-                    rb = go(rb)
-                return Case(scrutinee, lv, lb, rv, rb)
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Pair(left, right):
-                return Pair(go(left), go(right))
-            case Fst(inner):
-                return Fst(go(inner))
-            case Snd(inner):
-                return Snd(go(inner))
-            case Inl(inner):
-                return Inl(go(inner))
-            case Inr(inner):
-                return Inr(go(inner))
-            case Absurd(inner):
-                return Absurd(go(inner))
-        raise TypeError(f"not a local expression: {e!r}")
-
-    return go(e)
-
-
-def local_expr_equal(a: LocalExpr, b: LocalExpr) -> bool:
-    """Alpha-equivalence of local processes."""
-
-    def go(a, b, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
-        match a, b:
-            case Skip(), Skip():
-                return True
-            case RecvFrom(s1), RecvFrom(s2):
-                return s1 == s2
-            case SendTo(d1, p1), SendTo(d2, p2):
-                return d1 == d2 and go(p1, p2, env1, env2, depth)
-            case Seq(f1, r1), Seq(f2, r2):
-                return (go(f1, f2, env1, env2, depth)
-                        and go(r1, r2, env1, env2, depth))
-            case Var(n1), Var(n2):
-                d1, d2 = env1.get(n1), env2.get(n2)
-                if d1 is None and d2 is None:
-                    return n1 == n2
-                return d1 == d2
-            case UnitVal(), UnitVal():
-                return True
-            case Lam(v1, b1), Lam(v2, b2):
-                return go(b1, b2, {**env1, v1: depth}, {**env2, v2: depth}, depth + 1)
-            case Case(s1, lv1, lb1, rv1, rb1), Case(s2, lv2, lb2, rv2, rb2):
-                return (go(s1, s2, env1, env2, depth)
-                        and go(lb1, lb2, {**env1, lv1: depth}, {**env2, lv2: depth}, depth + 1)
-                        and go(rb1, rb2, {**env1, rv1: depth}, {**env2, rv2: depth}, depth + 1))
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2, depth) and go(a1, a2, env1, env2, depth)
-            case Pair(l1, r1), Pair(l2, r2):
-                return go(l1, l2, env1, env2, depth) and go(r1, r2, env1, env2, depth)
-            case Fst(i1), Fst(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Snd(i1), Snd(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Inl(i1), Inl(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Inr(i1), Inr(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Absurd(i1), Absurd(i2):
-                return go(i1, i2, env1, env2, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
 def merge(l1: LocalExpr, l2: LocalExpr) -> LocalExpr:
     """Equality merge of branch projections; conflicting behavior fails."""
-    if local_expr_equal(l1, l2):
+    if expr_equal(l1, l2):
         return l1
     raise MergeConflict(
         f"branches project to different processes: "
@@ -375,7 +225,7 @@ class _Projector:
                     # This address holds no part of the bound value and has
                     # no duties computing it, so the binding is the skip
                     # value; substituting keeps uninvolved processes at skip.
-                    return local_substitute(le, var, SKIP), ty
+                    return substitute(le, var, SKIP), ty
                 return _mk_app(_mk_lam(var, le), be), ty
             case Send(payload, dest):
                 pe, pty = self.infer(ctx, payload, L)
@@ -383,11 +233,11 @@ class _Projector:
                 sender = path_concat(L, g1)
                 receiver = path_concat(L, dest)
                 le = self._comm(pe, core, sender, receiver, e)
-                return le, _stack(dest, core)
+                return le, belief_stack(dest, core)
             case Up(path, body):
                 be, ty = self.infer(ctx, body, L)
                 le = self._comm(be, ty, L, path_concat(L, path), e)
-                return le, _stack(path, ty)
+                return le, belief_stack(path, ty)
             case Down(path, body):
                 be, ty = self.infer(ctx, body, L)
                 core = peel_stack(ty, path)
@@ -505,16 +355,12 @@ class _Projector:
         if self.target != L:
             # Third parties must behave identically whichever branch runs.
             try:
-                merge(le, local_substitute(re_, rv, Var(lv)))
+                merge(le, substitute(re_, rv, Var(lv)))
             except MergeConflict as err:
                 raise MergeConflict(
                     f"case at viewpoint {path_str(L)} is not projectable: {err}"
                 ) from None
         return _mk_case(se, lv, le, rv, re_)
-
-
-def _stack(g: Path, core: Type) -> Type:
-    return belief_stack(g, core)
 
 
 def _prefix_closure(paths: set[Path]) -> frozenset[Path]:

@@ -1,4 +1,5 @@
-"""Abstract syntax for Corps: agent paths, types, expressions, contexts.
+"""Abstract syntax for Corps: agent paths, types, expressions, local
+processes, contexts.
 
 An agent path addresses a node in the process tree.  The empty path is
 the root (ground truth); each extension steps one level further into an
@@ -10,12 +11,18 @@ A lock shifts the viewpoint of everything to its right; a binding is
 tagged with the path of locks that must be crossed after it before the
 variable becomes usable.  Contexts are kept in a canonical form: no
 empty locks, no two adjacent locks.
+
+Choreographic expressions and the local processes that endpoint
+projection produces share one term schema (`SCHEMA`): per node class,
+its fields, its subterms and the binder scoping each subterm.  Children,
+free variables, substitution and alpha-equality are each written once
+over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Agent paths
@@ -237,52 +244,107 @@ Expr = Union[
 UNIT_VAL = UnitVal()
 
 
-def children(e: Expr) -> Iterator[Expr]:
-    match e:
-        case Var() | UnitVal():
-            return
-        case Located(_, body) | Up(_, body) | Down(_, body):
-            yield body
-        case ModalLet(_, _, _, bound, body):
-            yield bound
-            yield body
-        case Send(payload, _):
-            yield payload
-        case Lam(_, body):
-            yield body
-        case App(fn, arg):
-            yield fn
-            yield arg
-        case Pair(left, right):
-            yield left
-            yield right
-        case Fst(inner) | Snd(inner) | Inl(inner) | Inr(inner) | Absurd(inner):
-            yield inner
-        case Case(scrutinee, _, left_body, _, right_body):
-            yield scrutinee
-            yield left_body
-            yield right_body
-        case Annot(inner, _):
-            yield inner
+# Local processes, the target of endpoint projection: the intuitionistic
+# fragment of Expr plus four process forms.
+
+@dataclass(frozen=True)
+class Skip(Node):
+    pass
 
 
-def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case Lam(var, body):
-            return free_vars(body) - {var}
-        case ModalLet(_, _, var, bound, body):
-            return free_vars(bound) | (free_vars(body) - {var})
-        case Case(scrutinee, lv, lb, rv, rb):
-            return (free_vars(scrutinee)
-                    | (free_vars(lb) - {lv})
-                    | (free_vars(rb) - {rv}))
-        case _:
-            out: frozenset[str] = frozenset()
-            for child in children(e):
-                out |= free_vars(child)
-            return out
+@dataclass(frozen=True)
+class SendTo(Node):
+    dest: Path
+    payload: "LocalExpr"
+
+
+@dataclass(frozen=True)
+class RecvFrom(Node):
+    src: Path
+
+
+@dataclass(frozen=True)
+class Seq(Node):
+    first: "LocalExpr"
+    rest: "LocalExpr"
+
+
+LocalExpr = Union[
+    Skip, SendTo, RecvFrom, Seq,
+    Var, Lam, App, Pair, Fst, Snd, Inl, Inr, Case, UnitVal, Absurd,
+]
+
+SKIP = Skip()
+
+
+# ---------------------------------------------------------------------------
+# The term schema, shared by both languages
+
+class Shape(NamedTuple):
+    """How a node class is built.
+
+    `fields` are its constructor fields in order, span aside.  Each entry
+    of `subterms` is the index of a subterm field and the index of the
+    binder field that scopes it, or None.  `data` names the fields that
+    are neither subterms nor binders; alpha-equality compares them with ==.
+    """
+    fields: tuple[str, ...]
+    subterms: tuple[tuple[int, Optional[int]], ...]
+    data: tuple[str, ...]
+
+
+# Subterm fields per node class, left to right; a subterm under a binder
+# is written (subterm field, binder field).
+_SUBTERMS = {
+    Var: (), UnitVal: (), Skip: (), RecvFrom: (),
+    Located: ("body",), Up: ("body",), Down: ("body",),
+    Send: ("payload",), SendTo: ("payload",), Annot: ("inner",),
+    Fst: ("inner",), Snd: ("inner",), Inl: ("inner",), Inr: ("inner",),
+    Absurd: ("inner",),
+    App: ("fn", "arg"), Pair: ("left", "right"), Seq: ("first", "rest"),
+    Lam: (("body", "var"),),
+    ModalLet: ("bound", ("body", "var")),
+    Case: ("scrutinee", ("left_body", "left_var"),
+           ("right_body", "right_var")),
+}
+
+
+def _build_shape(cls: type, subterms) -> Shape:
+    names = tuple(f.name for f in fields(cls) if f.name != "span")
+    pairs = [s if isinstance(s, tuple) else (s, None) for s in subterms]
+    named = {name for pair in pairs for name in pair}
+    return Shape(
+        names,
+        tuple((names.index(s), None if b is None else names.index(b))
+              for s, b in pairs),
+        tuple(name for name in names if name not in named))
+
+
+SCHEMA: dict[type, Shape] = {
+    cls: _build_shape(cls, subterms) for cls, subterms in _SUBTERMS.items()}
+
+
+def _shape_of(e: Node) -> Shape:
+    try:
+        return SCHEMA[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression: {e!r}") from None
+
+
+def children(e: Node) -> list[Node]:
+    shape = _shape_of(e)
+    return [getattr(e, shape.fields[i]) for i, _ in shape.subterms]
+
+
+def free_vars(e: Node) -> frozenset[str]:
+    if type(e) is Var:
+        return frozenset((e.name,))
+    shape = _shape_of(e)
+    out: frozenset[str] = frozenset()
+    for i, b in shape.subterms:
+        inner = free_vars(getattr(e, shape.fields[i]))
+        out |= inner if b is None else inner - {getattr(e, shape.fields[b])}
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -295,126 +357,60 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
         i += 1
 
 
-def substitute(e: Expr, x: str, v: Expr) -> Expr:
-    """Capture-avoiding substitution of `v` for free occurrences of `x`."""
+def substitute(e: Node, x: str, v: Node) -> Node:
+    """Capture-avoiding substitution of `v` for free occurrences of `x`.
+
+    Rebuilt nodes keep their spans.
+    """
     fvv = free_vars(v)
 
-    def under_binder(var: str, body: Expr) -> tuple[str, Expr]:
-        # Rename the binder when it would capture a free variable of v.
-        if var in fvv and x in free_vars(body):
-            renamed = fresh_name(var, fvv | free_vars(body))
-            return renamed, substitute(body, var, Var(renamed))
-        return var, body
-
-    def go(e: Expr) -> Expr:
-        match e:
-            case Var(name):
-                return v if name == x else e
-            case UnitVal():
-                return e
-            case Lam(var, body):
-                if var == x:
-                    return e
-                var, body = under_binder(var, body)
-                return Lam(var, go(body))
-            case ModalLet(g1, g2, var, bound, body):
-                bound = go(bound)
-                if var == x:
-                    return ModalLet(g1, g2, var, bound, body)
-                var, body = under_binder(var, body)
-                return ModalLet(g1, g2, var, bound, go(body))
-            case Case(scrutinee, lv, lb, rv, rb):
-                scrutinee = go(scrutinee)
-                if lv != x:
-                    lv, lb = under_binder(lv, lb)
-                    lb = go(lb)
-                if rv != x:
-                    rv, rb = under_binder(rv, rb)
-                    rb = go(rb)
-                return Case(scrutinee, lv, lb, rv, rb)
-            case Located(agent, body):
-                return Located(agent, go(body))
-            case Send(payload, dest):
-                return Send(go(payload), dest)
-            case Up(path, body):
-                return Up(path, go(body))
-            case Down(path, body):
-                return Down(path, go(body))
-            case App(fn, arg):
-                return App(go(fn), go(arg))
-            case Pair(left, right):
-                return Pair(go(left), go(right))
-            case Fst(inner):
-                return Fst(go(inner))
-            case Snd(inner):
-                return Snd(go(inner))
-            case Inl(inner):
-                return Inl(go(inner))
-            case Inr(inner):
-                return Inr(go(inner))
-            case Absurd(inner):
-                return Absurd(go(inner))
-            case Annot(inner, ty):
-                return Annot(go(inner), ty)
-        raise TypeError(f"not an expression: {e!r}")
+    def go(e: Node) -> Node:
+        if type(e) is Var:
+            return v if e.name == x else e
+        shape = _shape_of(e)
+        if not shape.subterms:
+            return e
+        parts = [getattr(e, name) for name in shape.fields]
+        for i, b in shape.subterms:
+            if b is None:
+                parts[i] = go(parts[i])
+            elif parts[b] != x:
+                var, body = parts[b], parts[i]
+                # Rename the binder when it would capture a free variable of v.
+                if var in fvv and x in free_vars(body):
+                    renamed = fresh_name(var, fvv | free_vars(body))
+                    var, body = renamed, substitute(body, var, Var(renamed))
+                parts[b], parts[i] = var, go(body)
+        return type(e)(*parts, span=e.span)
 
     return go(e)
 
 
-def expr_equal(e1: Expr, e2: Expr) -> bool:
-    """Alpha-equivalence of expressions."""
+def expr_equal(e1: Node, e2: Node) -> bool:
+    """Alpha-equivalence of expressions and of local processes."""
 
-    def go(a: Expr, b: Expr, env1: dict[str, int], env2: dict[str, int],
+    def go(a: Node, b: Node, env1: dict[str, int], env2: dict[str, int],
            depth: int) -> bool:
-        match a, b:
-            case Var(n1), Var(n2):
-                d1, d2 = env1.get(n1), env2.get(n2)
-                if d1 is None and d2 is None:
-                    return n1 == n2
-                return d1 == d2
-            case UnitVal(), UnitVal():
-                return True
-            case Lam(v1, b1), Lam(v2, b2):
-                return go(b1, b2, {**env1, v1: depth}, {**env2, v2: depth},
-                          depth + 1)
-            case ModalLet(g1a, g2a, v1, e1a, b1), ModalLet(g1b, g2b, v2, e1b, b2):
-                return (g1a == g1b and g2a == g2b
-                        and go(e1a, e1b, env1, env2, depth)
-                        and go(b1, b2, {**env1, v1: depth},
-                               {**env2, v2: depth}, depth + 1))
-            case Case(s1, lv1, lb1, rv1, rb1), Case(s2, lv2, lb2, rv2, rb2):
-                return (go(s1, s2, env1, env2, depth)
-                        and go(lb1, lb2, {**env1, lv1: depth},
-                               {**env2, lv2: depth}, depth + 1)
-                        and go(rb1, rb2, {**env1, rv1: depth},
-                               {**env2, rv2: depth}, depth + 1))
-            case Located(a1, b1), Located(a2, b2):
-                return a1 == a2 and go(b1, b2, env1, env2, depth)
-            case Send(p1, d1), Send(p2, d2):
-                return d1 == d2 and go(p1, p2, env1, env2, depth)
-            case Up(g1, b1), Up(g2, b2):
-                return g1 == g2 and go(b1, b2, env1, env2, depth)
-            case Down(g1, b1), Down(g2, b2):
-                return g1 == g2 and go(b1, b2, env1, env2, depth)
-            case App(f1, a1), App(f2, a2):
-                return (go(f1, f2, env1, env2, depth)
-                        and go(a1, a2, env1, env2, depth))
-            case Pair(l1, r1), Pair(l2, r2):
-                return (go(l1, l2, env1, env2, depth)
-                        and go(r1, r2, env1, env2, depth))
-            case Fst(i1), Fst(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Snd(i1), Snd(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Inl(i1), Inl(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Inr(i1), Inr(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Absurd(i1), Absurd(i2):
-                return go(i1, i2, env1, env2, depth)
-            case Annot(i1, t1), Annot(i2, t2):
-                return t1 == t2 and go(i1, i2, env1, env2, depth)
-        return False
+        if type(a) is not type(b):
+            return False
+        if type(a) is Var:
+            d1, d2 = env1.get(a.name), env2.get(b.name)
+            if d1 is None and d2 is None:
+                return a.name == b.name
+            return d1 == d2
+        shape = _shape_of(a)
+        if any(getattr(a, n) != getattr(b, n) for n in shape.data):
+            return False
+        names = shape.fields
+        for i, binder in shape.subterms:
+            sa, sb = getattr(a, names[i]), getattr(b, names[i])
+            if binder is None:
+                if not go(sa, sb, env1, env2, depth):
+                    return False
+            elif not go(sa, sb, {**env1, getattr(a, names[binder]): depth},
+                        {**env2, getattr(b, names[binder]): depth}, depth + 1):
+                return False
+        return True
 
     return go(e1, e2, {}, {}, 0)
 

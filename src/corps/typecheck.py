@@ -282,8 +282,12 @@ def resolve_topology(program: Program, override: Optional[str] = None,
 
 def check_program(program: Program, topology: Optional[Topology] = None,
                   base_dir: str = ".",
-                  checker: Optional[Checker] = None) -> list[TypeCheckError]:
-    """Check every definition and main; returns all rejections found."""
+                  checker: Optional[Checker] = None,
+                  deriv: Optional[list[Derivation]] = None) -> list[TypeCheckError]:
+    """Check every definition and main; returns all rejections found.
+
+    Given a `deriv` list, appends one derivation per definition and main.
+    """
     if topology is None:
         topology = resolve_topology(program, base_dir=base_dir)
     chk = checker if checker is not None else Checker(topology)
@@ -293,12 +297,12 @@ def check_program(program: Program, topology: Optional[Topology] = None,
         ctx = ctx_bind(ctx, name, ty, ())
     for name, ty, body in program.defs:
         try:
-            chk.check(ctx, body, ty)
+            chk.check(ctx, body, ty, deriv)
         except TypeCheckError as err:
             errors.append(err)
         ctx = ctx_bind(ctx, name, ty, ())
     try:
-        chk.check(ctx, program.main_expr, program.main_type)
+        chk.check(ctx, program.main_expr, program.main_type, deriv)
     except TypeCheckError as err:
         errors.append(err)
     return errors

@@ -59,6 +59,17 @@ class TestCheck:
         assert "point of view" in out
         assert "Send" in out
 
+    def test_derivation_lists_every_error(self, tmp_path, capsys):
+        path = tmp_path / "two.corps"
+        path.write_text("topology doxastic;\n"
+                        "def d : unit = down [A] (A.());\n" + T_AXIOM.split("\n")[1])
+        assert main(["check", str(path)]) == 1
+        plain = capsys.readouterr()
+        assert main(["check", str(path), "--derivation"]) == 1
+        derived = capsys.readouterr()
+        assert derived.out == "" and derived.err == plain.err
+        assert plain.err.count("[Down]") == 2
+
     def test_deep_nesting_exit_2(self, tmp_path, capsys):
         path = tmp_path / "deep.corps"
         path.write_text("main : unit = " + "(" * 300 + "()" + ")" * 300 + ";\n")
@@ -110,6 +121,20 @@ class TestNormalize:
         for inner, outer in zip(spans, spans[1:]):
             assert outer[0] < inner[0] and inner[1] < outer[1]
 
+    def test_trace_spans_survive_substitution(self, tmp_path, capsys):
+        # Every step here rewrites a term built by substitution (the inlined
+        # def, or a reduct); each redex still reports its source span.
+        path = tmp_path / "subst.corps"
+        path.write_text(
+            "def f : unit -> unit = fun x -> x;\n"
+            "main : unit = let [] [A] y = A.(()) in ((fun z -> z) : unit -> unit) "
+            "(case (inl () : unit + unit) of inl a -> f a | inr b -> b);\n")
+        trace = tmp_path / "steps.jsonl"
+        assert main(["normalize", str(path), "--trace", str(trace)]) == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["rule"] for r in records] == ["modal-let", "case-inl", "beta", "beta"]
+        assert all(r["redex"] and r["redex"].startswith(str(path)) for r in records)
+
 
 class TestProject:
     def test_agent(self, p4, capsys):
@@ -126,6 +151,9 @@ class TestProject:
         assert "process []: skip" in out
         assert "process [A]: send_to [B] ()" in out
         assert "process [B]: recv_from [A]" in out
+
+    def test_emit_is_not_an_option(self, p4, capsys):
+        assert main(["project", p4, "--emit"]) == 4
 
     def test_merge_conflict_exit_1(self, tmp_path, capsys):
         path = tmp_path / "conflict.corps"

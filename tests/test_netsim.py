@@ -9,9 +9,7 @@ from corps.netsim import (
     is_local_value, run,
 )
 from corps.parser import parse_program
-from corps.projection import (
-    SKIP, RecvFrom, SendTo, Seq, local_expr_equal, project_network,
-)
+from corps.projection import SKIP, RecvFrom, SendTo, Seq, project_network
 from corps.topology import load_preset
 from genprog import ProgramGen
 
@@ -142,7 +140,7 @@ class TestAgreement:
             baseline = results[0].values
             for other in results[1:]:
                 for address, value in baseline.items():
-                    assert local_expr_equal(other.values[address], value)
+                    assert S.expr_equal(other.values[address], value)
 
 
 class TestDeadlockFree:

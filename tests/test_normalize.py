@@ -247,3 +247,15 @@ class TestRefocusedMachine:
         e, cls, steps = normalize(POS, _send_chain(5_000), 100_000)
         assert (e, cls, steps) == (S.Located("A", S.UnitVal()),
                                    NormalFormClass.VALUE, 5_000)
+
+    def test_deep_value_needs_no_python_stack(self):
+        # A.A.(...A.(())...) is a value already, so the classifier walks all
+        # of it; again check only by identity, never by == or repr.
+        assert sys.getrecursionlimit() < 5_000
+        value, open_term = S.UnitVal(), S.Var("x")
+        for _ in range(5_000):
+            value, open_term = S.Located("A", value), S.Located("A", open_term)
+        out, cls, steps = normalize(POS, value, 10)
+        assert out is value and (cls, steps) == (NormalFormClass.VALUE, 0)
+        assert is_positive_value(value)
+        assert classify(POS, open_term) is NormalFormClass.OPEN

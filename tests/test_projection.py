@@ -4,7 +4,7 @@ from corps import syntax as S
 from corps.parser import parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq,
-    local_expr_equal, local_str, local_substitute, merge, project,
+    local_str, merge, project,
     project_network,
 )
 from corps.topology import load_preset
@@ -118,7 +118,7 @@ class TestCaseProjection:
         assert isinstance(scrut, S.Inr)
         from corps.netsim import RoundRobin, run
         result = run(net, RoundRobin())
-        assert local_expr_equal(result.values[()], S.Inr(S.UnitVal()))
+        assert S.expr_equal(result.values[()], S.Inr(S.UnitVal()))
 
 
 class TestWireDiscipline:
@@ -149,12 +149,41 @@ class TestLocalExprOps:
 
     def test_local_substitute_capture(self):
         e = S.Lam("y", S.App(S.Var("x"), S.Var("y")))
-        out = local_substitute(e, "x", S.Var("y"))
+        out = S.substitute(e, "x", S.Var("y"))
         assert isinstance(out, S.Lam) and out.var != "y"
 
     def test_local_equal_modulo_paths(self):
-        assert not local_expr_equal(RecvFrom(("A",)), RecvFrom(("B",)))
-        assert local_expr_equal(Seq(SKIP, S.UnitVal()), Seq(SKIP, S.UnitVal()))
+        assert not S.expr_equal(RecvFrom(("A",)), RecvFrom(("B",)))
+        assert S.expr_equal(Seq(SKIP, S.UnitVal()), Seq(SKIP, S.UnitVal()))
+        assert not S.expr_equal(SendTo(("A",), SKIP), SendTo(("B",), SKIP))
+        assert S.expr_equal(SendTo(("A",), S.Lam("u", S.Var("u"))),
+                            SendTo(("A",), S.Lam("w", S.Var("w"))))
+
+    def test_substitute_capture_under_send_to_and_seq(self):
+        # (send_to [B] (fun y -> x) ; fun y -> x y)[x := y]: both binders
+        # are renamed, and the substituted y stays free.
+        e = Seq(SendTo(("B",), S.Lam("y", S.Var("x"))),
+                S.Lam("y", S.App(S.Var("x"), S.Var("y"))))
+        out = S.substitute(e, "x", S.Var("y"))
+        assert isinstance(out, Seq) and isinstance(out.first, SendTo)
+        sent, rest = out.first.payload, out.rest
+        assert sent.var != "y" and sent.body == S.Var("y")
+        assert rest.var != "y" and rest.body == S.App(S.Var("y"), S.Var(rest.var))
+        assert S.free_vars(out) == {"y"}
+        assert S.expr_equal(out, Seq(SendTo(("B",), S.Lam("z", S.Var("y"))),
+                                     S.Lam("z", S.App(S.Var("y"), S.Var("z")))))
+
+    def test_substitute_capture_under_local_case(self):
+        # case x of inl y -> send_to [A] (x, y) | inr x -> x, with x := y:
+        # the left binder is renamed, the right one shadows x.
+        e = S.Case(S.Var("x"), "y", SendTo(("A",), S.Pair(S.Var("x"), S.Var("y"))),
+                   "x", S.Var("x"))
+        out = S.substitute(e, "x", S.Var("y"))
+        assert out.scrutinee == S.Var("y")
+        assert out.left_var != "y"
+        assert out.left_body == SendTo(("A",), S.Pair(S.Var("y"), S.Var(out.left_var)))
+        assert (out.right_var, out.right_body) == ("x", S.Var("x"))
+        assert S.free_vars(out) == {"y"}
 
 
 class TestGeneratedProjectability:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from typing import get_args
 
 from hypothesis import given, strategies as st
 
@@ -179,3 +181,37 @@ class TestStacks:
         spine, core = S.peel_located(e)
         assert spine == ("A",)
         assert core == inner  # the core keeps its own annotation
+
+
+class TestSchema:
+    def test_every_node_class_has_an_entry(self):
+        classes = set(get_args(S.Expr)) | set(get_args(S.LocalExpr))
+        assert len(classes) == 21 and set(S.SCHEMA) == classes
+        for cls in classes:
+            shape = S.SCHEMA[cls]
+            declared = [f for f in dataclasses.fields(cls) if f.name != "span"]
+            assert shape.fields == tuple(f.name for f in declared)
+            # subterms are exactly the fields typed as terms, binders are
+            # names, and everything else is data
+            subterms = {shape.fields[i] for i, _ in shape.subterms}
+            assert subterms == {f.name for f in declared if "Expr" in f.type}
+            binders = {shape.fields[b] for _, b in shape.subterms if b is not None}
+            assert all(f.type == "str" for f in declared if f.name in binders)
+            assert set(shape.data) == set(shape.fields) - subterms - binders
+
+    def test_binder_scopes(self):
+        scopes = {(cls, shape.fields[i]): shape.fields[b]
+                  for cls, shape in S.SCHEMA.items()
+                  for i, b in shape.subterms if b is not None}
+        assert scopes == {
+            (S.Lam, "body"): "var", (S.ModalLet, "body"): "var",
+            (S.Case, "left_body"): "left_var",
+            (S.Case, "right_body"): "right_var",
+        }
+
+    def test_substitution_keeps_spans(self):
+        span = S.Span("f", 0, 3)
+        e = S.App(S.Lam("y", Var("x"), span=span), Var("x"), span=span)
+        out = substitute(e, "x", UnitVal())
+        assert out == S.App(S.Lam("y", UnitVal()), UnitVal())
+        assert out.span == span and out.fn.span == span
