@@ -370,8 +370,7 @@ def expected_result(program: Program, topology: Topology,
     core = match_located(nf, stack)
     if core is None:
         raise PreconditionError("normal form does not carry the declared stack")
-    local, _, _ = project_expr(core, core_ty, stack, stack, topology)
-    return local
+    return project_expr(core, core_ty, stack, stack, topology)
 
 
 def epp_agreement(program: Program, schedules: list[SchedulerPolicy],

@@ -30,19 +30,37 @@ excluded from agreement checking.
 Case branches at every address other than the scrutinee's owner must
 merge, i.e. be alpha-equal; a conflict means some third party would
 need to know the outcome of a choice it cannot observe.
+
+One walk of the typing derivation projects every address at once.  Each
+rule returns a sparse projection: a generic process, which every address
+gets, and a map from the few addresses that differ to their processes.
+Only viewpoints of unit values, injections and cases, and the two ends
+of each message, ever become keys, so a rule combines its children's
+processes per key rather than per address of the universe.
+
+Errors follow walk order, as if each address had its own walk that
+stops at its first error.  A merge conflict at a key takes the place of
+that address's process, and a rule whose children hold errors keeps the
+first.  An error in the generic process (a merge conflict there, or a
+nested-modality payload, which fails at every address) ends the walk.
+So `project_network` raises the generic process's first error if there
+is one, and otherwise the error at the smallest address of the universe
+that has one; `project(g)` walks for g alone and raises g's first error.
+The input must typecheck: the walk raises TypeCheckError where it meets
+a rule that does not apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
     SKIP, Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl,
     Inr, Lam, LocalExpr, Located, ModalLet, Pair, Path, Product, RecvFrom,
-    Send, SendTo, Seq, Skip, Snd, Sum, Type, UnitVal, Up, Var, Void,
+    Send, SendTo, Seq, Skip, Snd, Sum, Type, Unit, UnitVal, Up, Var, Void,
     belief_stack, ctx_bind, ctx_lock, expr_equal, path_concat, peel_stack,
     split_stack, substitute,
 )
@@ -176,35 +194,69 @@ class Network:
     universe: frozenset[Path] = field(default_factory=frozenset)
 
 
-class _NoAddress:
-    """Target used by the scanning pass; equal to no address."""
+# ---------------------------------------------------------------------------
+# Sparse projections: (generic, at), where address g gets at[g], or
+# `generic` if g is not a key.  An error may stand in for a process at a
+# key (see the module docstring).
 
-    def __eq__(self, other) -> bool:
-        return other is self
+Local = Union[LocalExpr, ProjectionError]
+Sparse = tuple[LocalExpr, dict[Path, Local]]
 
-    def __hash__(self) -> int:
-        return id(self)
+_NOWHERE: dict[Path, Local] = {}  # shared; no sparse map is ever mutated
+
+
+def _apply(rule, parts: list[Local]) -> Local:
+    # The first error in walk order stands for the whole node.
+    for part in parts:
+        if isinstance(part, ProjectionError):
+            return part
+    return rule(*parts)
+
+
+def _process(local: Local) -> LocalExpr:
+    if isinstance(local, ProjectionError):
+        raise local
+    return local
 
 
 class _Projector:
-    """One walk of the typing derivation, projecting for a single target."""
+    """One walk of the typing derivation, projecting for every address.
 
-    def __init__(self, topology: Topology, target):
+    Given a target address, it projects for that address alone: its
+    process is the generic one, and the maps stay empty.
+    """
+
+    def __init__(self, topology: Topology, target: Optional[Path] = None):
         self.checker = Checker(topology)
         self.target = target
         self.participants: set[Path] = set()
         self.lambda_wire = False
 
+    def _node(self, rule, *specs: Sparse, special=None) -> Sparse:
+        """Apply `rule` to the children's processes, address by address;
+        an address that `special` maps to a rule of its own applies that."""
+        special = special or {}
+        if self.target is not None:
+            # The target's process is the generic one; no map gets a key.
+            rule, special = special.get(self.target, rule), {}
+        # An error in the generic process ends the walk (module docstring).
+        generic = _process(rule(*[generic for generic, _ in specs]))
+        keys = set(special).union(*[at for _, at in specs])
+        if not keys:
+            return generic, _NOWHERE
+        return generic, {
+            g: _apply(special.get(g, rule), [at.get(g, default) for default, at in specs])
+            for g in keys}
+
     # -- bidirectional walk, mirroring the typechecker ------------------------
 
-    def infer(self, ctx, e: Expr, L: Path) -> tuple[LocalExpr, Type]:
-        g = self.target
+    def infer(self, ctx, e: Expr, L: Path) -> tuple[Sparse, Type]:
         match e:
             case Var(name):
                 ty = self.checker.infer(ctx, e)
-                return Var(name), ty
+                return (Var(name), _NOWHERE), ty
             case UnitVal():
-                return (UnitVal() if g == L else SKIP), self.checker.infer(ctx, e)
+                return self._node(lambda: SKIP, special={L: UnitVal}), Unit()
             case Located(agent, body):
                 inside = path_concat(L, (agent,))
                 self.participants.add(inside)
@@ -221,12 +273,16 @@ class _Projector:
                     raise TypeCheckError("BelievesE", "stack mismatch", e.span)
                 inner_ctx = ctx_bind(ctx, var, core, path_concat(g1, g2))
                 le, ty = self.infer(inner_ctx, body, L)
-                if be == SKIP:
-                    # This address holds no part of the bound value and has
-                    # no duties computing it, so the binding is the skip
-                    # value; substituting keeps uninvolved processes at skip.
-                    return substitute(le, var, SKIP), ty
-                return _mk_app(_mk_lam(var, le), be), ty
+
+                def bind(b: LocalExpr, l: LocalExpr) -> LocalExpr:
+                    if b == SKIP:
+                        # This address holds no part of the bound value and
+                        # has no duties computing it, so the binding is the
+                        # skip value; substituting keeps uninvolved
+                        # processes at skip.
+                        return substitute(l, var, SKIP)
+                    return _mk_app(_mk_lam(var, l), b)
+                return self._node(bind, be, le), ty
             case Send(payload, dest):
                 pe, pty = self.infer(ctx, payload, L)
                 g1, core = split_stack(pty)
@@ -250,21 +306,21 @@ class _Projector:
                 if not isinstance(fty, Arrow):
                     raise TypeCheckError("App", "non-function applied", e.span)
                 ae = self.check(ctx, arg, fty.dom, L)
-                return _mk_app(fe, ae), fty.cod
+                return self._node(_mk_app, fe, ae), fty.cod
             case Pair(left, right):
                 le, lt = self.infer(ctx, left, L)
                 re_, rt = self.infer(ctx, right, L)
-                return _mk_pair(le, re_), Product(lt, rt)
+                return self._node(_mk_pair, le, re_), Product(lt, rt)
             case Fst(inner):
                 ie, ty = self.infer(ctx, inner, L)
                 if not isinstance(ty, Product):
                     raise TypeCheckError("Fst", "non-product", e.span)
-                return _mk_unary(Fst, ie), ty.left
+                return self._node(_unary(Fst), ie), ty.left
             case Snd(inner):
                 ie, ty = self.infer(ctx, inner, L)
                 if not isinstance(ty, Product):
                     raise TypeCheckError("Snd", "non-product", e.span)
-                return _mk_unary(Snd, ie), ty.right
+                return self._node(_unary(Snd), ie), ty.right
             case Case(scrutinee, lv, lb, rv, rb):
                 se, sty = self.infer(ctx, scrutinee, L)
                 if not isinstance(sty, Sum):
@@ -273,26 +329,26 @@ class _Projector:
                 re_, rt = self.infer(ctx_bind(ctx, rv, sty.right, ()), rb, L)
                 if lt != rt:
                     raise TypeCheckError("Case", "branch types differ", e.span)
-                return self._case(se, lv, le, rv, re_, L, e), lt
+                return self._case(se, lv, le, rv, re_, L), lt
             case Lam() | Inl() | Inr() | Absurd():
                 raise TypeCheckError("Infer", "not inferable", e.span)
         raise TypeError(f"not an expression: {e!r}")
 
-    def check(self, ctx, e: Expr, ty: Type, L: Path) -> LocalExpr:
+    def check(self, ctx, e: Expr, ty: Type, L: Path) -> Sparse:
         match e:
             case Lam(var, body):
                 if not isinstance(ty, Arrow):
                     raise TypeCheckError("Lam", "non-function type", e.span)
                 be = self.check(ctx_bind(ctx, var, ty.dom, ()), body, ty.cod, L)
-                return _mk_lam(var, be)
+                return self._node(lambda b: _mk_lam(var, b), be)
             # The next two cases go beyond the typechecker's checking mode.
             # They let canonical values (whose injections carry no
             # annotations, e.g. normal forms) be projected; on programs the
             # typechecker accepted they agree with the infer-and-compare
             # route.
             case Pair(left, right) if isinstance(ty, Product):
-                return _mk_pair(self.check(ctx, left, ty.left, L),
-                                self.check(ctx, right, ty.right, L))
+                return self._node(_mk_pair, self.check(ctx, left, ty.left, L),
+                                  self.check(ctx, right, ty.right, L))
             case Located(agent, body) if isinstance(ty, Believes) and ty.agent == agent:
                 inside = path_concat(L, (agent,))
                 self.participants.add(inside)
@@ -306,34 +362,33 @@ class _Projector:
                     raise TypeCheckError("Inr", "non-sum type", e.span)
                 return self._mk_inj(Inr, self.check(ctx, inner, ty.right, L), L)
             case Absurd(inner):
-                return _mk_unary(Absurd, self.check(ctx, inner, Void(), L))
+                return self._node(_unary(Absurd), self.check(ctx, inner, Void(), L))
             case Case(scrutinee, lv, lb, rv, rb):
                 se, sty = self.infer(ctx, scrutinee, L)
                 if not isinstance(sty, Sum):
                     raise TypeCheckError("Case", "non-sum scrutinee", e.span)
                 le = self.check(ctx_bind(ctx, lv, sty.left, ()), lb, ty, L)
                 re_ = self.check(ctx_bind(ctx, rv, sty.right, ()), rb, ty, L)
-                return self._case(se, lv, le, rv, re_, L, e)
+                return self._case(se, lv, le, rv, re_, L)
             case _:
                 le, inferred = self.infer(ctx, e, L)
                 if inferred != ty:
                     raise TypeCheckError("Mismatch", "type mismatch", e.span)
                 return le
 
-    def _mk_inj(self, ctor, inner: LocalExpr, L: Path) -> LocalExpr:
+    def _mk_inj(self, ctor, inner: Sparse, L: Path) -> Sparse:
         # A sum tag is data belonging to the viewpoint that forms it: the
         # owner keeps the injection even over a hole, otherwise its own
         # case analysis would lose the choice.  Everyone else drops
         # content-free injections like any other empty structure.
-        if self.target != L and inner == SKIP:
-            return SKIP
-        return ctor(inner)
+        return self._node(_unary(ctor), inner, special={L: ctor})
 
     # -- communication and choice -------------------------------------------
 
-    def _comm(self, payload: LocalExpr, moved_ty: Type, sender: Path,
-              receiver: Path, site: Expr) -> LocalExpr:
+    def _comm(self, payload: Sparse, moved_ty: Type, sender: Path,
+              receiver: Path, site: Expr) -> Sparse:
         if _contains_believes(moved_ty):
+            # Every address fails here, so the generic process does too.
             raise ProjectionError(
                 f"communicated value of type with a nested modality cannot be "
                 f"projected to a single message ({expr_str(site)})")
@@ -341,26 +396,33 @@ class _Projector:
             self.lambda_wire = True
         self.participants.add(sender)
         self.participants.add(receiver)
-        g = self.target
-        if g == sender and g == receiver:
-            return Seq(SendTo(receiver, payload), RecvFrom(sender))
-        if g == sender:
-            return SendTo(receiver, payload)
-        if g == receiver:
-            return _mk_seq(payload, RecvFrom(sender))
-        return payload
+        if sender == receiver:
+            ends = {sender: lambda p: Seq(SendTo(receiver, p), RecvFrom(sender))}
+        else:
+            ends = {sender: lambda p: SendTo(receiver, p),
+                    receiver: lambda p: _mk_seq(p, RecvFrom(sender))}
+        # Third parties keep only the payload's duties.
+        return self._node(lambda p: p, payload, special=ends)
 
-    def _case(self, se: LocalExpr, lv: str, le: LocalExpr, rv: str,
-              re_: LocalExpr, L: Path, site: Expr) -> LocalExpr:
-        if self.target != L:
+    def _case(self, se: Sparse, lv: str, le: Sparse, rv: str, re_: Sparse,
+              L: Path) -> Sparse:
+        def owner(s, l, r) -> LocalExpr:
+            return _mk_case(s, lv, l, rv, r)
+
+        def third_party(s, l, r) -> Local:
             # Third parties must behave identically whichever branch runs.
             try:
-                merge(le, substitute(re_, rv, Var(lv)))
+                merge(l, substitute(r, rv, Var(lv)))
             except MergeConflict as err:
-                raise MergeConflict(
-                    f"case at viewpoint {path_str(L)} is not projectable: {err}"
-                ) from None
-        return _mk_case(se, lv, le, rv, re_)
+                return MergeConflict(
+                    f"case at viewpoint {path_str(L)} is not projectable: {err}")
+            return owner(s, l, r)
+
+        return self._node(third_party, se, le, re_, special={L: owner})
+
+
+def _unary(ctor):
+    return lambda inner: _mk_unary(ctor, inner)
 
 
 def _prefix_closure(paths: set[Path]) -> frozenset[Path]:
@@ -379,12 +441,11 @@ def _closed_main(program: Program) -> tuple[Expr, Type]:
     return inline_main(program)
 
 
-def project_expr(e: Expr, ty: Type, viewpoint: Path, target,
-                 topology: Topology) -> tuple[LocalExpr, set[Path], bool]:
+def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
+                 topology: Topology) -> LocalExpr:
     """Project a closed, well-typed expression for one target address."""
-    projector = _Projector(topology, target)
-    local = projector.check((), e, ty, viewpoint)
-    return local, projector.participants | {viewpoint}, projector.lambda_wire
+    local, _ = _Projector(topology, target).check((), e, ty, viewpoint)
+    return local
 
 
 def project(program: Program, g: Path, topology: Optional[Topology] = None,
@@ -392,8 +453,7 @@ def project(program: Program, g: Path, topology: Optional[Topology] = None,
     if topology is None:
         topology = resolve_topology(program, base_dir=base_dir)
     e, ty = _closed_main(program)
-    local, _, _ = project_expr(e, ty, (), g, topology)
-    return local
+    return project_expr(e, ty, (), g, topology)
 
 
 def project_network(program: Program, topology: Optional[Topology] = None,
@@ -402,11 +462,11 @@ def project_network(program: Program, topology: Optional[Topology] = None,
         topology = resolve_topology(program, base_dir=base_dir)
     e, ty = _closed_main(program)
     result_address, _ = split_stack(ty)
-    # Scanning pass: discover participants and reject unprojectable shapes.
-    _, participants, lambda_wire = project_expr(e, ty, (), _NoAddress(), topology)
-    universe = _prefix_closure(participants | {result_address})
-    processes: dict[Path, LocalExpr] = {}
-    for address in sorted(universe):
-        local, _, _ = project_expr(e, ty, (), address, topology)
-        processes[address] = local
-    return Network(processes, result_address, lambda_wire, frozenset(universe))
+    projector = _Projector(topology)
+    generic, at = projector.check((), e, ty, ())
+    universe = _prefix_closure(projector.participants | {result_address})
+    # Sorted, so that the smallest address with an error raises it.
+    processes = {address: _process(at.get(address, generic))
+                 for address in sorted(universe)}
+    return Network(processes, result_address, projector.lambda_wire,
+                   frozenset(universe))

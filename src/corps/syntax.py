@@ -337,14 +337,28 @@ def children(e: Node) -> list[Node]:
 
 
 def free_vars(e: Node) -> frozenset[str]:
-    if type(e) is Var:
-        return frozenset((e.name,))
-    shape = _shape_of(e)
-    out: frozenset[str] = frozenset()
-    for i, b in shape.subterms:
-        inner = free_vars(getattr(e, shape.fields[i]))
-        out |= inner if b is None else inner - {getattr(e, shape.fields[b])}
-    return out
+    out: set[str] = set()
+    bound: dict[str, int] = {}  # binders in scope, with multiplicity
+    # Entries are nodes, or (name, +1 / -1) on entering / leaving the
+    # scope of a binder.
+    todo: list = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is tuple:
+            name, step = e
+            bound[name] = bound.get(name, 0) + step
+        elif type(e) is Var:
+            if not bound.get(e.name):
+                out.add(e.name)
+        else:
+            shape = _shape_of(e)
+            for i, b in shape.subterms:
+                if b is None:
+                    todo.append(getattr(e, shape.fields[i]))
+                else:
+                    var = getattr(e, shape.fields[b])
+                    todo += ((var, -1), getattr(e, shape.fields[i]), (var, 1))
+    return frozenset(out)
 
 
 def fresh_name(base: str, avoid: frozenset[str]) -> str:
@@ -360,7 +374,9 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
 def substitute(e: Node, x: str, v: Node) -> Node:
     """Capture-avoiding substitution of `v` for free occurrences of `x`.
 
-    Rebuilt nodes keep their spans.
+    Rebuilt nodes keep their spans.  Unlike `free_vars` and `expr_equal`
+    it recurses once per node, so a term nested past the interpreter's
+    recursion limit raises RecursionError.
     """
     fvv = free_vars(v)
 
@@ -387,17 +403,21 @@ def substitute(e: Node, x: str, v: Node) -> Node:
 
 
 def expr_equal(e1: Node, e2: Node) -> bool:
-    """Alpha-equivalence of expressions and of local processes."""
+    """Alpha-equivalence of expressions and of local processes.
 
-    def go(a: Node, b: Node, env1: dict[str, int], env2: dict[str, int],
-           depth: int) -> bool:
+    Bound variables compare by the depth of their binders (de Bruijn
+    levels); free ones by name.
+    """
+    todo: list = [(e1, e2, {}, {}, 0)]
+    while todo:
+        a, b, env1, env2, depth = todo.pop()
         if type(a) is not type(b):
             return False
         if type(a) is Var:
             d1, d2 = env1.get(a.name), env2.get(b.name)
-            if d1 is None and d2 is None:
-                return a.name == b.name
-            return d1 == d2
+            if d1 != d2 or d1 is None and a.name != b.name:
+                return False
+            continue
         shape = _shape_of(a)
         if any(getattr(a, n) != getattr(b, n) for n in shape.data):
             return False
@@ -405,14 +425,11 @@ def expr_equal(e1: Node, e2: Node) -> bool:
         for i, binder in shape.subterms:
             sa, sb = getattr(a, names[i]), getattr(b, names[i])
             if binder is None:
-                if not go(sa, sb, env1, env2, depth):
-                    return False
-            elif not go(sa, sb, {**env1, getattr(a, names[binder]): depth},
-                        {**env2, getattr(b, names[binder]): depth}, depth + 1):
-                return False
-        return True
-
-    return go(e1, e2, {}, {}, 0)
+                todo.append((sa, sb, env1, env2, depth))
+            else:
+                todo.append((sa, sb, {**env1, getattr(a, names[binder]): depth},
+                             {**env2, getattr(b, names[binder]): depth}, depth + 1))
+    return True
 
 
 # ---------------------------------------------------------------------------

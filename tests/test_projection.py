@@ -1,5 +1,9 @@
+import re
+from collections import Counter
+
 import pytest
 
+from corps import projection
 from corps import syntax as S
 from corps.parser import parse_program
 from corps.projection import (
@@ -8,6 +12,7 @@ from corps.projection import (
     project_network,
 )
 from corps.topology import load_preset
+from corps.typecheck import Checker, inline_main
 from genprog import ProgramGen
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
@@ -98,6 +103,33 @@ class TestCaseProjection:
                "inr y -> let [] [A] z = A.(up [A] ()) in A.(down [A] z);")
         with pytest.raises(MergeConflict):
             project_network(parse_program(src))
+
+    # A case at the root whose branches differ at the third parties [A]
+    # and [A.A], but not at the addresses it leaves generic.
+    DIVERGENT = ("case (inl () : unit + unit) of inl x -> A.{v} | "
+                 "inr y -> let [] [A] z = A.(up [A] {v}) in A.(down [A] z)")
+
+    def test_first_conflict_in_walk_order_is_reported(self):
+        for first, second, ty in (("()", "((), ())", "unit * [A] (unit * unit)"),
+                                  ("((), ())", "()", "(unit * unit) * [A] unit")):
+            src = (f"topology doxastic; main : [A] {ty} = "
+                   f"({self.DIVERGENT.format(v=first)}, "
+                   f"{self.DIVERGENT.format(v=second)});")
+            program = parse_program(src)
+            for run in (lambda: project_network(program),
+                        lambda: project(program, ("A",))):
+                with pytest.raises(MergeConflict, match=f"'{re.escape(first)}' vs"):
+                    run()
+
+    def test_error_at_every_address_outranks_an_earlier_one_at_some(self):
+        src = ("topology doxastic; main : [A] unit * [B] (unit * [C] unit) = "
+               f"({self.DIVERGENT.format(v='()')}, send A.(((), C.())) to [B]);")
+        program = parse_program(src)
+        with pytest.raises(ProjectionError, match="nested modality") as err:
+            project_network(program)
+        assert type(err.value) is ProjectionError
+        with pytest.raises(MergeConflict):
+            project(program, ("A",))
 
     def test_owner_keeps_real_branches(self):
         src = ("main : unit = case (inl () : unit + unit) of inl x -> x"
@@ -209,3 +241,61 @@ class TestGeneratedProjectability:
         n1 = project_network(program, topo)
         n2 = project_network(program, topo)
         assert n1.processes == n2.processes
+
+
+def fanout(k: int, sender: int) -> str:
+    """P<sender> sends a unit to each other of P0..P(k-1); the result is
+    the nested tuple of what the receivers got."""
+    receivers = [i for i in range(k) if i != sender]
+    ty = f"[P{receivers[-1]}] unit"
+    expr = f"send P{sender}.() to [P{receivers[-1]}]"
+    for i in reversed(receivers[:-1]):
+        ty = f"[P{i}] unit * ({ty})"
+        expr = f"(send P{sender}.() to [P{i}], {expr})"
+    return f"topology choreo; main : {ty} = {expr};"
+
+
+def visits(monkeypatch, cls, run) -> Counter:
+    """How often `run()` visits each node through cls.infer/check.  A
+    check that falls through to infer on the same node is one visit."""
+    seen: Counter = Counter()
+    active: list = []
+
+    def counted(method):
+        def visit(self, ctx, e, *rest):
+            if not active or active[-1] is not e:
+                seen[id(e)] += 1
+            active.append(e)
+            try:
+                return method(self, ctx, e, *rest)
+            finally:
+                active.pop()
+        return visit
+
+    with monkeypatch.context() as m:
+        m.setattr(cls, "infer", counted(cls.infer))
+        m.setattr(cls, "check", counted(cls.check))
+        run()
+    return seen
+
+
+def node_count(e) -> int:
+    count, stack = 0, [e]
+    while stack:
+        count += 1
+        stack.extend(S.children(stack.pop()))
+    return count
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_project_network_visits_each_node_once(self, monkeypatch, k):
+        topo = load_preset("choreo")
+        program = parse_program(fanout(k, k // 3))
+        e, ty = inline_main(program)
+        checked = visits(monkeypatch, Checker,
+                         lambda: Checker(topo).check((), e, ty))
+        projected = visits(monkeypatch, projection._Projector,
+                           lambda: project_network(program, topo))
+        assert sum(checked.values()) == len(checked) == node_count(e)
+        assert sum(projected.values()) == len(projected) == node_count(e)

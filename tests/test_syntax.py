@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from typing import get_args
 
 from hypothesis import given, strategies as st
@@ -159,6 +160,38 @@ class TestAlphaEquivalence:
             s1 = substitute(e1, "zfree", UnitVal())
             s2 = substitute(e2, "zfree", UnitVal())
             assert expr_equal(s1, s2)
+
+
+class TestDeepTerms:
+    """free_vars and expr_equal walk without the Python stack.  The terms
+    nest far past the default recursion limit, so they are never compared
+    with == or printed: dataclass == and repr recurse."""
+    DEPTH = 5_000
+
+    def tower(self, leaf):
+        for _ in range(self.DEPTH):
+            leaf = S.Located("A", leaf)
+        return leaf
+
+    def binders(self, prefix: str, used: int):
+        # fun p0 -> fun p1 -> ... -> p<used>
+        body = Var(f"{prefix}{used}")
+        for i in reversed(range(self.DEPTH)):
+            body = S.Lam(f"{prefix}{i}", body)
+        return body
+
+    def test_free_vars(self):
+        assert sys.getrecursionlimit() < self.DEPTH
+        assert S.free_vars(self.tower(UnitVal())) == frozenset()
+        assert S.free_vars(self.tower(Var("x"))) == {"x"}
+        assert S.free_vars(self.binders("x", 0)) == frozenset()
+        assert S.free_vars(self.binders("x", self.DEPTH)) == {f"x{self.DEPTH}"}
+
+    def test_expr_equal(self):
+        assert expr_equal(self.tower(UnitVal()), self.tower(UnitVal()))
+        assert not expr_equal(self.tower(UnitVal()), self.tower(Var("x")))
+        assert expr_equal(self.binders("x", 0), self.binders("y", 0))
+        assert not expr_equal(self.binders("x", 0), self.binders("y", 1))
 
 
 class TestStacks:
