@@ -158,9 +158,12 @@ def cmd_simulate(args) -> int:
     else:
         schedules = [netsim.RandomPolicy(args.seed + i) for i in range(args.runs)]
     try:
-        report = netsim.epp_agreement(program, schedules, topology, fuel=args.fuel)
         network = project_network(program, topology)
-        first = netsim.run(network, schedules[0], args.fuel)
+        report = netsim.epp_agreement(program, schedules, topology, fuel=args.fuel,
+                                      network=network)
+        first = report.first
+        if isinstance(first, netsim.NetError):
+            raise first
     except (MergeConflict, ProjectionError) as err:
         print(f"not projectable: {err}", file=sys.stderr)
         return TYPE_ERROR
@@ -173,6 +176,11 @@ def cmd_simulate(args) -> int:
         return FINDING
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
+            # The first line says what produced the run, so the file alone
+            # replays it.
+            seed = args.seed if args.schedule == "random" else None
+            handle.write(json.dumps({"policy": args.schedule, "seed": seed,
+                                     "fuel": args.fuel}) + "\n")
             for event in first.trace:
                 handle.write(json.dumps(event.to_json_dict()) + "\n")
     for address in sorted(first.values):

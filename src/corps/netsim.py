@@ -2,32 +2,52 @@
 
 Sends are asynchronous (enqueue and continue), receives block on an
 empty queue.  The simulator is a sequential interleaving machine: each
-tick one process performs one atomic action chosen by the scheduler.
-Round-robin rotates through the addresses in sorted order; the random
-policy shuffles the candidates with a seeded generator, so a run is
-reproducible bit-for-bit from (network, policy, fuel).
+tick one process performs one atomic action chosen by the scheduler, so
+a run is reproducible bit-for-bit from (network, policy, fuel).
+
+Within a process the action is the one at its leftmost enabled
+position.  `_step_local` defines that: it walks the process from the
+root, and every position of a node that is not under a binder is an
+evaluation position, except a sequence's rest.  A receive on an empty
+queue waits, and the walk moves on to the positions right of it.  It is
+the reference semantics, the role `normalize.step` plays for the
+normalizer: `run` does not call it, and the tests replay runs through it.
+
+`run` is event-driven.  Each process is a machine focused at its
+leftmost position that holds no value, with the evaluation context as a
+stack of frames (refocusing, as in the normalizer).  A step resumes at
+the focus; it walks the positions right of the focus only while the
+focus waits.  A process whose every position waits is parked under the
+channels it waits on, and it rejoins the ready list, kept in address
+order, when a message arrives on one of them.  Each tick makes one pick
+from the ready list: round-robin takes the first ready address at or
+after the one after the last to act, and the random policy takes
+`ready[rng.randrange(len(ready))]`, uniform over the ready processes.  A
+pick that turns out to wait is parked and the tick picks again.  A
+`Blocked` trace event is written each time a process is parked, not on
+every poll.
 
 A run terminates when every process is a local value (or skip) and all
-queues are empty.  If no process can move and at least one is waiting
-on a receive, the run is reported as a deadlock together with the
-waiting graph.
+queues are empty.  If the ready list empties while some process waits,
+the run is reported as a deadlock together with the waiting graph.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .normalize import EvalMode, NormalFormClass, normalize
 from .parser import Program
 from .printer import path_str
 from .projection import Network, local_str, project_expr, project_network
 from .syntax import (
-    SKIP, Absurd, App, Case, Fst, Inl, Inr, Lam, LocalExpr, Pair, Path,
-    RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, expr_equal,
-    match_located, split_stack, substitute,
+    SCHEMA, SKIP, Absurd, App, Case, Fst, Hole, Inl, Inr, Lam, LocalExpr,
+    Pair, Path, RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, expr_equal,
+    hole, match_located, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import check_program, inline_main, resolve_topology
@@ -265,68 +285,285 @@ class RunResult:
     steps: int
 
 
+# The focused engine.  Its evaluation positions are those `_step_local`
+# walks: every subterm no binder scopes, except a sequence's rest, which
+# runs only once its head is a value.
+_HOLES: dict[type, tuple[Hole, ...]] = {
+    cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms if binder is None)
+    for cls in get_args(LocalExpr)
+}
+_HOLES[Seq] = _HOLES[Seq][:1]
+
+_LEAF_VALUES = frozenset((UnitVal, Lam, Skip))
+_CONSTRUCTORS = frozenset((Pair, Inl, Inr))  # values once all their positions are
+_VALUE_FORMS = _LEAF_VALUES | _CONSTRUCTORS
+
+Action = tuple[LocalExpr, str, Optional[Path], Optional[str]]
+
+
+def _fire(e: LocalExpr, addr: Path,
+          chans: dict[tuple[Path, Path], deque]) -> Optional[Action]:
+    """Act at `e`, whose positions all hold values and which is no value.
+
+    Returns the reduct with the action, peer and payload for the trace
+    after performing any channel side effect, or None for a receive on an
+    empty channel.  Raises NetStuck where `_step_local` does.
+    """
+    kind = type(e)
+    if kind is RecvFrom:
+        queue = chans.get((e.src, addr))
+        if not queue:
+            return None
+        value = queue.popleft()
+        return value, "Recv", e.src, local_str(value)
+    if kind is SendTo:
+        payload = e.payload
+        if not _wire_ok(payload):
+            raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
+                           f"{local_str(payload)}")
+        chans.setdefault((addr, e.dest), deque()).append(payload)
+        return payload, "Send", e.dest, local_str(payload)
+    if kind is Seq:
+        reduct = e.rest
+    elif kind is App:
+        fn = e.fn
+        if isinstance(fn, Lam):
+            reduct = substitute(fn.body, fn.var, e.arg)
+        elif fn == SKIP:
+            reduct = SKIP
+        else:
+            raise NetStuck(f"applied non-function in {path_str(addr)}")
+    elif kind is Fst or kind is Snd:
+        inner = e.inner
+        if isinstance(inner, Pair):
+            reduct = inner.left if kind is Fst else inner.right
+        elif inner == SKIP:
+            reduct = SKIP
+        else:
+            raise NetStuck(f"{'fst' if kind is Fst else 'snd'} of non-pair "
+                           f"in {path_str(addr)}")
+    elif kind is Absurd:
+        if e.inner != SKIP:
+            raise NetStuck(f"absurd applied to a value in {path_str(addr)}")
+        reduct = SKIP
+    elif kind is Case:
+        scrutinee = e.scrutinee
+        if isinstance(scrutinee, Inl):
+            reduct = substitute(e.left_body, e.left_var, scrutinee.inner)
+        elif isinstance(scrutinee, Inr):
+            reduct = substitute(e.right_body, e.right_var, scrutinee.inner)
+        elif scrutinee == SKIP:
+            # Branches were merged; run the left one with a hole.
+            reduct = substitute(e.left_body, e.left_var, SKIP)
+        else:
+            raise NetStuck(f"case of non-sum value in {path_str(addr)}")
+    elif kind is Var:
+        raise NetStuck(f"free variable {e.name!r} in process {path_str(addr)}")
+    else:
+        raise NetStuck(f"process {path_str(addr)} is stuck at {local_str(e)}")
+    return reduct, "LocalStep", None, None
+
+
+class _Process:
+    """One process as a machine focused at its leftmost position that
+    holds no value.
+
+    `frames` is the evaluation context of `focus`, outermost first: a
+    node and the index of the position that holds the hole.  Every
+    position left of a hole holds a value.  `opens` indexes the frames
+    with a position right of their hole, the only ones a wait can pass to.
+    `focus` is a leaf that is no value, or a node whose positions all
+    hold values; with no frames left it may be the value the process ended
+    with.  `waits` holds the sources a waiting process waits on.
+    """
+    __slots__ = ("frames", "opens", "focus", "waits")
+
+    def __init__(self, term: LocalExpr):
+        self.frames: list[tuple[LocalExpr, int]] = []
+        self.opens: list[int] = []
+        self.waits: set[Path] = set()
+        _refocus(self, term)
+
+    def done(self) -> bool:
+        return not self.frames and type(self.focus) in _VALUE_FORMS
+
+    def term(self) -> LocalExpr:
+        e = self.focus
+        for node, i in reversed(self.frames):
+            get, plug = _HOLES[type(node)][i]
+            e = node if get(node) is e else plug(node, e)
+        return e
+
+
+def _refocus(p: _Process, e: LocalExpr) -> None:
+    """Focus `p` on the leftmost position that holds no value, searching
+    from `e`, the new subterm in the hole of its innermost frame (the
+    whole term if there are no frames)."""
+    frames, opens = p.frames, p.opens
+    while True:
+        holes = _HOLES.get(type(e))
+        while holes:
+            if len(holes) > 1:
+                opens.append(len(frames))
+            frames.append((e, 0))
+            e = holes[0][0](e)
+            holes = _HOLES.get(type(e))
+        if type(e) not in _LEAF_VALUES:
+            break
+        # Climb with the value `e`: plug it into its frame, then move right
+        # to the next position, or stop at a node that is no value.
+        while frames:
+            node, i = frames.pop()
+            holes = _HOLES[type(node)]
+            get, plug = holes[i]
+            if get(node) is not e:
+                node = plug(node, e)
+            i += 1
+            if i < len(holes):
+                if i + 1 == len(holes):
+                    opens.pop()
+                frames.append((node, i))
+                e = holes[i][0](node)
+                break
+            e = node
+            if type(node) not in _CONSTRUCTORS:
+                p.focus = e
+                return
+        else:
+            break
+    p.focus = e
+
+
+def _poll(p: _Process, addr: Path,
+          chans: dict[tuple[Path, Path], deque]) -> Optional[Action]:
+    """Take the leftmost enabled action of `p`, as `_step_local` would.
+
+    The search starts at the focus.  Only if the focus waits does it walk
+    the positions to its right.  Returns None if every position waits;
+    `p.waits` then holds their sources.
+    """
+    r = _fire(p.focus, addr, chans)
+    if r is not None:
+        _refocus(p, r[0])
+        return r
+    waits = {p.focus.src}
+    frames = p.frames
+    for k in reversed(p.opens):
+        node, i = frames[k]
+        holes = _HOLES[type(node)]
+        for j in range(i + 1, len(holes)):
+            get, plug = holes[j]
+            r = _explore(get(node), addr, chans, waits)
+            if r is not None:
+                frames[k] = (plug(node, r[0]), i)
+                return r
+    p.waits = waits
+    return None
+
+
+def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
+             waits: set[Path]) -> Optional[Action]:
+    """Take the leftmost enabled action inside `e`, searching from its root.
+
+    Returns it with `e` rebuilt around the reduct, or None if every
+    position of `e` holds a value or waits; the sources waited on go to
+    `waits`.
+    """
+    frames: list[list] = []  # [node, index of the hole, whether a position waits]
+    while True:
+        holes = _HOLES.get(type(e))
+        while holes:
+            frames.append([e, 0, False])
+            e = holes[0][0](e)
+            holes = _HOLES.get(type(e))
+        if type(e) in _LEAF_VALUES:
+            r, waited = None, False
+        else:
+            r = _fire(e, addr, chans)
+            waited = r is None
+            if waited:
+                waits.add(e.src)
+        # Climb while nothing acts: move right to the next position, or
+        # finish a node, which waits if one of its positions does, is a
+        # value if it is a constructor, and acts otherwise.
+        while r is None and frames:
+            frame = frames[-1]
+            frame[2] = frame[2] or waited
+            holes = _HOLES[type(frame[0])]
+            if frame[1] + 1 < len(holes):
+                frame[1] += 1
+                e = holes[frame[1]][0](frame[0])
+                break
+            node, _, waited = frames.pop()
+            if not waited and type(node) not in _CONSTRUCTORS:
+                r = _fire(node, addr, chans)
+        if r is not None:
+            reduct = r[0]
+            for node, i, _ in reversed(frames):
+                reduct = _HOLES[type(node)][i][1](node, reduct)
+            return (reduct,) + r[1:]
+        if not frames:
+            return None
+
+
 def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunResult:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    procs: dict[Path, LocalExpr] = dict(network.processes)
+    order = sorted(network.processes)
+    index = {addr: n for n, addr in enumerate(order)}
+    procs = [_Process(network.processes[addr]) for addr in order]
     chans: dict[tuple[Path, Path], deque] = {}
-    order = sorted(procs)
     trace: list[TraceEvent] = []
-    done: set[Path] = set()
-    steps = 0
-    rng = random.Random(policy.seed) if isinstance(policy, RandomPolicy) else None
-    rr_index = 0
-
-    for addr in order:
-        if is_local_value(procs[addr]):
-            done.add(addr)
-            trace.append(TraceEvent(steps, addr, "Done"))
-
-    while len(done) < len(order):
-        active = [a for a in order if a not in done]
-        if rng is None:
-            start = rr_index % len(order)
-            rotation = order[start:] + order[:start]
-            candidates = [a for a in rotation if a not in done]
+    ready: list[int] = []  # indexes into order, ascending
+    waiting: dict[int, tuple[Path, ...]] = {}  # parked index -> sources
+    for n, p in enumerate(procs):
+        if p.done():
+            trace.append(TraceEvent(0, order[n], "Done"))
         else:
-            candidates = list(active)
-            rng.shuffle(candidates)
-        waiting: dict[Path, tuple[Path, ...]] = {}
-        moved = False
-        for addr in candidates:
-            result = _step_local(procs[addr], addr, chans)
-            if result is None:
-                done.add(addr)  # became a value through an earlier action
-                trace.append(TraceEvent(steps, addr, "Done"))
-                moved = True
-                break
-            if result[0] == _BLOCKED:
-                srcs = tuple(sorted(result[1]))
-                waiting[addr] = srcs
-                trace.append(TraceEvent(steps, addr, "Blocked", peer=srcs[0]))
-                continue
-            _, expr, action, peer, payload = result
-            if steps >= fuel:
-                raise NetFuelExhausted(steps)
-            procs[addr] = expr
-            trace.append(TraceEvent(steps, addr, action, peer=peer, payload=payload))
-            steps += 1
-            if is_local_value(expr):
-                done.add(addr)
-                trace.append(TraceEvent(steps, addr, "Done"))
-            if rng is None:
-                rr_index = (order.index(addr) + 1) % len(order)
-            moved = True
-            break
-        if not moved:
-            raise DeadlockError(waiting, trace, procs)
+            ready.append(n)
+    rng = random.Random(policy.seed) if isinstance(policy, RandomPolicy) else None
+    turn = 0  # round robin: the index to try first
+    steps = 0
+    while ready:
+        if rng is None:
+            k = bisect_left(ready, turn)
+            if k == len(ready):
+                k = 0
+        else:
+            k = rng.randrange(len(ready))
+        n = ready[k]
+        addr, p = order[n], procs[n]
+        r = _poll(p, addr, chans)
+        if r is None:
+            del ready[k]
+            srcs = waiting[n] = tuple(sorted(p.waits))
+            trace.append(TraceEvent(steps, addr, "Blocked", peer=srcs[0]))
+            continue
+        if steps >= fuel:
+            raise NetFuelExhausted(steps)
+        _, action, peer, payload = r
+        trace.append(TraceEvent(steps, addr, action, peer=peer, payload=payload))
+        steps += 1
+        if p.done():
+            del ready[k]
+            trace.append(TraceEvent(steps, addr, "Done"))
+        if action == "Send":
+            m = index.get(peer)
+            if m in waiting and addr in waiting[m]:
+                del waiting[m]
+                insort(ready, m)
+        turn = n + 1
 
+    if waiting:
+        raise DeadlockError({order[n]: srcs for n, srcs in waiting.items()}, trace,
+                            {addr: procs[index[addr]].term() for addr in network.processes})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:
         raise NetStuck(f"run completed with undelivered messages: "
                        + ", ".join(f"{path_str(s)}->{path_str(d)}"
                                    for s, d in sorted(leftovers)))
-    return RunResult(procs, trace, steps)
+    return RunResult({addr: procs[index[addr]].focus for addr in network.processes},
+                     trace, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +578,7 @@ class AgreementReport:
     agree: bool
     expected: str
     outcomes: list[tuple[str, str]]  # (schedule, "agree" | failure description)
+    first: Union[RunResult, NetError, None] = None  # what the first schedule gave
 
     def __bool__(self) -> bool:
         return self.agree
@@ -375,20 +613,33 @@ def expected_result(program: Program, topology: Topology,
 
 def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
                   topology: Optional[Topology] = None, fuel: int = 100_000,
-                  base_dir: str = ".") -> AgreementReport:
-    topology, network = _prepare(program, topology, base_dir)
+                  base_dir: str = ".", network: Optional[Network] = None,
+                  ) -> AgreementReport:
+    """Run the projected network under each schedule and compare the value
+    at the result address with the choreography's normal form.
+
+    A caller that has already checked the program and projected it under
+    `topology` passes that network, so neither is done again.
+    """
+    if network is None:
+        topology, network = _prepare(program, topology, base_dir)
     if network.lambda_wire:
         raise PreconditionError(
             "a communication payload mentions a function; excluded from agreement")
     expected = expected_result(program, topology, fuel)
     outcomes: list[tuple[str, str]] = []
     agree = True
+    first: Union[RunResult, NetError, None] = None
     for policy in schedules:
         label = policy_str(policy)
         try:
             result = run(network, policy, fuel)
         except NetError as err:
-            outcomes.append((label, f"failed: {err}"))
+            result = err
+        if first is None:
+            first = result
+        if isinstance(result, NetError):
+            outcomes.append((label, f"failed: {result}"))
             agree = False
             continue
         got = result.values[network.result_address]
@@ -397,7 +648,7 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
         else:
             outcomes.append((label, f"disagree: got {local_str(got)}"))
             agree = False
-    return AgreementReport(agree, local_str(expected), outcomes)
+    return AgreementReport(agree, local_str(expected), outcomes, first)
 
 
 @dataclass

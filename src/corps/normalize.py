@@ -39,12 +39,11 @@ copy of the redex rules (`_contract`):
 from __future__ import annotations
 
 import enum
-from operator import attrgetter
 from typing import Callable, Optional, get_args
 
 from .syntax import (
-    SCHEMA, Absurd, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located,
-    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children,
+    SCHEMA, Absurd, App, Case, Down, Expr, Fst, Hole, Inl, Inr, Lam, Located,
+    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children, hole,
     match_located, peel_located, substitute, unannot, wrap_located,
 )
 
@@ -106,25 +105,11 @@ def is_positive_value(e: Expr) -> bool:
 
 Step = tuple[Expr, str, Optional[Span]]
 
-Hole = tuple[Callable[[Expr], Expr], Callable[[Expr, Expr], Expr]]
-
-
-def _hole(cls: type, names: tuple[str, ...], i: int) -> Hole:
-    def plug(e: Expr, k: Expr) -> Expr:
-        parts = [getattr(e, name) for name in names]
-        parts[i] = k
-        return cls(*parts, span=e.span)
-
-    return attrgetter(names[i]), plug
-
-
-# The evaluation positions of each node form, left to right, as a pair
-# (read the subterm in the hole, plug a new subterm into the hole): every
+# The evaluation positions of each node form, left to right: every
 # subterm that no binder scopes.  A plugged node keeps its span, so
 # redexes under it still report theirs.
 _HOLES: dict[type, tuple[Hole, ...]] = {
-    cls: tuple(_hole(cls, SCHEMA[cls].fields, i)
-               for i, binder in SCHEMA[cls].subterms if binder is None)
+    cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms if binder is None)
     for cls in get_args(Expr)
 }
 

@@ -22,7 +22,8 @@ over it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Union
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Union
 
 # ---------------------------------------------------------------------------
 # Agent paths
@@ -331,6 +332,23 @@ def _shape_of(e: Node) -> Shape:
         raise TypeError(f"not an expression: {e!r}") from None
 
 
+Hole = tuple[Callable[[Node], Node], Callable[[Node, Node], Node]]
+
+
+def hole(cls: type, i: int) -> Hole:
+    """Field `i` of a `cls` node (span aside) as a pair: read the subterm
+    in it, and plug another subterm into it, which rebuilds the node with
+    its span."""
+    names = SCHEMA[cls].fields
+
+    def plug(e: Node, k: Node) -> Node:
+        parts = [getattr(e, name) for name in names]
+        parts[i] = k
+        return cls(*parts, span=e.span)
+
+    return attrgetter(names[i]), plug
+
+
 def children(e: Node) -> list[Node]:
     shape = _shape_of(e)
     return [getattr(e, shape.fields[i]) for i, _ in shape.subterms]
@@ -371,35 +389,78 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
         i += 1
 
 
+_LEAVES = frozenset(cls for cls, shape in SCHEMA.items() if not shape.subterms)
+
+# The entries of substitute's work stack.
+_VISIT, _BUILD, _THEN = range(3)
+
+
 def substitute(e: Node, x: str, v: Node) -> Node:
     """Capture-avoiding substitution of `v` for free occurrences of `x`.
 
-    Rebuilt nodes keep their spans.  Unlike `free_vars` and `expr_equal`
-    it recurses once per node, so a term nested past the interpreter's
-    recursion limit raises RecursionError.
+    A binder that would capture a free variable of `v` is first renamed
+    to `fresh_name` of it, avoiding the free variables of `v` and of its
+    scope.  Subterms in which nothing changes are shared with `e`;
+    rebuilt nodes keep their spans.  The walk keeps its own stack, so
+    nesting depth costs no Python stack.
     """
-    fvv = free_vars(v)
-
-    def go(e: Node) -> Node:
+    # Each entry writes its result to dest[at], which holds the input
+    # until something in it changes; the last item of dest then turns True.
+    #   (_VISIT, e, sub, dest, at)    substitute sub = (x, v, free_vars(v)) in e
+    #   (_BUILD, e, parts, dest, at)  rebuild e from parts (its fields with
+    #                                 the subterms done, then the flag) if
+    #                                 any of them changed
+    #   (_THEN, box, sub, dest, at)   substitute sub in box[0], the result of
+    #                                 renaming a binder in its scope
+    # A node's _BUILD entry sits below the entries of its subterms.
+    root = [e, False]
+    todo: list = [(_VISIT, e, (x, v, free_vars(v)), root, 0)]
+    while todo:
+        op, e, arg, dest, at = todo.pop()
+        if op is _BUILD:
+            if arg.pop():
+                dest[at] = type(e)(*arg, span=e.span)
+                dest[-1] = True
+            continue
+        if op is _THEN:
+            dest[at] = e[0]
+            todo.append((_VISIT, e[0], arg, dest, at))
+            continue
+        x, v, fvv = arg
         if type(e) is Var:
-            return v if e.name == x else e
+            if e.name == x:
+                dest[at] = v
+                dest[-1] = True
+            continue
         shape = _shape_of(e)
         if not shape.subterms:
-            return e
+            continue
         parts = [getattr(e, name) for name in shape.fields]
+        parts.append(False)
+        todo.append((_BUILD, e, parts, dest, at))
         for i, b in shape.subterms:
-            if b is None:
-                parts[i] = go(parts[i])
-            elif parts[b] != x:
-                var, body = parts[b], parts[i]
-                # Rename the binder when it would capture a free variable of v.
-                if var in fvv and x in free_vars(body):
-                    renamed = fresh_name(var, fvv | free_vars(body))
-                    var, body = renamed, substitute(body, var, Var(renamed))
-                parts[b], parts[i] = var, go(body)
-        return type(e)(*parts, span=e.span)
-
-    return go(e)
+            child = parts[i]
+            if b is not None:
+                var = parts[b]
+                if var == x:
+                    continue
+                if var in fvv and x in free_vars(child):
+                    renamed = fresh_name(var, fvv | free_vars(child))
+                    parts[b] = renamed
+                    parts[-1] = True
+                    box = [child, False]
+                    todo.append((_THEN, box, arg, parts, i))
+                    todo.append((_VISIT, child, (var, Var(renamed), frozenset((renamed,))),
+                                 box, 0))
+                    continue
+            kind = type(child)
+            if kind is Var:
+                if child.name == x:
+                    parts[i] = v
+                    parts[-1] = True
+            elif kind not in _LEAVES:
+                todo.append((_VISIT, child, arg, parts, i))
+    return root[0]
 
 
 def expr_equal(e1: Node, e2: Node) -> bool:

@@ -177,9 +177,21 @@ class TestSimulate:
     def test_trace_file(self, p4, tmp_path):
         trace = tmp_path / "run.jsonl"
         assert main(["simulate", p4, "--trace", str(trace)]) == 0
-        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        header, *records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert header == {"policy": "rr", "seed": None, "fuel": 100_000}
         actions = [r["action"] for r in records]
         assert "Send" in actions and "Recv" in actions
+
+    def test_trace_header_replays_the_run(self, p4, tmp_path):
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        assert main(["simulate", p4, "--schedule", "random", "--seed", "5",
+                     "--runs", "3", "--fuel", "50", "--trace", str(first)]) == 0
+        header = json.loads(first.read_text().splitlines()[0])
+        assert header == {"policy": "random", "seed": 5, "fuel": 50}
+        assert main(["simulate", p4, "--schedule", header["policy"],
+                     "--seed", str(header["seed"]), "--fuel", str(header["fuel"]),
+                     "--trace", str(again)]) == 0
+        assert again.read_text() == first.read_text()
 
     def test_open_program_usage_error(self, tmp_path):
         path = tmp_path / "open.corps"

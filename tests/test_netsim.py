@@ -1,17 +1,23 @@
 import json
+import sys
 
 import pytest
 
+from corps import netsim
 from corps import syntax as S
 from corps.netsim import (
-    DeadlockError, NetStuck, Network, PreconditionError, RandomPolicy,
-    RoundRobin, check_deadlock_free, epp_agreement, expected_result,
-    is_local_value, run,
+    DeadlockError, NetFuelExhausted, NetStuck, Network, PreconditionError,
+    RandomPolicy, RoundRobin, TraceEvent, _step_local, check_deadlock_free,
+    epp_agreement, expected_result, is_local_value, run,
 )
 from corps.parser import parse_program
-from corps.projection import SKIP, RecvFrom, SendTo, Seq, project_network
+from corps.printer import path_str
+from corps.projection import (
+    SKIP, ProjectionError, RecvFrom, SendTo, Seq, project_network,
+)
 from corps.topology import load_preset
 from genprog import ProgramGen
+from test_projection import fanout, node_count
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
 P3 = ("topology doxastic; "
@@ -167,3 +173,289 @@ class TestLocalValues:
         assert is_local_value(S.Pair(S.UnitVal(), SKIP))
         assert not is_local_value(RecvFrom(("A",)))
         assert not is_local_value(Seq(SKIP, S.UnitVal()))
+
+
+# ---------------------------------------------------------------------------
+# The event-driven engine against the reference semantics
+
+A, B, C = ("A",), ("B",), ("C",)
+U = S.UnitVal()
+
+
+def chain(n: int) -> Network:
+    """The projection of an A<->B chain of n nested sends, built as local
+    syntax: each of A and B nests SendTo(peer, Seq(SendTo(...), RecvFrom(peer)))
+    about n deep, as `project_network` builds it from the choreography."""
+    procs = {A: U, B: None}
+    for i in range(n):
+        src, dest = (A, B) if i % 2 == 0 else (B, A)
+        procs[src] = SendTo(dest, procs[src])
+        procs[dest] = RecvFrom(src) if procs[dest] is None else Seq(procs[dest], RecvFrom(src))
+    return Network(procs, A if n % 2 == 0 else B, False)
+
+
+def acts(trace: list[TraceEvent]) -> list[TraceEvent]:
+    return [event for event in trace if event.action != "Blocked"]
+
+
+def reference_replay(network: Network, polls: list, fuel: int, round_robin: bool):
+    """Poll the given addresses in turn with `_step_local`, the reference
+    semantics, and end the run as `run` does: the events other than
+    Blocked and the final processes, or the error the run ends with.
+    Under round robin, also check that each process that acts is the
+    first in rotation that can.
+    """
+    procs = dict(network.processes)
+    order = sorted(procs)
+    chans: dict = {}
+    events = [TraceEvent(0, addr, "Done") for addr in order if is_local_value(procs[addr])]
+    steps, turn = 0, 0
+    for addr in polls:
+        if round_robin:
+            for other in order[turn:] + order[:turn]:
+                if other == addr:
+                    break
+                if not is_local_value(procs[other]):
+                    assert _step_local(procs[other], other, chans)[0] == "blocked"
+        r = _step_local(procs[addr], addr, chans)
+        if r[0] == "blocked":
+            continue
+        if steps >= fuel:
+            raise NetFuelExhausted(steps)
+        _, procs[addr], action, peer, payload = r
+        events.append(TraceEvent(steps, addr, action, peer=peer, payload=payload))
+        steps += 1
+        if is_local_value(procs[addr]):
+            events.append(TraceEvent(steps, addr, "Done"))
+        turn = order.index(addr) + 1
+    waiting = {}
+    for addr in order:
+        if not is_local_value(procs[addr]):
+            r = _step_local(procs[addr], addr, chans)
+            assert r[0] == "blocked", f"{path_str(addr)} could still act"
+            waiting[addr] = tuple(sorted(r[1]))
+    if waiting:
+        raise DeadlockError(waiting, events, procs)
+    leftovers = sorted(pair for pair, queue in chans.items() if queue)
+    if leftovers:
+        raise NetStuck("run completed with undelivered messages: "
+                       + ", ".join(f"{path_str(s)}->{path_str(d)}" for s, d in leftovers))
+    return events, procs, steps
+
+
+def assert_replays(network: Network, policy, fuel: int = 100_000) -> None:
+    """`run` must give what the reference gives on the addresses it polled."""
+    polls: list = []
+    poll = netsim._poll
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(netsim, "_poll", lambda p, addr, chans: polls.append(addr) or
+                  poll(p, addr, chans))
+        try:
+            got = run(network, policy, fuel)
+        except Exception as err:  # the reference must raise the same
+            got = err
+    try:
+        want = reference_replay(network, polls, fuel, isinstance(policy, RoundRobin))
+    except AssertionError:  # a check inside the replay failed
+        raise
+    except Exception as err:
+        assert (type(got), str(got)) == (type(err), str(err))
+        if isinstance(err, DeadlockError):
+            assert got.waiting == err.waiting
+            assert acts(got.trace) == err.trace
+            assert got.residuals == err.residuals
+        return
+    assert not isinstance(got, Exception), f"reference completes, run raised {got!r}"
+    events, values, steps = want
+    assert acts(got.trace) == events
+    assert got.values == values
+    assert got.steps == steps
+
+
+POLICIES = [RoundRobin()] + [RandomPolicy(seed) for seed in (0, 1, 7, 42, 1234)]
+
+
+def generated_networks():
+    for preset in ("choreo", "doxastic", "siblings"):
+        topo = load_preset(preset)
+        for seed in range(100):
+            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            try:
+                yield project_network(program, topo)
+            except ProjectionError:
+                continue
+
+
+# Hand-built networks, each with how a round-robin run ends: None if it
+# completes, else the error class and the start of its message.
+HAND_BUILT = {
+    "free variable": ({A: S.Var("ghost")}, (NetStuck, "free variable 'ghost'")),
+    "free variable right of a wait": (
+        {A: S.Pair(RecvFrom(B), S.Var("ghost")), B: SKIP},
+        (NetStuck, "free variable 'ghost'")),
+    "function on the wire": (
+        {A: SendTo(B, S.Lam("x", S.Var("x"))), B: RecvFrom(A)},
+        (NetStuck, "non-positive value on the wire")),
+    "applied non-function": (
+        {A: S.App(RecvFrom(B), U), B: SendTo(A, U)}, (NetStuck, "applied non-function")),
+    "fst of non-pair": ({A: S.Fst(U)}, (NetStuck, "fst of non-pair")),
+    "snd of non-pair": ({A: S.Snd(S.Inl(U))}, (NetStuck, "snd of non-pair")),
+    "absurd applied to a value": ({A: S.Absurd(U)}, (NetStuck, "absurd applied to a value")),
+    "case of non-sum value": (
+        {A: S.Case(S.Pair(U, U), "x", S.Var("x"), "y", S.Var("y"))},
+        (NetStuck, "case of non-sum value")),
+    # _step_local's last NetStuck prints the node with local_str, which
+    # rejects any node that is no local form.
+    "choreographic node": (
+        {A: S.Pair(U, S.Located("A", U))}, (TypeError, "not a local expression")),
+    "undelivered message": (
+        {A: SendTo(B, U), B: SKIP}, (NetStuck, "run completed with undelivered messages")),
+    "out of fuel": (chain(12).processes, (NetFuelExhausted, "network made no progress")),
+    "cyclic wait": ({A: RecvFrom(B), B: RecvFrom(A)}, (DeadlockError, "deadlock")),
+    "wait on two sources": (
+        {A: S.Pair(RecvFrom(B), RecvFrom(C)), B: Seq(SendTo(C, U), RecvFrom(A)),
+         C: RecvFrom(B)},
+        (DeadlockError, "deadlock: [A] waits on [B], [C], [B] waits on [A]")),
+    "actions right of waits": ({
+        A: S.Pair(RecvFrom(B), S.Pair(Seq(RecvFrom(C), SendTo(B, U)),
+                                      S.Inr(SendTo(C, S.Pair(U, U))))),
+        B: Seq(RecvFrom(A), SendTo(A, U)), C: Seq(RecvFrom(A), SendTo(A, U))}, None),
+    "merged branches": ({A: Seq(S.App(SKIP, U), Seq(S.Fst(SKIP), Seq(
+        S.Snd(SKIP), Seq(S.Absurd(SKIP), S.Case(SKIP, "x", S.Var("x"), "y", U)))))}, None),
+    "beta and case": ({
+        A: S.Case(S.App(S.Lam("x", S.Inr(S.Var("x"))), RecvFrom(B)),
+                  "l", S.Var("l"), "r", SendTo(B, S.Pair(S.Var("r"), U))),
+        B: Seq(SendTo(A, U), RecvFrom(A))}, None),
+}
+
+
+class TestEngine:
+    def test_generated_networks_replay(self):
+        for network in generated_networks():
+            for policy in POLICIES:
+                assert_replays(network, policy)
+            assert_replays(network, RoundRobin(), fuel=3)
+            assert_replays(network, RandomPolicy(3), fuel=3)
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_networks_replay(self, name):
+        processes, ends = HAND_BUILT[name]
+        network = Network(processes, A, False)
+        fuel = 5 if name == "out of fuel" else 100_000
+        if ends is None:
+            run(network, RoundRobin(), fuel)
+        else:
+            with pytest.raises(ends[0]) as exc:
+                run(network, RoundRobin(), fuel)
+            assert str(exc.value).startswith(ends[1])
+        for policy in POLICIES:
+            assert_replays(network, policy, fuel)
+
+    def test_deep_chain_runs_at_the_default_recursion_limit(self):
+        n = 5_000
+        assert sys.getrecursionlimit() < n
+        network = chain(n)
+        for policy in (RoundRobin(), RandomPolicy(1)):
+            result = run(network, policy)
+            assert sum(e.action == "Send" for e in result.trace) == n
+            assert result.steps == 3 * n - 1  # a send, a receive, a sequence step
+            assert result.values == {A: U, B: U}
+
+    @pytest.mark.parametrize("network", [chain(2_000), project_network(
+        parse_program(fanout(64, 21)))], ids=["chain", "fanout"])
+    def test_machine_visits_each_node_a_bounded_number_of_times(self, monkeypatch, network):
+        # A visit is a lookup of a node's evaluation positions.  The fanout's
+        # network has Theta(k^2) nodes for Theta(k) steps, so the bound is
+        # per node and per step: each node is entered once and left once.
+        visits = 0
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                nonlocal visits
+                visits += 1
+                return dict.get(self, key, default)
+
+            def __getitem__(self, key):
+                nonlocal visits
+                visits += 1
+                return dict.__getitem__(self, key)
+
+        monkeypatch.setattr(netsim, "_HOLES", Counted(netsim._HOLES))
+        nodes = sum(node_count(p) for p in network.processes.values())
+        for policy in (RoundRobin(), RandomPolicy(3)):
+            visits = 0
+            result = run(network, policy)
+            assert 0 < visits <= 2 * nodes + 2 * result.steps
+
+
+# What each seed names.  A change to the scheduler that changes these
+# traces changes what every recorded seed replays.
+PINNED = {
+    ("P3", "rr"): [
+        (0, "", "Done", None, None),
+        (0, "A", "Send", "A.A", "()"),
+        (1, "A.A", "Recv", "A", "()"),
+        (2, "A", "LocalStep", None, None),
+        (3, "A.A", "LocalStep", None, None),
+        (4, "A", "LocalStep", None, None),
+        (5, "A.A", "Send", "A", "()"),
+        (6, "A.A", "Done", None, None),
+        (6, "A", "Recv", "A.A", "()"),
+        (7, "A", "Done", None, None)],
+    ("P3", "random:1"): [
+        (0, "", "Done", None, None),
+        (0, "A", "Send", "A.A", "()"),
+        (1, "A", "LocalStep", None, None),
+        (2, "A.A", "Recv", "A", "()"),
+        (3, "A", "LocalStep", None, None),
+        (4, "A.A", "LocalStep", None, None),
+        (5, "A.A", "Send", "A", "()"),
+        (6, "A.A", "Done", None, None),
+        (6, "A", "Recv", "A.A", "()"),
+        (7, "A", "Done", None, None)],
+    ("P3", "random:2"): [
+        (0, "", "Done", None, None),
+        (0, "A", "Send", "A.A", "()"),
+        (1, "A", "LocalStep", None, None),
+        (2, "A", "LocalStep", None, None),
+        (3, "A.A", "Recv", "A", "()"),
+        (4, "A", "Blocked", "A.A", None),
+        (4, "A.A", "LocalStep", None, None),
+        (5, "A.A", "Send", "A", "()"),
+        (6, "A.A", "Done", None, None),
+        (6, "A", "Recv", "A.A", "()"),
+        (7, "A", "Done", None, None)],
+    ("P4", "rr"): [
+        (0, "", "Done", None, None),
+        (0, "A", "Send", "B", "()"),
+        (1, "A", "Done", None, None),
+        (1, "B", "Recv", "A", "()"),
+        (2, "B", "Done", None, None)],
+    ("P4", "random:0"): [
+        (0, "", "Done", None, None),
+        (0, "B", "Blocked", "A", None),
+        (0, "A", "Send", "B", "()"),
+        (1, "A", "Done", None, None),
+        (1, "B", "Recv", "A", "()"),
+        (2, "B", "Done", None, None)],
+    ("P4", "random:1"): [
+        (0, "", "Done", None, None),
+        (0, "A", "Send", "B", "()"),
+        (1, "A", "Done", None, None),
+        (1, "B", "Recv", "A", "()"),
+        (2, "B", "Done", None, None)],
+}
+
+
+def pinned_trace(source: str, policy) -> list[tuple]:
+    trace = run(project_network(parse_program(source)), policy).trace
+    return [(e.step, ".".join(e.address), e.action,
+             None if e.peer is None else ".".join(e.peer), e.payload) for e in trace]
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize("key", PINNED)
+    def test_trace(self, key):
+        source = {"P3": P3, "P4": P4}[key[0]]
+        policy = RoundRobin() if key[1] == "rr" else RandomPolicy(int(key[1].split(":")[1]))
+        assert pinned_trace(source, policy) == PINNED[key]

@@ -10,6 +10,7 @@ from corps.syntax import (
     Binding, Lock, UnitVal, Var, expr_equal, locks_of, normalize_context,
     path_concat, substitute,
 )
+from corps.normalize import EvalMode, NormalFormClass, normalize
 from genprog import AGENTS, ProgramGen, random_context, random_path
 from corps.topology import load_preset
 
@@ -118,6 +119,18 @@ class TestSubstitution:
         out = substitute(e, "x", UnitVal())
         assert out == S.ModalLet((), ("A",), "x", UnitVal(), Var("x"))
 
+    def test_renaming_cascades_with_fresh_names(self):
+        # (fun y -> fun y1 -> x y y1)[x := y]: renaming y to y1 would be
+        # captured by the inner y1, which is renamed to y2 first.
+        e = S.Lam("y", S.Lam("y1", S.App(S.App(Var("x"), Var("y")), Var("y1"))))
+        assert substitute(e, "x", Var("y")) == \
+            S.Lam("y1", S.Lam("y2", S.App(S.App(Var("y"), Var("y1")), Var("y2"))))
+
+    def test_unchanged_subterms_are_shared(self):
+        left = S.Pair(UnitVal(), S.Lam("x", Var("x")))
+        out = substitute(S.Pair(left, Var("x")), "x", UnitVal())
+        assert out.left is left and out.right == UnitVal()
+
 
 def _rename_bound(e, rng):
     """Alpha-rename one binder to produce an equivalent term."""
@@ -163,9 +176,9 @@ class TestAlphaEquivalence:
 
 
 class TestDeepTerms:
-    """free_vars and expr_equal walk without the Python stack.  The terms
-    nest far past the default recursion limit, so they are never compared
-    with == or printed: dataclass == and repr recurse."""
+    """free_vars, substitute and expr_equal walk without the Python stack.
+    The terms nest far past the default recursion limit, so they are never
+    compared with == or printed: dataclass == and repr recurse."""
     DEPTH = 5_000
 
     def tower(self, leaf):
@@ -186,6 +199,14 @@ class TestDeepTerms:
         assert S.free_vars(self.tower(Var("x"))) == {"x"}
         assert S.free_vars(self.binders("x", 0)) == frozenset()
         assert S.free_vars(self.binders("x", self.DEPTH)) == {f"x{self.DEPTH}"}
+
+    def test_beta_into_a_deep_body(self):
+        # (fun y -> A.(...A.(y)...) : unit -> unit) (), substituted in one step.
+        redex = S.App(S.Annot(S.Lam("y", self.tower(Var("y"))), S.Arrow(S.UNIT, S.UNIT)),
+                      UnitVal())
+        nf, cls, steps = normalize(EvalMode.POSITIVE_COMM, redex, 10)
+        assert (cls, steps) == (NormalFormClass.VALUE, 1)
+        assert expr_equal(nf, self.tower(UnitVal()))
 
     def test_expr_equal(self):
         assert expr_equal(self.tower(UnitVal()), self.tower(UnitVal()))
