@@ -6,9 +6,11 @@
     corps simulate FILE [--schedule rr|random] [--seed S] [--runs N] [--trace FILE]
     corps ni FILE --input NAME --observe PATH --values V1,V2,... [--trials N] [--seed S]
 
-Exit codes: 0 success, 1 type or projection error, 2 parse error or
-input nested too deeply, 3 runtime finding (deadlock, disagreement,
-interference), 4 usage error.
+Exit codes: 0 success, 1 type or projection error, 2 parse error
+(including input that nests deeper than `parser.MAX_NESTING`), 3 runtime
+finding (deadlock, disagreement, interference; in `simulate` also
+normalize fuel running out, the network's fuel running out, or the first
+run getting stuck), 4 usage error.
 """
 
 from __future__ import annotations
@@ -174,6 +176,13 @@ def cmd_simulate(args) -> int:
         print(f"replay: corps simulate {args.file} --schedule {args.schedule} "
               f"--seed {args.seed}", file=sys.stderr)
         return FINDING
+    except FuelExhausted as err:
+        print(f"fuel exhausted after {err.steps} steps of normalizing the choreography",
+              file=sys.stderr)
+        return FINDING
+    except (netsim.NetFuelExhausted, netsim.NetStuck) as err:
+        print(f"run failed: {err}", file=sys.stderr)
+        return FINDING
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             # The first line says what produced the run, so the file alone
@@ -304,7 +313,9 @@ def main(argv=None) -> int:
         print(err, file=sys.stderr)
         return USAGE
     except RecursionError:
-        # Last resort: every stage recurses over the syntax tree.
+        # Last resort: the parser bounds nesting, but the stages behind it
+        # also recurse down long operator chains (application, `->`,
+        # `+`, `*`), which the parser builds without nesting.
         print("input nests too deeply", file=sys.stderr)
         return PARSE_ERROR
 

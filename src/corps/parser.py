@@ -24,10 +24,28 @@ then `+`, then `*`; a modality `[g] t` binds tightest.  Application is
 left-associative; the payload of send/up/down is an application chain,
 so payloads headed by a keyword form need parentheses.  A located body
 `A.e` is an atom; compound bodies are written `A.(e)`.
+
+The lexer is one regular expression.  It fills parallel lists of token
+kinds, texts, start and end offsets, and pads them with a few `eof`
+entries, so lookahead never runs off the end.  The parser is recursive
+descent over those lists.
+
+Nesting is bounded: past `MAX_NESTING` levels the parser raises a
+`ParseError` ("input nests too deeply") at the token that opens the next
+level, so neither it nor the stages that recurse over its trees run out
+of Python stack.  A level is opened by each parenthesis (expression or
+type), each prefix keyword (`inl`, `inr`, `fst`, `snd`, `absurd`), each
+located body `A.`, each `fun`, `let` or `case` form, and each agent of a
+modality.  `send`, `up` and `down` open none: their payloads nest only
+through those.  So `((()))` nests 3 deep, and a chain of n sends, each
+payload but the innermost `A.()` in parentheses, nests n deep.
+Operator chains (application, `->`, `+`, `*`) are loops and open no
+levels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .syntax import (
@@ -42,7 +60,15 @@ KEYWORDS = frozenset({
     "unit", "void", "true", "false",
 })
 
+MAX_NESTING = 256
+
 _PUNCT = ("->", "()", "(", ")", "[", "]", ".", ",", ";", ":", "|", "=", "+", "*")
+# Whitespace, then one token, comment or stray character.  Only
+# whitespace is left between matches, so the lengths give the positions.
+_TOKEN = re.compile(r'(\s*)(\w+|' + "|".join(map(re.escape, _PUNCT))
+                    + r'|"[^"]*"|//[^\n]*|\S)')
+_KIND = {t: t for t in (*KEYWORDS, *_PUNCT)}
+_EOF_PAD = 2  # the parser looks at most one token past the current one
 
 
 class ParseError(Exception):
@@ -59,65 +85,54 @@ class ParseError(Exception):
         return f"{self.span}: {self.message}{note}"
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str     # punctuation/keyword text, or "ident" / "agent" / "string" / "eof"
-    text: str
-    start: int
-    end: int
+def _lex(text: str, file: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Token kinds, texts, starts and ends, padded with `eof` entries.
 
-
-def _lex(text: str, file: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", Span(file, i, n))
-            tokens.append(Token("string", text[i + 1:j], i, j + 1))
-            i = j + 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
-                kind = word
-            elif word[0].isupper():
-                kind = "agent"
+    A kind is the punctuation or keyword text itself, or "ident",
+    "agent", "string" or "eof".
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    end = 0
+    for space, tok in _TOKEN.findall(text):
+        start = end + len(space)
+        end = start + len(tok)
+        kind = _KIND.get(tok)
+        if kind is None:
+            c = tok[0]
+            if c.isalpha():  # `\w` also admits digits, `_`, `²`, `Ⅻ`, ...
+                kind = "agent" if c.isupper() else "ident"
+            elif c == '"' and len(tok) > 1:
+                kind = "string"
+                tok = tok[1:-1]
+            elif tok.startswith("//"):
+                continue
+            elif c == '"':
+                raise ParseError("unterminated string", Span(file, start, len(text)))
             else:
-                kind = "ident"
-            tokens.append(Token(kind, word, i, j))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, i, i + len(p)))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", Span(file, i, i + 1))
-    tokens.append(Token("eof", "", n, n))
-    return tokens
+                raise ParseError(f"unexpected character {c!r}", Span(file, start, start + 1))
+        kinds.append(kind)
+        texts.append(tok)
+        starts.append(start)
+        ends.append(end)
+    n = len(text)
+    kinds.extend(["eof"] * _EOF_PAD)
+    texts.extend([""] * _EOF_PAD)
+    starts.extend([n] * _EOF_PAD)
+    ends.extend([n] * _EOF_PAD)
+    return kinds, texts, starts, ends
 
 
 # Kinds that may start an atom / a unary / an expression.
 _ATOM_START = frozenset({"(", "()", "ident", "agent"})
-_UNARY_KW = frozenset({"inl", "inr", "fst", "snd", "absurd"})
-_UNARY_START = _ATOM_START | _UNARY_KW
+_UNARY = {"inl": Inl, "inr": Inr, "fst": Fst, "snd": Snd, "absurd": Absurd}
+_UNARY_START = _ATOM_START | frozenset(_UNARY)
 _EXPR_KW = frozenset({"fun", "let", "case", "send", "up", "down"})
+# Type operators, loosest first; `->` associates to the right.
+_TYPE_PREC = {"->": 1, "+": 2, "*": 3}
+_TYPE_OP = {"->": Arrow, "+": Sum, "*": Product}
 
 
 @dataclass(frozen=True)
@@ -131,247 +146,223 @@ class Program:
 
 class _Parser:
     def __init__(self, text: str, file: str):
-        self.tokens = _lex(text, file)
+        self.kinds, self.texts, self.starts, self.ends = _lex(text, file)
         self.file = file
         self.pos = 0
+        self.depth = 0  # nesting levels open around the current token
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def expect(self, kind: str, what: str | None = None) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(f"found {self.found()}", expected=frozenset({what or kind}))
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def at(self, *kinds: str) -> bool:
-        return self.peek().kind in kinds
-
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"found {tok.text or 'end of input'!r}",
-                             expected=frozenset({what or kind}))
-        return self.advance()
+    def found(self) -> str:
+        return repr(self.texts[self.pos] or "end of input")
 
     def error(self, message: str, expected: frozenset[str] = frozenset()) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, Span(self.file, tok.start, max(tok.end, tok.start + 1)),
+        start = self.starts[self.pos]
+        return ParseError(message, Span(self.file, start, max(self.ends[self.pos], start + 1)),
                           expected)
 
     def span_from(self, start: int) -> Span:
-        end = self.tokens[self.pos - 1].end if self.pos else start
-        return Span(self.file, start, max(end, start))
+        return Span(self.file, start, self.ends[self.pos - 1])
+
+    def nest(self, pos: int, levels: int = 1) -> None:
+        """Open `levels` nesting levels at token `pos`; the caller closes them."""
+        self.depth += levels
+        if self.depth > MAX_NESTING:
+            raise ParseError("input nests too deeply",
+                             Span(self.file, self.starts[pos], self.ends[pos]))
 
     # -- paths and types ----------------------------------------------------
 
     def path(self) -> Path:
         self.expect("[")
-        if self.at("]"):
-            self.advance()
+        if self.kinds[self.pos] == "]":
+            self.pos += 1
             return ()
-        parts = [self.expect("agent", "agent name").text]
-        while self.at("."):
-            self.advance()
-            parts.append(self.expect("agent", "agent name").text)
+        parts = [self.expect("agent", "agent name")]
+        while self.kinds[self.pos] == ".":
+            self.pos += 1
+            parts.append(self.expect("agent", "agent name"))
         self.expect("]")
         return tuple(parts)
 
     def type_(self) -> Type:
-        left = self.type_sum()
-        if self.at("->"):
-            self.advance()
-            return Arrow(left, self.type_())
-        return left
-
-    def type_sum(self) -> Type:
-        left = self.type_product()
-        while self.at("+"):
-            self.advance()
-            left = Sum(left, self.type_product())
-        return left
-
-    def type_product(self) -> Type:
-        left = self.type_modal()
-        while self.at("*"):
-            self.advance()
-            left = Product(left, self.type_modal())
-        return left
-
-    def type_modal(self) -> Type:
-        if self.at("["):
-            g = self.path()
-            body = self.type_modal()
-            for name in reversed(g):
-                body = Believes(name, body)
-            return body
-        return self.type_atom()
-
-    def type_atom(self) -> Type:
-        tok = self.peek()
-        if tok.kind == "unit":
-            self.advance()
-            return Unit()
-        if tok.kind == "void":
-            self.advance()
-            return Void()
-        if tok.kind == "(":
-            self.advance()
-            ty = self.type_()
-            self.expect(")")
-            return ty
-        raise self.error(f"found {tok.text or 'end of input'!r} where a type was expected",
-                         expected=frozenset({"unit", "void", "(", "["}))
+        # Operands separated by operators, combined by precedence: `->`
+        # (right-associative) loosest, then `+`, then `*`.  An operand is
+        # modalities, one level each, before `unit`, `void` or `(type)`.
+        kinds = self.kinds
+        operands: list[Type] = []
+        ops: list[str] = []
+        while True:
+            pos = self.pos
+            names: list[str] = []
+            while kinds[self.pos] == "[":
+                names.extend(self.path())
+            self.nest(pos, len(names))
+            kind = kinds[self.pos]
+            if kind == "unit":
+                self.pos += 1
+                ty = Unit()
+            elif kind == "void":
+                self.pos += 1
+                ty = Void()
+            elif kind == "(":
+                self.nest(self.pos)
+                self.pos += 1
+                ty = self.type_()
+                self.expect(")")
+                self.depth -= 1
+            else:
+                raise self.error(f"found {self.found()} where a type was expected",
+                                 expected=frozenset({"unit", "void", "(", "["}))
+            for name in reversed(names):
+                ty = Believes(name, ty)
+            self.depth -= len(names)
+            operands.append(ty)
+            op = kinds[self.pos]
+            prec = _TYPE_PREC.get(op, 0)  # 0: the type ends here
+            while ops and (_TYPE_PREC[ops[-1]] > prec or ops[-1] == op != "->"):
+                right = operands.pop()
+                operands[-1] = _TYPE_OP[ops.pop()](operands[-1], right)
+            if not prec:
+                return operands[0]
+            self.pos += 1
+            ops.append(op)
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
-        tok = self.peek()
-        start = tok.start
-        match tok.kind:
-            case "fun":
-                self.advance()
-                var = self.expect("ident", "variable").text
-                self.expect("->")
-                body = self.expr()
-                return Lam(var, body, span=self.span_from(start))
-            case "let":
-                self.advance()
-                g1 = self.path()
-                g2 = self.path()
-                var = self.expect("ident", "variable").text
-                self.expect("=")
-                bound = self.expr()
-                self.expect("in")
-                body = self.expr()
-                return ModalLet(g1, g2, var, bound, body, span=self.span_from(start))
-            case "case":
-                self.advance()
-                scrutinee = self.expr()
-                self.expect("of")
-                self.expect("inl")
-                lv = self.expect("ident", "variable").text
-                self.expect("->")
-                lb = self.expr()
-                self.expect("|")
-                self.expect("inr")
-                rv = self.expect("ident", "variable").text
-                self.expect("->")
-                rb = self.expr()
-                return Case(scrutinee, lv, lb, rv, rb, span=self.span_from(start))
-            case "send":
-                self.advance()
-                payload = self.app()
-                self.expect("to")
-                dest = self.path()
-                return Send(payload, dest, span=self.span_from(start))
-            case "up":
-                self.advance()
-                g = self.path()
-                body = self.app()
-                return Up(g, body, span=self.span_from(start))
-            case "down":
-                self.advance()
-                g = self.path()
-                body = self.app()
-                return Down(g, body, span=self.span_from(start))
-            case _:
-                return self.app()
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind not in _EXPR_KW:
+            return self.app()
+        start = self.starts[pos]
+        self.pos = pos + 1
+        if kind == "send":
+            payload = self.app()
+            self.expect("to")
+            return Send(payload, self.path(), span=self.span_from(start))
+        if kind == "up":
+            return Up(self.path(), self.app(), span=self.span_from(start))
+        if kind == "down":
+            return Down(self.path(), self.app(), span=self.span_from(start))
+        # The payloads above nest only through atoms; these bodies are
+        # whole expressions, so the form opens one level.
+        self.nest(pos)
+        if kind == "fun":
+            var = self.expect("ident", "variable")
+            self.expect("->")
+            e = Lam(var, self.expr(), span=self.span_from(start))
+        elif kind == "let":
+            g1, g2 = self.path(), self.path()
+            var = self.expect("ident", "variable")
+            self.expect("=")
+            bound = self.expr()
+            self.expect("in")
+            e = ModalLet(g1, g2, var, bound, self.expr(), span=self.span_from(start))
+        else:
+            scrutinee = self.expr()
+            self.expect("of")
+            self.expect("inl")
+            lv = self.expect("ident", "variable")
+            self.expect("->")
+            lb = self.expr()
+            self.expect("|")
+            self.expect("inr")
+            rv = self.expect("ident", "variable")
+            self.expect("->")
+            e = Case(scrutinee, lv, lb, rv, self.expr(), span=self.span_from(start))
+        self.depth -= 1
+        return e
 
     def app(self) -> Expr:
-        start = self.peek().start
-        e = self.unary()
-        while self.peek().kind in _UNARY_START:
-            arg = self.unary()
+        kinds = self.kinds
+        start = self.starts[self.pos]
+        e = self.unary() if kinds[self.pos] in _UNARY else self.atom()
+        while kinds[self.pos] in _UNARY_START:
+            arg = self.unary() if kinds[self.pos] in _UNARY else self.atom()
             e = App(e, arg, span=self.span_from(start))
         return e
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        start = tok.start
-        if tok.kind in _UNARY_KW:
-            self.advance()
-            inner = self.unary()
-            span = self.span_from(start)
-            match tok.kind:
-                case "inl":
-                    return Inl(inner, span=span)
-                case "inr":
-                    return Inr(inner, span=span)
-                case "fst":
-                    return Fst(inner, span=span)
-                case "snd":
-                    return Snd(inner, span=span)
-                case _:
-                    return Absurd(inner, span=span)
-        return self.atom()
+        pos = self.pos
+        self.nest(pos)
+        self.pos = pos + 1
+        inner = self.unary() if self.kinds[pos + 1] in _UNARY else self.atom()
+        self.depth -= 1
+        return _UNARY[self.kinds[pos]](inner, span=self.span_from(self.starts[pos]))
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        start = tok.start
-        match tok.kind:
-            case "()":
-                self.advance()
-                return UnitVal(span=self.span_from(start))
-            case "ident":
-                self.advance()
-                return Var(tok.text, span=self.span_from(start))
-            case "agent":
-                self.advance()
-                self.expect(".")
-                body = self.atom()
-                return Located(tok.text, body, span=self.span_from(start))
-            case "(":
-                self.advance()
-                if self.at(")"):
-                    self.advance()
-                    return UnitVal(span=self.span_from(start))
-                e = self.expr()
-                if self.at(","):
-                    self.advance()
-                    right = self.expr()
-                    self.expect(")")
-                    return Pair(e, right, span=self.span_from(start))
-                if self.at(":"):
-                    self.advance()
-                    ty = self.type_()
-                    self.expect(")")
-                    return Annot(e, ty, span=self.span_from(start))
-                self.expect(")")
-                return e
-            case _:
-                raise self.error(
-                    f"found {tok.text or 'end of input'!r} where an expression was expected",
-                    expected=frozenset({"(", "()", "identifier", "agent"}))
+        kinds = self.kinds
+        pos = self.pos
+        kind = kinds[pos]
+        start = self.starts[pos]
+        if kind == "ident" or kind == "()":
+            self.pos = pos + 1
+            span = Span(self.file, start, self.ends[pos])
+            return Var(self.texts[pos], span=span) if kind == "ident" else UnitVal(span=span)
+        if kind == "agent":
+            self.pos = pos + 1
+            self.expect(".")
+            self.nest(pos)
+            body = self.atom()
+            self.depth -= 1
+            return Located(self.texts[pos], body, span=self.span_from(start))
+        if kind != "(":
+            raise self.error(f"found {self.found()} where an expression was expected",
+                             expected=frozenset({"(", "()", "identifier", "agent"}))
+        if kinds[pos + 1] == ")":
+            self.pos = pos + 2
+            return UnitVal(span=self.span_from(start))
+        self.nest(pos)
+        self.pos = pos + 1
+        e = self.expr()
+        if kinds[self.pos] == ",":
+            self.pos += 1
+            right = self.expr()
+            self.expect(")")
+            e = Pair(e, right, span=self.span_from(start))
+        elif kinds[self.pos] == ":":
+            self.pos += 1
+            ty = self.type_()
+            self.expect(")")
+            e = Annot(e, ty, span=self.span_from(start))
+        else:
+            self.expect(")")
+        self.depth -= 1
+        return e
 
     # -- program structure ----------------------------------------------------
 
     def program(self) -> Program:
+        kinds = self.kinds
         topology_ref = None
-        if self.at("topology"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind in ("ident", "string"):
-                topology_ref = tok.text
-                self.advance()
-            else:
+        if kinds[self.pos] == "topology":
+            self.pos += 1
+            if kinds[self.pos] not in ("ident", "string"):
                 raise self.error("topology expects a preset name or a quoted path",
                                  expected=frozenset({"identifier", "string"}))
+            topology_ref = self.texts[self.pos]
+            self.pos += 1
             self.expect(";")
         inputs: list[tuple[str, Type]] = []
-        while self.at("input"):
-            self.advance()
-            name = self.expect("ident", "input name").text
+        while kinds[self.pos] == "input":
+            self.pos += 1
+            name = self.expect("ident", "input name")
             self.expect(":")
             ty = self.type_()
             self.expect(";")
             inputs.append((name, ty))
         defs: list[tuple[str, Type, Expr]] = []
-        while self.at("def"):
-            self.advance()
-            name = self.expect("ident", "definition name").text
+        while kinds[self.pos] == "def":
+            self.pos += 1
+            name = self.expect("ident", "definition name")
             self.expect(":")
             ty = self.type_()
             self.expect("=")
@@ -379,8 +370,7 @@ class _Parser:
             self.expect(";")
             if any(name == seen for seen, _, _ in defs) or any(name == seen for seen, _ in inputs):
                 raise ParseError(f"duplicate definition of {name!r}",
-                                 Span(self.file, self.tokens[self.pos - 1].start,
-                                      self.tokens[self.pos - 1].end))
+                                 Span(self.file, self.starts[self.pos - 1], self.ends[self.pos - 1]))
             defs.append((name, ty, body))
         self.expect("main")
         self.expect(":")

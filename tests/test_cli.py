@@ -75,7 +75,8 @@ class TestCheck:
         path.write_text("main : unit = " + "(" * 300 + "()" + ")" * 300 + ";\n")
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.strip() == "input nests too deeply"
+        # The 257th parenthesis opens one level more than MAX_NESTING.
+        assert err.strip() == f"{path}:270-271: input nests too deeply"
         assert "Traceback" not in err
 
 
@@ -216,6 +217,38 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "deadlock" in err and "waits on" in err
         assert "replay:" in err
+
+    def test_normalize_fuel_exhausted_exit_3(self, tmp_path, capsys):
+        # Normalizing the two sends takes more than one step, before any
+        # network runs.
+        path = tmp_path / "two.corps"
+        path.write_text("topology choreo;\n"
+                        "main : [A] unit = send (send A.() to [B]) to [A];\n")
+        assert main(["simulate", str(path), "--fuel", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "fuel exhausted after 1 steps of normalizing the choreography"]
+
+    def test_network_fuel_exhausted_exit_3(self, p4, capsys):
+        # One normalize step suffices, but the network needs a send and a
+        # receive.
+        assert main(["simulate", p4, "--fuel", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "run failed: network made no progress to completion within 1 steps"]
+
+    def test_stuck_run_exit_3(self, p4, capsys, monkeypatch):
+        # A well-typed program whose network gets stuck is a projection
+        # defect, so stand one in for the first run.
+        from corps import netsim
+
+        def stuck(*args, **kwargs):
+            raise netsim.NetStuck("case of non-sum value in [B]")
+
+        monkeypatch.setattr(netsim, "run", stuck)
+        assert main(["simulate", p4]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["run failed: case of non-sum value in [B]"]
 
 
 class TestNi:
