@@ -36,6 +36,21 @@ def send_chain(n: int, innermost_parens: bool = False) -> tuple[str, str]:
     return f"topology choreo;\nmain : [{holder}] unit = {expr};\n", holder
 
 
+def every_form(n: int) -> list[str]:
+    """One program per counted form, each nesting that form n deep."""
+    exprs = ("fst " * n + "x",
+             "A." * n + "()",
+             "fun x -> " * n + "x",
+             "let [] [] x = () in " * n + "x",
+             "case x of inl y -> () | inr z -> " * n + "()",
+             "(x, " * n + "x" + ")" * n)
+    types = ("[A] " * n + "unit",
+             "[" + ".".join("A" * n) + "] unit",
+             "(" * n + "unit" + ")" * n)
+    return ([f"main : unit = {e};" for e in exprs]
+            + [f"main : {t} = ();" for t in types])
+
+
 def run_every_stage(source: str) -> None:
     program = parse_program(source)
     topology = resolve_topology(program)
@@ -71,17 +86,8 @@ class TestAtTheLimit:
         assert e.dest == (holder,)
 
     def test_every_form_parses(self):
-        n = MAX_NESTING
-        for expr in ("fst " * n + "x",
-                     "A." * n + "()",
-                     "fun x -> " * n + "x",
-                     "let [] [] x = () in " * n + "x",
-                     "case x of inl y -> () | inr z -> " * n + "()",
-                     "(x, " * n + "x" + ")" * n):
-            assert isinstance(parse_program(f"main : unit = {expr};"), Program)
-        for ty in ("[A] " * n + "unit", "[" + ".".join("A" * n) + "] unit",
-                   "(" * n + "unit" + ")" * n):
-            assert isinstance(parse_program(f"main : {ty} = ();"), Program)
+        for source in every_form(MAX_NESTING):
+            assert isinstance(parse_program(source), Program)
 
     def test_siblings_do_not_add_up(self):
         # Each form closes the levels it opens: more siblings than the
@@ -108,17 +114,8 @@ class TestBeyondTheLimit:
         nesting_error(send_chain(MAX_NESTING, innermost_parens=True)[0])
 
     def test_every_form(self):
-        n = MAX_NESTING + 1
-        for expr in ("fst " * n + "x",
-                     "A." * n + "()",
-                     "fun x -> " * n + "x",
-                     "let [] [] x = () in " * n + "x",
-                     "case x of inl y -> () | inr z -> " * n + "()",
-                     "(x, " * n + "x" + ")" * n):
-            nesting_error(f"main : unit = {expr};")
-        for ty in ("[A] " * n + "unit", "[" + ".".join("A" * n) + "] unit",
-                   "(" * n + "unit" + ")" * n):
-            nesting_error(f"main : {ty} = ();")
+        for source in every_form(MAX_NESTING + 1):
+            nesting_error(source)
 
     def test_far_beyond(self):
         nesting_error(parens(20 * MAX_NESTING))
