@@ -313,9 +313,8 @@ def main(argv=None) -> int:
         print(err, file=sys.stderr)
         return USAGE
     except RecursionError:
-        # Last resort: the parser bounds nesting, but the stages behind it
-        # also recurse down long operator chains (application, `->`,
-        # `+`, `*`), which the parser builds without nesting.
+        # Last resort: the parser bounds nesting, operator chains
+        # included; this catches any stage that still runs out of stack.
         print("input nests too deeply", file=sys.stderr)
         return PARSE_ERROR
 

@@ -27,6 +27,18 @@ pick that turns out to wait is parked and the tick picks again.  A
 `Blocked` trace event is written each time a process is parked, not on
 every poll.
 
+Every run of one network starts from one prepared start, which its first
+run builds and keeps on the network, so a network that never runs costs
+nothing.  It holds each process's initial machine, which a run copies
+instead of refocusing from the root, and the network's vacuous binders:
+the bodies of `Lam`s and `Case` branches in which the bound variable
+does not occur free.  A beta or case step into such a body returns the
+body itself, the object `substitute` would return; any other step calls
+`substitute`.  A run records its trace as raw events that hold payload
+values.  `RunResult.trace` and `DeadlockError.trace` build the
+`TraceEvent`s, payloads printed by `local_str`, when first read.
+`_step_local` stays the reference for all of it.
+
 A run terminates when every process is a local value (or skip) and all
 queues are empty.  If the ready list empties while some process waits,
 the run is reported as a deadlock together with the waiting graph.
@@ -90,11 +102,40 @@ class TraceEvent:
         return out
 
 
+class _Events(list):
+    """A trace as a run records it: (step, address, action, peer, payload
+    value) tuples, the payload not yet rendered."""
+
+    def render(self) -> list[TraceEvent]:
+        return [TraceEvent(step, addr, action, peer,
+                           None if value is None else local_str(value))
+                for step, addr, action, peer, value in self]
+
+
+class _Trace:
+    """The `trace` attribute of RunResult and DeadlockError.  It holds
+    what it is given, and turns recorded `_Events` into TraceEvents when
+    it is first read."""
+
+    def __get__(self, obj, owner=None) -> list[TraceEvent]:
+        if obj is None:  # no class-level value, so no dataclass default
+            raise AttributeError("trace")
+        trace = obj.__dict__["trace"]
+        if type(trace) is _Events:
+            trace = obj.__dict__["trace"] = trace.render()
+        return trace
+
+    def __set__(self, obj, trace) -> None:
+        obj.__dict__["trace"] = trace
+
+
 class NetError(Exception):
     pass
 
 
 class DeadlockError(NetError):
+    trace = _Trace()
+
     def __init__(self, waiting: dict[Path, tuple[Path, ...]],
                  trace: list[TraceEvent], residuals: dict[Path, LocalExpr]):
         edges = ", ".join(
@@ -281,7 +322,7 @@ def _step_local(e: LocalExpr, addr: Path,
 @dataclass
 class RunResult:
     values: dict[Path, LocalExpr]
-    trace: list[TraceEvent]
+    trace: list[TraceEvent] = _Trace()
     steps: int
 
 
@@ -298,11 +339,68 @@ _LEAF_VALUES = frozenset((UnitVal, Lam, Skip))
 _CONSTRUCTORS = frozenset((Pair, Inl, Inr))  # values once all their positions are
 _VALUE_FORMS = _LEAF_VALUES | _CONSTRUCTORS
 
-Action = tuple[LocalExpr, str, Optional[Path], Optional[str]]
+# (reduct, action, peer, payload value) of one action
+Action = tuple[LocalExpr, str, Optional[Path], Optional[LocalExpr]]
+# (id of a body, the variable bound over it) -> that body, for each body of
+# a Lam or Case branch in the network in which its variable does not occur
+# free.  A Case rebuilt around its scrutinee's value keeps its bodies.
+Vacuous = dict[tuple[int, str], LocalExpr]
 
 
-def _fire(e: LocalExpr, addr: Path,
-          chans: dict[tuple[Path, Path], deque]) -> Optional[Action]:
+# Per node class: (subterm field, field of the binder over it or None).
+_SCOPES = {cls: tuple((shape.fields[i], None if b is None else shape.fields[b])
+                      for i, b in shape.subterms)
+           for cls, shape in SCHEMA.items()}
+
+
+def _vacuous_binders(terms) -> Vacuous:
+    """The bodies among `terms` whose bound variable does not occur free.
+
+    Each entry keeps its body, so its id names no other node while the
+    table lives.
+    """
+    out: Vacuous = {}
+    free: dict[int, frozenset[str]] = {}  # id -> free variables, per node done
+    none: frozenset[str] = frozenset()
+    todo: list = list(terms)  # nodes to enter, and (node,) once its subterms are done
+    while todo:
+        e = todo.pop()
+        if type(e) is tuple:
+            e = e[0]
+            fv = none
+            for field, binder in _SCOPES[type(e)]:
+                body = getattr(e, field)
+                inner = free[id(body)]
+                if binder is not None:
+                    var = getattr(e, binder)
+                    if var in inner:
+                        inner = inner - {var}
+                    else:
+                        out[(id(body), var)] = body
+                if inner:
+                    fv = fv | inner
+            free[id(e)] = fv
+        elif id(e) not in free:
+            scopes = _SCOPES.get(type(e))
+            if scopes:
+                todo.append((e,))
+                todo += [getattr(e, field) for field, _ in scopes]
+            else:
+                free[id(e)] = frozenset((e.name,)) if type(e) is Var else none
+    return out
+
+
+def _instantiate(body: LocalExpr, var: str, value: LocalExpr,
+                 vacuous: Vacuous) -> LocalExpr:
+    """`body` with `value` for `var`.  Where `vacuous` says `var` does not
+    occur, that is `body` itself, as `substitute` would return it."""
+    if vacuous.get((id(body), var)) is body:
+        return body
+    return substitute(body, var, value)
+
+
+def _fire(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
+          vacuous: Vacuous) -> Optional[Action]:
     """Act at `e`, whose positions all hold values and which is no value.
 
     Returns the reduct with the action, peer and payload for the trace
@@ -315,20 +413,20 @@ def _fire(e: LocalExpr, addr: Path,
         if not queue:
             return None
         value = queue.popleft()
-        return value, "Recv", e.src, local_str(value)
+        return value, "Recv", e.src, value
     if kind is SendTo:
         payload = e.payload
         if not _wire_ok(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
         chans.setdefault((addr, e.dest), deque()).append(payload)
-        return payload, "Send", e.dest, local_str(payload)
+        return payload, "Send", e.dest, payload
     if kind is Seq:
         reduct = e.rest
     elif kind is App:
         fn = e.fn
         if isinstance(fn, Lam):
-            reduct = substitute(fn.body, fn.var, e.arg)
+            reduct = _instantiate(fn.body, fn.var, e.arg, vacuous)
         elif fn == SKIP:
             reduct = SKIP
         else:
@@ -349,12 +447,12 @@ def _fire(e: LocalExpr, addr: Path,
     elif kind is Case:
         scrutinee = e.scrutinee
         if isinstance(scrutinee, Inl):
-            reduct = substitute(e.left_body, e.left_var, scrutinee.inner)
+            reduct = _instantiate(e.left_body, e.left_var, scrutinee.inner, vacuous)
         elif isinstance(scrutinee, Inr):
-            reduct = substitute(e.right_body, e.right_var, scrutinee.inner)
+            reduct = _instantiate(e.right_body, e.right_var, scrutinee.inner, vacuous)
         elif scrutinee == SKIP:
             # Branches were merged; run the left one with a hole.
-            reduct = substitute(e.left_body, e.left_var, SKIP)
+            reduct = _instantiate(e.left_body, e.left_var, SKIP, vacuous)
         else:
             raise NetStuck(f"case of non-sum value in {path_str(addr)}")
     elif kind is Var:
@@ -383,6 +481,12 @@ class _Process:
         self.opens: list[int] = []
         self.waits: set[Path] = set()
         _refocus(self, term)
+
+    def copy(self) -> _Process:
+        p = _Process.__new__(_Process)
+        p.frames, p.opens, p.focus, p.waits = (
+            self.frames.copy(), self.opens.copy(), self.focus, set())
+        return p
 
     def done(self) -> bool:
         return not self.frames and type(self.focus) in _VALUE_FORMS
@@ -434,15 +538,15 @@ def _refocus(p: _Process, e: LocalExpr) -> None:
     p.focus = e
 
 
-def _poll(p: _Process, addr: Path,
-          chans: dict[tuple[Path, Path], deque]) -> Optional[Action]:
+def _poll(p: _Process, addr: Path, chans: dict[tuple[Path, Path], deque],
+          vacuous: Vacuous) -> Optional[Action]:
     """Take the leftmost enabled action of `p`, as `_step_local` would.
 
     The search starts at the focus.  Only if the focus waits does it walk
     the positions to its right.  Returns None if every position waits;
     `p.waits` then holds their sources.
     """
-    r = _fire(p.focus, addr, chans)
+    r = _fire(p.focus, addr, chans, vacuous)
     if r is not None:
         _refocus(p, r[0])
         return r
@@ -453,7 +557,7 @@ def _poll(p: _Process, addr: Path,
         holes = _HOLES[type(node)]
         for j in range(i + 1, len(holes)):
             get, plug = holes[j]
-            r = _explore(get(node), addr, chans, waits)
+            r = _explore(get(node), addr, chans, vacuous, waits)
             if r is not None:
                 frames[k] = (plug(node, r[0]), i)
                 return r
@@ -462,7 +566,7 @@ def _poll(p: _Process, addr: Path,
 
 
 def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
-             waits: set[Path]) -> Optional[Action]:
+             vacuous: Vacuous, waits: set[Path]) -> Optional[Action]:
     """Take the leftmost enabled action inside `e`, searching from its root.
 
     Returns it with `e` rebuilt around the reduct, or None if every
@@ -479,7 +583,7 @@ def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
         if type(e) in _LEAF_VALUES:
             r, waited = None, False
         else:
-            r = _fire(e, addr, chans)
+            r = _fire(e, addr, chans, vacuous)
             waited = r is None
             if waited:
                 waits.add(e.src)
@@ -496,7 +600,7 @@ def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
                 break
             node, _, waited = frames.pop()
             if not waited and type(node) not in _CONSTRUCTORS:
-                r = _fire(node, addr, chans)
+                r = _fire(node, addr, chans, vacuous)
         if r is not None:
             reduct = r[0]
             for node, i, _ in reversed(frames):
@@ -506,21 +610,54 @@ def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
             return None
 
 
+class _Start:
+    """What every run of one network starts from, built by its first run
+    and kept on the network.
+
+    `processes` holds the (address, term) pairs it was built from.
+    `procs` holds each process's initial machine in address order, which
+    a run copies; `ready` indexes those that are no value, and `events`
+    holds a Done event for each of the others.  `slots` pairs each
+    address, in the network's order, with its index.  `vacuous` holds the
+    network's vacuous binders.
+    """
+    __slots__ = ("processes", "order", "index", "slots", "procs", "ready",
+                 "events", "vacuous")
+
+    def __init__(self, processes: dict[Path, LocalExpr]):
+        self.processes = tuple(processes.items())
+        self.order = sorted(processes)
+        self.index = {addr: n for n, addr in enumerate(self.order)}
+        self.slots = [(addr, self.index[addr]) for addr in processes]
+        self.procs = [_Process(processes[addr]) for addr in self.order]
+        self.ready = [n for n, p in enumerate(self.procs) if not p.done()]
+        self.events = _Events((0, addr, "Done", None, None)
+                              for addr, p in zip(self.order, self.procs) if p.done())
+        self.vacuous = _vacuous_binders(processes.values())
+
+    def fits(self, processes: dict[Path, LocalExpr]) -> bool:
+        """Whether the start was built from these processes."""
+        return (len(processes) == len(self.processes)
+                and all(processes.get(addr) is e for addr, e in self.processes))
+
+
+def _start_of(network: Network) -> _Start:
+    start = network._start
+    if start is None or not start.fits(network.processes):
+        start = network._start = _Start(network.processes)
+    return start
+
+
 def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunResult:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    order = sorted(network.processes)
-    index = {addr: n for n, addr in enumerate(order)}
-    procs = [_Process(network.processes[addr]) for addr in order]
+    start = _start_of(network)
+    order, index, vacuous = start.order, start.index, start.vacuous
+    procs = [p.copy() for p in start.procs]
     chans: dict[tuple[Path, Path], deque] = {}
-    trace: list[TraceEvent] = []
-    ready: list[int] = []  # indexes into order, ascending
+    trace = _Events(start.events)
+    ready = start.ready.copy()  # indexes into order, ascending
     waiting: dict[int, tuple[Path, ...]] = {}  # parked index -> sources
-    for n, p in enumerate(procs):
-        if p.done():
-            trace.append(TraceEvent(0, order[n], "Done"))
-        else:
-            ready.append(n)
     rng = random.Random(policy.seed) if isinstance(policy, RandomPolicy) else None
     turn = 0  # round robin: the index to try first
     steps = 0
@@ -533,20 +670,20 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             k = rng.randrange(len(ready))
         n = ready[k]
         addr, p = order[n], procs[n]
-        r = _poll(p, addr, chans)
+        r = _poll(p, addr, chans, vacuous)
         if r is None:
             del ready[k]
             srcs = waiting[n] = tuple(sorted(p.waits))
-            trace.append(TraceEvent(steps, addr, "Blocked", peer=srcs[0]))
+            trace.append((steps, addr, "Blocked", srcs[0], None))
             continue
         if steps >= fuel:
             raise NetFuelExhausted(steps)
         _, action, peer, payload = r
-        trace.append(TraceEvent(steps, addr, action, peer=peer, payload=payload))
+        trace.append((steps, addr, action, peer, payload))
         steps += 1
         if p.done():
             del ready[k]
-            trace.append(TraceEvent(steps, addr, "Done"))
+            trace.append((steps, addr, "Done", None, None))
         if action == "Send":
             m = index.get(peer)
             if m in waiting and addr in waiting[m]:
@@ -556,14 +693,13 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
 
     if waiting:
         raise DeadlockError({order[n]: srcs for n, srcs in waiting.items()}, trace,
-                            {addr: procs[index[addr]].term() for addr in network.processes})
+                            {addr: procs[n].term() for addr, n in start.slots})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:
         raise NetStuck(f"run completed with undelivered messages: "
                        + ", ".join(f"{path_str(s)}->{path_str(d)}"
                                    for s, d in sorted(leftovers)))
-    return RunResult({addr: procs[index[addr]].focus for addr in network.processes},
-                     trace, steps)
+    return RunResult({addr: procs[n].focus for addr, n in start.slots}, trace, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +763,13 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
         raise PreconditionError(
             "a communication payload mentions a function; excluded from agreement")
     expected = expected_result(program, topology, fuel)
-    outcomes: list[tuple[str, str]] = []
-    agree = True
     first: Union[RunResult, NetError, None] = None
+    # A run is a function of (network, policy, fuel): a repeated policy
+    # reuses the outcome of its first run.
+    seen: dict[SchedulerPolicy, str] = {}
     for policy in schedules:
-        label = policy_str(policy)
+        if policy in seen:
+            continue
         try:
             result = run(network, policy, fuel)
         except NetError as err:
@@ -639,15 +777,13 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
         if first is None:
             first = result
         if isinstance(result, NetError):
-            outcomes.append((label, f"failed: {result}"))
-            agree = False
+            seen[policy] = f"failed: {result}"
             continue
         got = result.values[network.result_address]
-        if expr_equal(got, expected):
-            outcomes.append((label, "agree"))
-        else:
-            outcomes.append((label, f"disagree: got {local_str(got)}"))
-            agree = False
+        seen[policy] = ("agree" if expr_equal(got, expected)
+                        else f"disagree: got {local_str(got)}")
+    outcomes = [(policy_str(policy), seen[policy]) for policy in schedules]
+    agree = all(outcome == "agree" for _, outcome in outcomes)
     return AgreementReport(agree, local_str(expected), outcomes, first)
 
 

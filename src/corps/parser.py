@@ -35,12 +35,15 @@ Nesting is bounded: past `MAX_NESTING` levels the parser raises a
 level, so neither it nor the stages that recurse over its trees run out
 of Python stack.  A level is opened by each parenthesis (expression or
 type), each prefix keyword (`inl`, `inr`, `fst`, `snd`, `absurd`), each
-located body `A.`, each `fun`, `let` or `case` form, and each agent of a
-modality.  `send`, `up` and `down` open none: their payloads nest only
-through those.  So `((()))` nests 3 deep, and a chain of n sends, each
-payload but the innermost `A.()` in parentheses, nests n deep.
-Operator chains (application, `->`, `+`, `*`) are loops and open no
-levels.
+located body `A.`, each `fun`, `let` or `case` form, each agent of a
+modality, and each operator of a chain: each application (at its
+argument) and each `->`, `+` or `*`.  `send`, `up` and `down` open none:
+their payloads nest only through those.  So `((()))` nests 3 deep, a
+chain of n sends, each payload but the innermost `A.()` in parentheses,
+nests n deep, and so do `f` applied to n arguments and a type with n
+arrows.  The levels of a form close where it ends.  A chain of n
+operators builds n nested nodes, so the levels of its operators close
+where the chain ends.
 """
 
 from __future__ import annotations
@@ -196,7 +199,9 @@ class _Parser:
         # Operands separated by operators, combined by precedence: `->`
         # (right-associative) loosest, then `+`, then `*`.  An operand is
         # modalities, one level each, before `unit`, `void` or `(type)`.
+        # Each operator opens a level that stays open to the type's end.
         kinds = self.kinds
+        depth = self.depth
         operands: list[Type] = []
         ops: list[str] = []
         while True:
@@ -231,7 +236,9 @@ class _Parser:
                 right = operands.pop()
                 operands[-1] = _TYPE_OP[ops.pop()](operands[-1], right)
             if not prec:
+                self.depth = depth
                 return operands[0]
+            self.nest(self.pos)
             self.pos += 1
             ops.append(op)
 
@@ -282,12 +289,17 @@ class _Parser:
         return e
 
     def app(self) -> Expr:
+        # Each application opens a level, at its argument, that stays open
+        # to the chain's end.
         kinds = self.kinds
         start = self.starts[self.pos]
+        depth = self.depth
         e = self.unary() if kinds[self.pos] in _UNARY else self.atom()
         while kinds[self.pos] in _UNARY_START:
+            self.nest(self.pos)
             arg = self.unary() if kinds[self.pos] in _UNARY else self.atom()
             e = App(e, arg, span=self.span_from(start))
+        self.depth = depth
         return e
 
     def unary(self) -> Expr:

@@ -192,6 +192,10 @@ class Network:
     result_address: Path
     lambda_wire: bool
     universe: frozenset[Path] = field(default_factory=frozenset)
+    # The simulator's prepared start (`netsim._Start`): built by the first
+    # run of the network, reused by the later ones.
+    _start: Optional[object] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,20 @@ class TestCheck:
         assert err.strip() == f"{path}:270-271: input nests too deeply"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["application", "arrows"])
+    def test_long_operator_chain_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "chain.corps"
+        if kind == "application":
+            head = "main : unit = (fun f -> () : unit -> unit)"
+            path.write_text(head + " ()" * 3_000 + ";\n")
+            at = len(head) + 256 * len(" ()") + 1  # the 257th argument
+        else:
+            path.write_text("main : unit" + " -> unit" * 3_000 + " = ();\n")
+            at = len("main : unit") + 256 * len(" -> unit") + 1  # the 257th arrow
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"{path}:{at}-{at + 2}: input nests too deeply"
+
 
 class TestNormalize:
     def test_positive(self, p4, capsys):
@@ -193,6 +207,18 @@ class TestSimulate:
                      "--seed", str(header["seed"]), "--fuel", str(header["fuel"]),
                      "--trace", str(again)]) == 0
         assert again.read_text() == first.read_text()
+
+    def test_repeated_round_robin_runs_once(self, p4, capsys, monkeypatch):
+        # A run is a function of (network, policy, fuel), so fifty
+        # round-robin runs are one run reported fifty times.
+        from corps import netsim
+
+        calls = []
+        real_run = netsim.run
+        monkeypatch.setattr(netsim, "run", lambda *a: calls.append(a) or real_run(*a))
+        assert main(["simulate", p4, "--schedule", "rr", "--runs", "50"]) == 0
+        assert len(calls) == 1
+        assert "AGREE (50 runs; expected () at [B])" in capsys.readouterr().out
 
     def test_open_program_usage_error(self, tmp_path):
         path = tmp_path / "open.corps"

@@ -36,6 +36,10 @@ def send_chain(n: int, innermost_parens: bool = False) -> tuple[str, str]:
     return f"topology choreo;\nmain : [{holder}] unit = {expr};\n", holder
 
 
+def type_chain(op: str, n: int) -> str:
+    return f" {op} ".join(["unit"] * (n + 1))
+
+
 def every_form(n: int) -> list[str]:
     """One program per counted form, each nesting that form n deep."""
     exprs = ("fst " * n + "x",
@@ -43,12 +47,28 @@ def every_form(n: int) -> list[str]:
              "fun x -> " * n + "x",
              "let [] [] x = () in " * n + "x",
              "case x of inl y -> () | inr z -> " * n + "()",
-             "(x, " * n + "x" + ")" * n)
+             "(x, " * n + "x" + ")" * n,
+             "f" + " x" * n)
     types = ("[A] " * n + "unit",
              "[" + ".".join("A" * n) + "] unit",
-             "(" * n + "unit" + ")" * n)
+             "(" * n + "unit" + ")" * n,
+             *(type_chain(op, n) for op in ("->", "+", "*")))
     return ([f"main : unit = {e};" for e in exprs]
             + [f"main : {t} = ();" for t in types])
+
+
+def chains(n: int) -> dict[str, str]:
+    """Well-typed programs whose longest operator chain has n operators."""
+    pairs = "()"
+    for _ in range(n):
+        pairs = f"({pairs}, ())"
+    return {
+        # f's type is an n-arrow chain; main applies it to n arguments
+        "application": (f"def f : {type_chain('->', n)} = {'fun x -> ' * n}();\n"
+                        f"main : unit = f{' ()' * n};\n"),
+        "sum": f"main : {type_chain('+', n)} = inr ();\n",
+        "product": f"main : {type_chain('*', n)} = {pairs};\n",
+    }
 
 
 def run_every_stage(source: str) -> None:
@@ -85,20 +105,31 @@ class TestAtTheLimit:
         e = parse_program(source).main_expr
         assert e.dest == (holder,)
 
+    @pytest.mark.parametrize("name", sorted(chains(1)))
+    def test_operator_chains(self, name):
+        run_every_stage(chains(MAX_NESTING)[name])
+
     def test_every_form_parses(self):
         for source in every_form(MAX_NESTING):
             assert isinstance(parse_program(source), Program)
 
     def test_siblings_do_not_add_up(self):
         # Each form closes the levels it opens: more siblings than the
-        # limit, side by side, stay one level deep.
+        # limit, each in its own definition, stay one level deep, and the
+        # operands of a chain add only its operators' levels.
         many = 2 * MAX_NESTING
+        ops = MAX_NESTING // 2
         for arg in ("(x)", "(x, x)", "(x : unit)", "fst x", "A.x", "(fun y -> y)",
-                    "(let [] [] y = x in y)", "(case x of inl y -> y | inr z -> z)"):
-            assert isinstance(parse_program(f"main : unit = f {' '.join([arg] * many)};"),
+                    "(let [] [] y = x in y)", "(case x of inl y -> y | inr z -> z)",
+                    "(f x)"):
+            defs = "".join(f"def d{i} : unit = {arg};\n" for i in range(many))
+            assert isinstance(parse_program(defs + "main : unit = ();"), Program)
+            assert isinstance(parse_program(f"main : unit = f {' '.join([arg] * ops)};"),
                               Program)
         for ty in ("(unit)", "[A] unit", "[A.B] (unit -> unit)"):
-            assert isinstance(parse_program(f"main : {' * '.join([ty] * many)} = ();"),
+            inputs = "".join(f"input i{i} : {ty};\n" for i in range(many))
+            assert isinstance(parse_program(inputs + "main : unit = ();"), Program)
+            assert isinstance(parse_program(f"main : {' * '.join([ty] * ops)} = ();"),
                               Program)
 
 
@@ -117,9 +148,24 @@ class TestBeyondTheLimit:
         for source in every_form(MAX_NESTING + 1):
             nesting_error(source)
 
+    @pytest.mark.parametrize("op", ["->", "+", "*"])
+    def test_type_operator_chains(self, op):
+        err = nesting_error(f"main : {type_chain(op, MAX_NESTING + 1)} = ();")
+        # The span is the operator that opens the 257th level.
+        at = len("main : unit") + MAX_NESTING * len(f" {op} unit") + 1
+        assert (err.span.start, err.span.end) == (at, at + len(op))
+
+    def test_application_chain(self):
+        err = nesting_error("main : unit = f" + " x" * (MAX_NESTING + 1) + ";")
+        # An application's level opens at its argument.
+        at = len("main : unit = f") + MAX_NESTING * len(" x") + 1
+        assert (err.span.start, err.span.end) == (at, at + 1)
+
     def test_far_beyond(self):
         nesting_error(parens(20 * MAX_NESTING))
         nesting_error("main : unit = " + "inl " * 10_000 + "();")
+        nesting_error("main : unit = (fun f -> () : unit -> unit)" + " ()" * 3_000 + ";")
+        nesting_error(f"main : {type_chain('->', 3_000)} = ();")
 
 
 def test_benchmark_largest_chain_checks():
@@ -131,8 +177,8 @@ def test_benchmark_largest_chain_checks():
 
 
 # Text over an alphabet biased toward the grammar's tokens, with runs of
-# `(` long enough to cross the limit and characters on the edge of the
-# identifier and whitespace classes.
+# `(`, prefix keywords and chain operators long enough to cross the limit,
+# and characters on the edge of the identifier and whitespace classes.
 TOKENS = (
     "(", ")", "()", "->", "[", "]", ".", ",", ";", ":", "|", "=", "+", "*",
     "fun", "let", "in", "case", "of", "inl", "inr", "send", "to", "up",
@@ -142,7 +188,9 @@ TOKENS = (
 )
 PIECES = st.one_of(st.sampled_from(TOKENS),
                    st.integers(1, 3 * MAX_NESTING).map(lambda k: "(" * k),
-                   st.integers(1, 2 * MAX_NESTING).map(lambda k: "fst " * k))
+                   st.integers(1, 2 * MAX_NESTING).map(lambda k: "fst " * k),
+                   st.tuples(st.sampled_from(("x ", "-> unit ", "* unit ")),
+                             st.integers(1, 2 * MAX_NESTING)).map(lambda t: t[0] * t[1]))
 TEXTS = st.tuples(st.sampled_from(("", "main : ", "main : unit = ")),
                   st.lists(PIECES, max_size=30)).map(lambda t: t[0] + " ".join(t[1]))
 

@@ -6,14 +6,15 @@ import pytest
 from corps import netsim
 from corps import syntax as S
 from corps.netsim import (
-    DeadlockError, NetFuelExhausted, NetStuck, Network, PreconditionError,
-    RandomPolicy, RoundRobin, TraceEvent, _step_local, check_deadlock_free,
-    epp_agreement, expected_result, is_local_value, run,
+    DeadlockError, NetError, NetFuelExhausted, NetStuck, Network,
+    PreconditionError, RandomPolicy, RoundRobin, RunResult, TraceEvent,
+    _step_local, check_deadlock_free, epp_agreement, expected_result,
+    is_local_value, run,
 )
 from corps.parser import parse_program
 from corps.printer import path_str
 from corps.projection import (
-    SKIP, ProjectionError, RecvFrom, SendTo, Seq, project_network,
+    SKIP, ProjectionError, RecvFrom, SendTo, Seq, local_str, project_network,
 )
 from corps.topology import load_preset
 from genprog import ProgramGen
@@ -248,8 +249,8 @@ def assert_replays(network: Network, policy, fuel: int = 100_000) -> None:
     polls: list = []
     poll = netsim._poll
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(netsim, "_poll", lambda p, addr, chans: polls.append(addr) or
-                  poll(p, addr, chans))
+        m.setattr(netsim, "_poll", lambda p, addr, *rest: polls.append(addr) or
+                  poll(p, addr, *rest))
         try:
             got = run(network, policy, fuel)
         except Exception as err:  # the reference must raise the same
@@ -326,16 +327,62 @@ HAND_BUILT = {
         A: S.Case(S.App(S.Lam("x", S.Inr(S.Var("x"))), RecvFrom(B)),
                   "l", S.Var("l"), "r", SendTo(B, S.Pair(S.Var("r"), U))),
         B: Seq(SendTo(A, U), RecvFrom(A))}, None),
+    "vacuous beta and case": ({
+        A: S.Case(S.Inl(S.App(S.Lam("x", RecvFrom(B)), U)),
+                  "l", SendTo(B, U), "r", S.Var("r")),
+        B: Seq(SendTo(A, U), RecvFrom(A))}, None),
 }
 
 
+def fresh(network: Network) -> Network:
+    """The same processes in a network that has not run yet."""
+    return Network(dict(network.processes), network.result_address,
+                   network.lambda_wire, network.universe)
+
+
 class TestEngine:
-    def test_generated_networks_replay(self):
+    def test_generated_networks_replay(self, monkeypatch):
+        # Every policy after the first runs from the start the first run
+        # built.  Count the beta and case steps that skipped `substitute`.
+        substituted, shortcuts = [], 0
+        substitute, instantiate = netsim.substitute, netsim._instantiate
+
+        def counted(*args):
+            nonlocal shortcuts
+            before = len(substituted)
+            reduct = instantiate(*args)
+            shortcuts += len(substituted) == before
+            return reduct
+
+        monkeypatch.setattr(netsim, "substitute",
+                            lambda *a: substituted.append(a) or substitute(*a))
+        monkeypatch.setattr(netsim, "_instantiate", counted)
         for network in generated_networks():
-            for policy in POLICIES:
+            assert_replays(network, POLICIES[0])
+            start = network._start
+            for policy in POLICIES[1:]:
                 assert_replays(network, policy)
             assert_replays(network, RoundRobin(), fuel=3)
             assert_replays(network, RandomPolicy(3), fuel=3)
+            assert network._start is start
+        assert shortcuts > 0
+
+    def test_vacuous_binders_skip_substitute(self, monkeypatch):
+        processes, _ = HAND_BUILT["vacuous beta and case"]
+        network = Network(processes, A, False)
+        calls = []
+        monkeypatch.setattr(netsim, "substitute", lambda *a: calls.append(a))
+        for policy in POLICIES:
+            result = run(network, policy)
+            assert result.values == {A: U, B: U}
+        assert calls == []
+
+    def test_changed_processes_get_a_new_start(self):
+        network = p4_network()
+        run(network, RoundRobin())
+        network.processes[("B",)] = SKIP
+        with pytest.raises(NetStuck, match="undelivered messages"):
+            run(network, RoundRobin())
 
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_hand_built_networks_replay(self, name):
@@ -453,9 +500,93 @@ def pinned_trace(source: str, policy) -> list[tuple]:
              None if e.peer is None else ".".join(e.peer), e.payload) for e in trace]
 
 
+def pinned_policy(label: str):
+    return RoundRobin() if label == "rr" else RandomPolicy(int(label.split(":")[1]))
+
+
+def json_records(rows: list[tuple]) -> list[dict]:
+    keys = ("step", "address", "action", "peer", "payload")
+    return [{k: v for k, v in zip(keys, row) if v is not None} for row in rows]
+
+
 class TestPinnedTraces:
     @pytest.mark.parametrize("key", PINNED)
     def test_trace(self, key):
         source = {"P3": P3, "P4": P4}[key[0]]
-        policy = RoundRobin() if key[1] == "rr" else RandomPolicy(int(key[1].split(":")[1]))
-        assert pinned_trace(source, policy) == PINNED[key]
+        assert pinned_trace(source, pinned_policy(key[1])) == PINNED[key]
+
+    @pytest.mark.parametrize("program", ["P3", "P4"])
+    def test_json_records_from_a_shared_start(self, program):
+        network = project_network(parse_program({"P3": P3, "P4": P4}[program]))
+        for (name, label), rows in PINNED.items():
+            if name == program:
+                result = run(network, pinned_policy(label))
+                assert [e.to_json_dict() for e in result.trace] == json_records(rows)
+
+
+class TestLazyTraces:
+    def test_run_result_renders_its_trace_when_read(self):
+        result = run(p4_network(), RoundRobin())
+        assert type(vars(result)["trace"]) is not list
+        trace = result.trace
+        assert type(trace) is list and all(type(e) is TraceEvent for e in trace)
+        assert result.trace is trace
+        assert result == RunResult(result.values, list(trace), result.steps)
+
+    def test_deadlock_trace_equals_a_fresh_runs(self):
+        network = Network({A: Seq(SendTo(B, S.Inl(U)), RecvFrom(B)),
+                           B: Seq(RecvFrom(A), RecvFrom(A))}, A, False)
+        for policy in POLICIES:
+            errors = []
+            for net in (network, fresh(network)):
+                with pytest.raises(DeadlockError) as exc:
+                    run(net, policy)
+                errors.append(exc.value)
+            shared, unshared = errors
+            assert type(vars(shared)["trace"]) is not list
+            assert shared.trace == unshared.trace
+            assert any(e.payload == "inl ()" for e in shared.trace)
+            assert (shared.waiting, shared.residuals) == (unshared.waiting,
+                                                          unshared.residuals)
+
+
+def agreement_outcome(result, expected, network: Network) -> str:
+    if isinstance(result, NetError):
+        return f"failed: {result}"
+    got = result.values[network.result_address]
+    return "agree" if S.expr_equal(got, expected) else f"disagree: got {local_str(got)}"
+
+
+def same_result(a, b) -> bool:
+    if isinstance(a, NetError) or isinstance(b, NetError):
+        return (type(a), str(a)) == (type(b), str(b))
+    return (a.values, a.trace, a.steps) == (b.values, b.trace, b.steps)
+
+
+def test_agreement_matches_fresh_unshared_runs():
+    # epp_agreement runs each distinct schedule once, from one start per
+    # network; each outcome must be what a run on a network that has
+    # never run gives.  The round robin at the end is a repeat.
+    schedules = [RoundRobin()] + [RandomPolicy(s) for s in (3, 17, 4242, 90001)] + [RoundRobin()]
+    programs, seed = 0, 0
+    while programs < 200:
+        preset = ("choreo", "doxastic", "siblings")[seed % 3]
+        topo = load_preset(preset)
+        program = ProgramGen(seed, topo, projectable=True).gen_program()
+        seed += 1
+        try:
+            network = project_network(program, topo)
+            report = epp_agreement(program, schedules, topo, network=network)
+        except (ProjectionError, PreconditionError):
+            continue
+        programs += 1
+        expected = expected_result(program, topo)
+        for policy, (label, outcome) in zip(schedules, report.outcomes):
+            try:
+                result = run(fresh(network), policy)
+            except NetError as err:
+                result = err
+            assert (label, outcome) == (netsim.policy_str(policy),
+                                        agreement_outcome(result, expected, network))
+            if policy is schedules[0]:
+                assert same_result(report.first, result)

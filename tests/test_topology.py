@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corps.topology import (
-    TopologyError, flow_reachable, load_preset, parse_topology,
+    Topology, TopologyError, flow_reachable, load_preset, parse_topology,
     relation_holds,
 )
 
@@ -182,3 +183,30 @@ class TestFlowReachable:
             for b in universe:
                 if flow_reachable(base, a, b, universe):
                     assert flow_reachable(extended, a, b, universe)
+
+
+# Lines that are rules with pieces missing or swapped, or runs over an
+# alphabet of rule pieces, stray characters and characters on the edge of
+# the identifier and whitespace classes.
+RULE_PIECES = (
+    "candown:", "canup:", "cansend:", "canfly:", "=>", "=", ">", "*", "$a",
+    "$b", "$", "$1", ".", "..", "A", "B", "a", "true", "false", ":", "#",
+    " ", "\t", "\n", "\r", "\x0b", "\x1c", "\xa0", "\u2028", "²", "Ⅻ", "_", "é",
+)
+ATOMS = st.sampled_from(("*", "$a", "$b", "A", "B", "A1", "", "$", "a", " * "))
+PATTERNS = st.lists(ATOMS, min_size=1, max_size=4).map(".".join)
+RULES = st.tuples(st.sampled_from(("candown", "canup", "cansend", "can send", "")),
+                  st.sampled_from((":", ": ", "")), PATTERNS,
+                  st.sampled_from((" => ", "=>", " = ", "")), PATTERNS
+                  ).map("".join)
+LINES = st.one_of(RULES, st.lists(st.sampled_from(RULE_PIECES), max_size=12).map("".join))
+RULE_TEXTS = st.lists(LINES, max_size=6).map("\n".join)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(RULE_TEXTS)
+def test_any_topo_text_gives_a_topology_or_a_topology_error(text):
+    try:
+        assert isinstance(parse_topology(text), Topology)
+    except TopologyError:
+        pass
