@@ -31,8 +31,9 @@ Case branches at every address other than the scrutinee's owner must
 merge, i.e. be alpha-equal; a conflict means some third party would
 need to know the outcome of a choice it cannot observe.
 
-One walk of the typing derivation projects every address at once.  Each
-rule returns a sparse projection: a generic process, which every address
+Projection is a hook of the checker's walk (see `typecheck`): one walk
+both checks the program and projects every address at once.  Each rule
+returns a sparse projection: a generic process, which every address
 gets, and a map from the few addresses that differ to their processes.
 Only viewpoints of unit values, injections and cases, and the two ends
 of each message, ever become keys, so a rule combines its children's
@@ -46,8 +47,10 @@ nested-modality payload, which fails at every address) ends the walk.
 So `project_network` raises the generic process's first error if there
 is one, and otherwise the error at the smallest address of the universe
 that has one; `project(g)` walks for g alone and raises g's first error.
-The input must typecheck: the walk raises TypeCheckError where it meets
-a rule that does not apply.
+A rule that does not apply ends the walk with the checker's own
+TypeCheckError: on a program whose definitions check and whose main
+does not, both raise the first error `check_program` reports, unless a
+projection error comes first in walk order.
 """
 
 from __future__ import annotations
@@ -58,14 +61,13 @@ from typing import Optional, Union
 from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
-    SKIP, Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl,
-    Inr, Lam, LocalExpr, Located, ModalLet, Pair, Path, Product, RecvFrom,
-    Send, SendTo, Seq, Skip, Snd, Sum, Type, Unit, UnitVal, Up, Var, Void,
-    belief_stack, ctx_bind, ctx_lock, expr_equal, path_concat, peel_stack,
-    split_stack, substitute,
+    SKIP, Absurd, App, Arrow, Believes, Case, Expr, Fst, Inl, Inr, Lam,
+    LocalExpr, Pair, Path, Product, RecvFrom, SendTo, Seq, Skip, Snd, Sum,
+    Type, UnitVal, Var, ctx_lock, expr_equal, path_concat, split_stack,
+    substitute,
 )
 from .topology import Topology
-from .typecheck import Checker, TypeCheckError, resolve_topology
+from .typecheck import Checker, inline_main, resolve_topology
 
 
 class ProjectionError(Exception):
@@ -144,10 +146,6 @@ def _mk_pair(left: LocalExpr, right: LocalExpr) -> LocalExpr:
     return SKIP if left == SKIP and right == SKIP else Pair(left, right)
 
 
-def _mk_unary(ctor, inner: LocalExpr) -> LocalExpr:
-    return SKIP if inner == SKIP else ctor(inner)
-
-
 def _mk_seq(first: LocalExpr, rest: LocalExpr) -> LocalExpr:
     return rest if first == SKIP else Seq(first, rest)
 
@@ -162,28 +160,16 @@ def _mk_case(scrutinee: LocalExpr, lv: str, lb: LocalExpr,
 # ---------------------------------------------------------------------------
 # Type locality of wire payloads
 
-def _contains_believes(ty: Type) -> bool:
+def _mentions(ty: Type, cls) -> bool:
+    """Whether some part of `ty` is a `cls`."""
     match ty:
-        case Believes():
+        case cls():
             return True
-        case Product(left, right) | Sum(left, right):
-            return _contains_believes(left) or _contains_believes(right)
-        case Arrow(dom, cod):
-            return _contains_believes(dom) or _contains_believes(cod)
-        case _:
-            return False
-
-
-def _contains_arrow(ty: Type) -> bool:
-    match ty:
-        case Arrow():
-            return True
-        case Product(left, right) | Sum(left, right):
-            return _contains_arrow(left) or _contains_arrow(right)
+        case Product(left, right) | Sum(left, right) | Arrow(left, right):
+            return _mentions(left, cls) or _mentions(right, cls)
         case Believes(_, body):
-            return _contains_arrow(body)
-        case _:
-            return False
+            return _mentions(body, cls)
+    return False
 
 
 @dataclass
@@ -223,26 +209,26 @@ def _process(local: Local) -> LocalExpr:
     return local
 
 
-class _Projector:
-    """One walk of the typing derivation, projecting for every address.
+class _Projection:
+    """The checker's hook that projects every address at once.
 
-    Given a target address, it projects for that address alone: its
-    process is the generic one, and the maps stay empty.
+    Each rule of the walk hands it the sparse projections of the node's
+    children, in walk order, and gets the node's own.  Given a target
+    address, it projects for that address alone: its process is the
+    generic one, and the maps stay empty.
     """
 
-    def __init__(self, topology: Topology, target: Optional[Path] = None):
-        self.checker = Checker(topology)
+    def __init__(self, target: Optional[Path] = None):
         self.target = target
         self.participants: set[Path] = set()
         self.lambda_wire = False
 
-    def _node(self, rule, *specs: Sparse, special=None) -> Sparse:
+    def _node(self, rule, *specs: Sparse, special=_NOWHERE) -> Sparse:
         """Apply `rule` to the children's processes, address by address;
         an address that `special` maps to a rule of its own applies that."""
-        special = special or {}
         if self.target is not None:
             # The target's process is the generic one; no map gets a key.
-            rule, special = special.get(self.target, rule), {}
+            rule, special = special.get(self.target, rule), _NOWHERE
         # An error in the generic process ends the walk (module docstring).
         generic = _process(rule(*[generic for generic, _ in specs]))
         keys = set(special).union(*[at for _, at in specs])
@@ -252,31 +238,24 @@ class _Projector:
             g: _apply(special.get(g, rule), [at.get(g, default) for default, at in specs])
             for g in keys}
 
-    # -- bidirectional walk, mirroring the typechecker ------------------------
-
-    def infer(self, ctx, e: Expr, L: Path) -> tuple[Sparse, Type]:
-        match e:
-            case Var(name):
-                ty = self.checker.infer(ctx, e)
-                return (Var(name), _NOWHERE), ty
-            case UnitVal():
-                return self._node(lambda: SKIP, special={L: UnitVal}), Unit()
-            case Located(agent, body):
-                inside = path_concat(L, (agent,))
-                self.participants.add(inside)
-                le, ty = self.infer(ctx_lock(ctx, (agent,)), body, inside)
-                return le, Believes(agent, ty)
-            case Annot(inner, ty):
-                return self.check(ctx, inner, ty, L), ty
-            case ModalLet(g1, g2, var, bound, body):
-                inside = path_concat(L, g1)
-                self.participants.add(inside)
-                be, bty = self.infer(ctx_lock(ctx, g1), bound, inside)
-                core = peel_stack(bty, g2)
-                if core is None:
-                    raise TypeCheckError("BelievesE", "stack mismatch", e.span)
-                inner_ctx = ctx_bind(ctx, var, core, path_concat(g1, g2))
-                le, ty = self.infer(inner_ctx, body, L)
+    def visit(self, rule: str, e: Expr, L: Path, ty: Type, kids: list[Sparse],
+              comm: Optional[tuple[Path, Path, Type]]) -> Sparse:
+        """The node's sparse projection; the cases run most frequent first."""
+        match rule:
+            case "Check" | "Annot":
+                return kids[0]
+            case "Unit":
+                return self._node(lambda: SKIP, special={L: UnitVal})
+            case "BelievesI":
+                self.participants.add(path_concat(L, (e.agent,)))
+                return kids[0]
+            case "Pair":
+                return self._node(_mk_pair, *kids)
+            case "Lam":
+                return self._node(lambda b: _mk_lam(e.var, b), *kids)
+            case "BelievesE":
+                self.participants.add(path_concat(L, e.open_path))
+                var = e.var
 
                 def bind(b: LocalExpr, l: LocalExpr) -> LocalExpr:
                     if b == SKIP:
@@ -286,117 +265,37 @@ class _Projector:
                         # processes at skip.
                         return substitute(l, var, SKIP)
                     return _mk_app(_mk_lam(var, l), b)
-                return self._node(bind, be, le), ty
-            case Send(payload, dest):
-                pe, pty = self.infer(ctx, payload, L)
-                g1, core = split_stack(pty)
-                sender = path_concat(L, g1)
-                receiver = path_concat(L, dest)
-                le = self._comm(pe, core, sender, receiver, e)
-                return le, belief_stack(dest, core)
-            case Up(path, body):
-                be, ty = self.infer(ctx, body, L)
-                le = self._comm(be, ty, L, path_concat(L, path), e)
-                return le, belief_stack(path, ty)
-            case Down(path, body):
-                be, ty = self.infer(ctx, body, L)
-                core = peel_stack(ty, path)
-                if core is None:
-                    raise TypeCheckError("Down", "stack mismatch", e.span)
-                le = self._comm(be, core, path_concat(L, path), L, e)
-                return le, core
-            case App(fn, arg):
-                fe, fty = self.infer(ctx, fn, L)
-                if not isinstance(fty, Arrow):
-                    raise TypeCheckError("App", "non-function applied", e.span)
-                ae = self.check(ctx, arg, fty.dom, L)
-                return self._node(_mk_app, fe, ae), fty.cod
-            case Pair(left, right):
-                le, lt = self.infer(ctx, left, L)
-                re_, rt = self.infer(ctx, right, L)
-                return self._node(_mk_pair, le, re_), Product(lt, rt)
-            case Fst(inner):
-                ie, ty = self.infer(ctx, inner, L)
-                if not isinstance(ty, Product):
-                    raise TypeCheckError("Fst", "non-product", e.span)
-                return self._node(_unary(Fst), ie), ty.left
-            case Snd(inner):
-                ie, ty = self.infer(ctx, inner, L)
-                if not isinstance(ty, Product):
-                    raise TypeCheckError("Snd", "non-product", e.span)
-                return self._node(_unary(Snd), ie), ty.right
-            case Case(scrutinee, lv, lb, rv, rb):
-                se, sty = self.infer(ctx, scrutinee, L)
-                if not isinstance(sty, Sum):
-                    raise TypeCheckError("Case", "non-sum scrutinee", e.span)
-                le, lt = self.infer(ctx_bind(ctx, lv, sty.left, ()), lb, L)
-                re_, rt = self.infer(ctx_bind(ctx, rv, sty.right, ()), rb, L)
-                if lt != rt:
-                    raise TypeCheckError("Case", "branch types differ", e.span)
-                return self._case(se, lv, le, rv, re_, L), lt
-            case Lam() | Inl() | Inr() | Absurd():
-                raise TypeCheckError("Infer", "not inferable", e.span)
-        raise TypeError(f"not an expression: {e!r}")
-
-    def check(self, ctx, e: Expr, ty: Type, L: Path) -> Sparse:
-        match e:
-            case Lam(var, body):
-                if not isinstance(ty, Arrow):
-                    raise TypeCheckError("Lam", "non-function type", e.span)
-                be = self.check(ctx_bind(ctx, var, ty.dom, ()), body, ty.cod, L)
-                return self._node(lambda b: _mk_lam(var, b), be)
-            # The next two cases go beyond the typechecker's checking mode.
-            # They let canonical values (whose injections carry no
-            # annotations, e.g. normal forms) be projected; on programs the
-            # typechecker accepted they agree with the infer-and-compare
-            # route.
-            case Pair(left, right) if isinstance(ty, Product):
-                return self._node(_mk_pair, self.check(ctx, left, ty.left, L),
-                                  self.check(ctx, right, ty.right, L))
-            case Located(agent, body) if isinstance(ty, Believes) and ty.agent == agent:
-                inside = path_concat(L, (agent,))
-                self.participants.add(inside)
-                return self.check(ctx_lock(ctx, (agent,)), body, ty.body, inside)
-            case Inl(inner):
-                if not isinstance(ty, Sum):
-                    raise TypeCheckError("Inl", "non-sum type", e.span)
-                return self._mk_inj(Inl, self.check(ctx, inner, ty.left, L), L)
-            case Inr(inner):
-                if not isinstance(ty, Sum):
-                    raise TypeCheckError("Inr", "non-sum type", e.span)
-                return self._mk_inj(Inr, self.check(ctx, inner, ty.right, L), L)
-            case Absurd(inner):
-                return self._node(_unary(Absurd), self.check(ctx, inner, Void(), L))
-            case Case(scrutinee, lv, lb, rv, rb):
-                se, sty = self.infer(ctx, scrutinee, L)
-                if not isinstance(sty, Sum):
-                    raise TypeCheckError("Case", "non-sum scrutinee", e.span)
-                le = self.check(ctx_bind(ctx, lv, sty.left, ()), lb, ty, L)
-                re_ = self.check(ctx_bind(ctx, rv, sty.right, ()), rb, ty, L)
-                return self._case(se, lv, le, rv, re_, L)
-            case _:
-                le, inferred = self.infer(ctx, e, L)
-                if inferred != ty:
-                    raise TypeCheckError("Mismatch", "type mismatch", e.span)
-                return le
-
-    def _mk_inj(self, ctor, inner: Sparse, L: Path) -> Sparse:
-        # A sum tag is data belonging to the viewpoint that forms it: the
-        # owner keeps the injection even over a hole, otherwise its own
-        # case analysis would lose the choice.  Everyone else drops
-        # content-free injections like any other empty structure.
-        return self._node(_unary(ctor), inner, special={L: ctor})
+                return self._node(bind, *kids)
+            case "Inl" | "Inr":
+                # A sum tag is data belonging to the viewpoint that forms
+                # it: the owner keeps the injection even over a hole,
+                # otherwise its own case analysis would lose the choice.
+                # Everyone else drops content-free injections like any
+                # other empty structure.
+                ctor = type(e)
+                return self._node(_unary(ctor), *kids, special={L: ctor})
+            case "Send" | "Up" | "Down":
+                return self._comm(kids[0], *comm, e)
+            case "App":
+                return self._node(_mk_app, *kids)
+            case "Case":
+                return self._case(e, *kids, L)
+            case "Fst" | "Snd" | "Absurd":
+                return self._node(_unary(type(e)), *kids)
+            case "Axiom":
+                return Var(e.name), _NOWHERE
+        raise TypeError(f"no projection for rule {rule!r}")
 
     # -- communication and choice -------------------------------------------
 
-    def _comm(self, payload: Sparse, moved_ty: Type, sender: Path,
-              receiver: Path, site: Expr) -> Sparse:
-        if _contains_believes(moved_ty):
+    def _comm(self, payload: Sparse, sender: Path, receiver: Path,
+              moved_ty: Type, site: Expr) -> Sparse:
+        if _mentions(moved_ty, Believes):
             # Every address fails here, so the generic process does too.
             raise ProjectionError(
                 f"communicated value of type with a nested modality cannot be "
                 f"projected to a single message ({expr_str(site)})")
-        if _contains_arrow(moved_ty):
+        if _mentions(moved_ty, Arrow):
             self.lambda_wire = True
         self.participants.add(sender)
         self.participants.add(receiver)
@@ -408,8 +307,9 @@ class _Projector:
         # Third parties keep only the payload's duties.
         return self._node(lambda p: p, payload, special=ends)
 
-    def _case(self, se: Sparse, lv: str, le: Sparse, rv: str, re_: Sparse,
-              L: Path) -> Sparse:
+    def _case(self, e: Case, se: Sparse, le: Sparse, re_: Sparse, L: Path) -> Sparse:
+        lv, rv = e.left_var, e.right_var
+
         def owner(s, l, r) -> LocalExpr:
             return _mk_case(s, lv, l, rv, r)
 
@@ -426,7 +326,7 @@ class _Projector:
 
 
 def _unary(ctor):
-    return lambda inner: _mk_unary(ctor, inner)
+    return lambda inner: SKIP if inner == SKIP else ctor(inner)
 
 
 def _prefix_closure(paths: set[Path]) -> frozenset[Path]:
@@ -438,18 +338,28 @@ def _prefix_closure(paths: set[Path]) -> frozenset[Path]:
 
 
 def _closed_main(program: Program) -> tuple[Expr, Type]:
-    from .typecheck import inline_main
     if program.inputs:
         raise ProjectionError(
             "program has free inputs; substitute values for them first")
     return inline_main(program)
 
 
+def _walk(e: Expr, ty: Type, viewpoint: Path, topology: Topology,
+          projection: _Projection, canonical: bool = False) -> Sparse:
+    checker = Checker(topology, hook=projection.visit)
+    checker._canonical = canonical
+    out: list[Sparse] = []
+    checker.check(ctx_lock((), viewpoint), e, ty, out)
+    return out[0]
+
+
 def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
                  topology: Topology) -> LocalExpr:
-    """Project a closed, well-typed expression for one target address."""
-    local, _ = _Projector(topology, target).check((), e, ty, viewpoint)
-    return local
+    """Project a closed value in normal form, located at `viewpoint`, for
+    one target address.  Its injections need no annotations: the walk
+    checks pairs and located values against their types (see `typecheck`).
+    """
+    return _walk(e, ty, viewpoint, topology, _Projection(target), canonical=True)[0]
 
 
 def project(program: Program, g: Path, topology: Optional[Topology] = None,
@@ -457,7 +367,7 @@ def project(program: Program, g: Path, topology: Optional[Topology] = None,
     if topology is None:
         topology = resolve_topology(program, base_dir=base_dir)
     e, ty = _closed_main(program)
-    return project_expr(e, ty, (), g, topology)
+    return _walk(e, ty, (), topology, _Projection(g))[0]
 
 
 def project_network(program: Program, topology: Optional[Topology] = None,
@@ -466,11 +376,11 @@ def project_network(program: Program, topology: Optional[Topology] = None,
         topology = resolve_topology(program, base_dir=base_dir)
     e, ty = _closed_main(program)
     result_address, _ = split_stack(ty)
-    projector = _Projector(topology)
-    generic, at = projector.check((), e, ty, ())
-    universe = _prefix_closure(projector.participants | {result_address})
+    projection = _Projection()
+    generic, at = _walk(e, ty, (), topology, projection)
+    universe = _prefix_closure(projection.participants | {result_address})
     # Sorted, so that the smallest address with an error raises it.
     processes = {address: _process(at.get(address, generic))
                  for address in sorted(universe)}
-    return Network(processes, result_address, projector.lambda_wire,
+    return Network(processes, result_address, projection.lambda_wire,
                    frozenset(universe))

@@ -12,13 +12,27 @@ payload's inferred type.
 Checking mode exists so functions, injections, absurd and case branches
 need no annotations when the expected type is known; everything else
 infers and compares for syntactic type equality.
+
+`Checker.infer`/`check` are the only bidirectional walk of the package.
+Given a hook, each rule hands it the rule name, the node, the viewpoint,
+the type, the hook's results for the node's children in walk order and,
+for send/up/down, the (sender, receiver, moved type) of its query; what
+the hook returns becomes the node's result.  `derive` builds the
+`Derivation`s of `check --derivation`; endpoint projection is the other
+hook.  Without one, the walk builds no per-node results.
+
+A normal form's injections carry no annotations, so projecting one (the
+expected result of a run, `projection.project_expr`) needs two more
+checking rules: a pair against a product and a located value against its
+own modality.  They are off everywhere else, so `check_program` and
+`project_network` accept the same programs.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .parser import Program
 from .printer import expr_str, path_str, type_str
@@ -65,54 +79,75 @@ class Derivation:
         return "\n".join(lines)
 
 
-def _query_str(query: tuple[str, Path, Path]) -> str:
-    kind, a, b = query
-    return f"{kind}({path_str(a)}, {path_str(b)})"
+def derive(rule: str, e: Expr, viewpoint: Path, ty: Type,
+           kids: list[Derivation], comm) -> Derivation:
+    """The hook that records the walk as a derivation tree."""
+    return Derivation(rule, viewpoint, expr_str(e), ty, kids)
+
+
+_UNINFERABLE = {Lam: "an unannotated function", Inl: "an injection; annotate it",
+                Inr: "an injection; annotate it", Absurd: "absurd; annotate it"}
 
 
 class Checker:
-    def __init__(self, topology: Topology, record_queries: bool = False):
-        self.topology = topology
-        self.queries: Optional[list[tuple[str, Path, Path, Path]]] = (
-            [] if record_queries else None)
+    """The bidirectional walk (see the module docstring).
 
-    def _relation(self, kind: str, a: Path, b: Path, viewpoint: Path) -> bool:
-        if self.queries is not None:
-            self.queries.append((kind, a, b, viewpoint))
-        return relation_holds(self.topology, kind, a, b)
+    Given a `hook`, `out` is the list a node's result goes to: the
+    caller's for the root, the parent's children below it.
+    """
+
+    # The checking rules for canonical values (see the module docstring).
+    _canonical = False
+
+    def __init__(self, topology: Topology, hook: Optional[Callable] = None):
+        self.topology = topology
+        self.hook = hook
+
+    def _require(self, rule: str, kind: str, a: Path, b: Path, viewpoint: Path,
+                 e: Expr, stack: Optional[Path] = None) -> None:
+        if not relation_holds(self.topology, kind, a, b):
+            payload = "" if stack is None else f", payload stack {path_str(stack)}"
+            raise TypeCheckError(
+                rule, f"{kind}({path_str(a)}, {path_str(b)}) does not hold "
+                f"(viewpoint {path_str(viewpoint)}{payload})", e.span, (kind, a, b))
+
+    def _axiom(self, ctx: Context, e: Var) -> Type:
+        for i in range(len(ctx) - 1, -1, -1):
+            entry = ctx[i]
+            if isinstance(entry, Binding) and entry.name == e.name:
+                after = locks_of(ctx[i + 1:])
+                if after != entry.tag:
+                    raise TypeCheckError(
+                        "Axiom",
+                        f"variable {e.name!r} is tagged {path_str(entry.tag)} but is "
+                        f"used under locks {path_str(after)} past its binding "
+                        f"(viewpoint {path_str(locks_of(ctx))})",
+                        e.span)
+                return entry.ty
+        raise TypeCheckError("Axiom", f"unbound variable {e.name!r}", e.span)
+
+    def _branches(self, ctx: Context, e: Case, kids: Optional[list]) -> tuple[Context, Context]:
+        """Infer the scrutinee; the contexts of the two branches."""
+        scrut_ty = self.infer(ctx, e.scrutinee, kids)
+        if not isinstance(scrut_ty, Sum):
+            raise TypeCheckError(
+                "Case", f"case scrutinee has non-sum type {type_str(scrut_ty)}", e.span)
+        return (ctx_bind(ctx, e.left_var, scrut_ty.left, ()),
+                ctx_bind(ctx, e.right_var, scrut_ty.right, ()))
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, ctx: Context, e: Expr,
-              deriv: Optional[list[Derivation]] = None) -> Type:
-        kids: Optional[list[Derivation]] = [] if deriv is not None else None
-        viewpoint = locks_of(ctx)
-
-        def done(rule: str, ty: Type) -> Type:
-            if deriv is not None:
-                deriv.append(Derivation(rule, viewpoint, expr_str(e), ty, kids))
-            return ty
-
+    def infer(self, ctx: Context, e: Expr, out: Optional[list] = None) -> Type:
+        kids: Optional[list] = [] if out is not None else None
+        comm = None  # (sender, receiver, moved type) of a communication
         match e:
-            case Var(name):
-                for i in range(len(ctx) - 1, -1, -1):
-                    entry = ctx[i]
-                    if isinstance(entry, Binding) and entry.name == name:
-                        after = locks_of(ctx[i + 1:])
-                        if after != entry.tag:
-                            raise TypeCheckError(
-                                "Axiom",
-                                f"variable {name!r} is tagged {path_str(entry.tag)} but is "
-                                f"used under locks {path_str(after)} past its binding "
-                                f"(viewpoint {path_str(viewpoint)})",
-                                e.span)
-                        return done("Axiom", entry.ty)
-                raise TypeCheckError("Axiom", f"unbound variable {name!r}", e.span)
+            case Var():
+                rule, ty = "Axiom", self._axiom(ctx, e)
             case UnitVal():
-                return done("Unit", Unit())
+                rule, ty = "Unit", Unit()
             case Located(agent, body):
-                ty = self.infer(ctx_lock(ctx, (agent,)), body, kids)
-                return done("BelievesI", Believes(agent, ty))
+                rule, ty = "BelievesI", Believes(
+                    agent, self.infer(ctx_lock(ctx, (agent,)), body, kids))
             case ModalLet(g1, g2, var, bound, body):
                 bound_ty = self.infer(ctx_lock(ctx, g1), bound, kids)
                 core = peel_stack(bound_ty, g2)
@@ -122,29 +157,20 @@ class Checker:
                         f"bound expression has type {type_str(bound_ty)}, which does not "
                         f"carry the modality stack {path_str(g2)}",
                         e.span)
-                body_ty = self.infer(
+                rule, ty = "BelievesE", self.infer(
                     ctx_bind(ctx, var, core, path_concat(g1, g2)), body, kids)
-                return done("BelievesE", body_ty)
             case Send(payload, dest):
-                payload_ty = self.infer(ctx, payload, kids)
-                g1, core = split_stack(payload_ty)
-                query = ("cansend", path_concat(viewpoint, g1),
-                         path_concat(viewpoint, dest))
-                if not self._relation(query[0], query[1], query[2], viewpoint):
-                    raise TypeCheckError(
-                        "Send", f"{_query_str(query)} does not hold "
-                        f"(viewpoint {path_str(viewpoint)}, payload stack {path_str(g1)})",
-                        e.span, query)
-                return done("Send", belief_stack(dest, core))
+                g1, core = split_stack(self.infer(ctx, payload, kids))
+                viewpoint = locks_of(ctx)
+                comm = (path_concat(viewpoint, g1), path_concat(viewpoint, dest), core)
+                self._require("Send", "cansend", comm[0], comm[1], viewpoint, e, g1)
+                rule, ty = "Send", belief_stack(dest, core)
             case Up(g, body):
-                ty = self.infer(ctx, body, kids)
-                query = ("canup", viewpoint, path_concat(viewpoint, g))
-                if not self._relation(query[0], query[1], query[2], viewpoint):
-                    raise TypeCheckError(
-                        "Up", f"{_query_str(query)} does not hold "
-                        f"(viewpoint {path_str(viewpoint)})",
-                        e.span, query)
-                return done("Up", belief_stack(g, ty))
+                core = self.infer(ctx, body, kids)
+                viewpoint = locks_of(ctx)
+                comm = (viewpoint, path_concat(viewpoint, g), core)
+                self._require("Up", "canup", viewpoint, comm[1], viewpoint, e)
+                rule, ty = "Up", belief_stack(g, core)
             case Down(g, body):
                 ty = self.infer(ctx, body, kids)
                 core = peel_stack(ty, g)
@@ -153,13 +179,10 @@ class Checker:
                         "Down",
                         f"expected a type stacked with {path_str(g)}, got {type_str(ty)}",
                         e.span)
-                query = ("candown", viewpoint, path_concat(viewpoint, g))
-                if not self._relation(query[0], query[1], query[2], viewpoint):
-                    raise TypeCheckError(
-                        "Down", f"{_query_str(query)} does not hold "
-                        f"(viewpoint {path_str(viewpoint)})",
-                        e.span, query)
-                return done("Down", core)
+                viewpoint = locks_of(ctx)
+                comm = (path_concat(viewpoint, g), viewpoint, core)
+                self._require("Down", "candown", viewpoint, comm[0], viewpoint, e)
+                rule, ty = "Down", core
             case App(fn, arg):
                 fn_ty = self.infer(ctx, fn, kids)
                 if not isinstance(fn_ty, Arrow):
@@ -167,61 +190,42 @@ class Checker:
                         "App", f"applied expression has non-function type {type_str(fn_ty)}",
                         e.span)
                 self.check(ctx, arg, fn_ty.dom, kids)
-                return done("App", fn_ty.cod)
+                rule, ty = "App", fn_ty.cod
             case Pair(left, right):
-                lt = self.infer(ctx, left, kids)
-                rt = self.infer(ctx, right, kids)
-                return done("Pair", Product(lt, rt))
-            case Fst(inner):
+                rule, ty = "Pair", Product(self.infer(ctx, left, kids),
+                                           self.infer(ctx, right, kids))
+            case Fst(inner) | Snd(inner):
+                rule = "Fst" if isinstance(e, Fst) else "Snd"
                 ty = self.infer(ctx, inner, kids)
                 if not isinstance(ty, Product):
                     raise TypeCheckError(
-                        "Fst", f"fst of non-product type {type_str(ty)}", e.span)
-                return done("Fst", ty.left)
-            case Snd(inner):
-                ty = self.infer(ctx, inner, kids)
-                if not isinstance(ty, Product):
+                        rule, f"{rule.lower()} of non-product type {type_str(ty)}", e.span)
+                ty = ty.left if rule == "Fst" else ty.right
+            case Case():
+                left, right = self._branches(ctx, e, kids)
+                ty = self.infer(left, e.left_body, kids)
+                rt = self.infer(right, e.right_body, kids)
+                if ty != rt:
                     raise TypeCheckError(
-                        "Snd", f"snd of non-product type {type_str(ty)}", e.span)
-                return done("Snd", ty.right)
-            case Case(scrutinee, lv, lb, rv, rb):
-                scrut_ty = self.infer(ctx, scrutinee, kids)
-                if not isinstance(scrut_ty, Sum):
-                    raise TypeCheckError(
-                        "Case", f"case scrutinee has non-sum type {type_str(scrut_ty)}",
+                        "Case", f"branch types differ: {type_str(ty)} vs {type_str(rt)}",
                         e.span)
-                lt = self.infer(ctx_bind(ctx, lv, scrut_ty.left, ()), lb, kids)
-                rt = self.infer(ctx_bind(ctx, rv, scrut_ty.right, ()), rb, kids)
-                if lt != rt:
-                    raise TypeCheckError(
-                        "Case", f"branch types differ: {type_str(lt)} vs {type_str(rt)}",
-                        e.span)
-                return done("Case", lt)
+                rule = "Case"
             case Annot(inner, ty):
                 self.check(ctx, inner, ty, kids)
-                return done("Annot", ty)
-            case Lam():
+                rule = "Annot"
+            case Lam() | Inl() | Inr() | Absurd():
                 raise TypeCheckError(
-                    "Infer", "cannot infer the type of an unannotated function", e.span)
-            case Inl() | Inr():
-                raise TypeCheckError(
-                    "Infer", "cannot infer the type of an injection; annotate it", e.span)
-            case Absurd():
-                raise TypeCheckError(
-                    "Infer", "cannot infer the type of absurd; annotate it", e.span)
-        raise TypeError(f"not an expression: {e!r}")
+                    "Infer", f"cannot infer the type of {_UNINFERABLE[type(e)]}", e.span)
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        if out is not None:
+            out.append(self.hook(rule, e, locks_of(ctx), ty, kids, comm))
+        return ty
 
     # -- checking -------------------------------------------------------------
 
-    def check(self, ctx: Context, e: Expr, ty: Type,
-              deriv: Optional[list[Derivation]] = None) -> None:
-        kids: Optional[list[Derivation]] = [] if deriv is not None else None
-        viewpoint = locks_of(ctx)
-
-        def done(rule: str) -> None:
-            if deriv is not None:
-                deriv.append(Derivation(rule, viewpoint, expr_str(e), ty, kids))
-
+    def check(self, ctx: Context, e: Expr, ty: Type, out: Optional[list] = None) -> None:
+        kids: Optional[list] = [] if out is not None else None
         match e:
             case Lam(var, body):
                 if not isinstance(ty, Arrow):
@@ -229,31 +233,30 @@ class Checker:
                         "Lam", f"function checked against non-function type {type_str(ty)}",
                         e.span)
                 self.check(ctx_bind(ctx, var, ty.dom, ()), body, ty.cod, kids)
-                return done("Lam")
-            case Inl(inner):
+                rule = "Lam"
+            case Pair(left, right) if self._canonical and isinstance(ty, Product):
+                self.check(ctx, left, ty.left, kids)
+                self.check(ctx, right, ty.right, kids)
+                rule = "Pair"
+            case Located(agent, body) if (self._canonical and isinstance(ty, Believes)
+                                          and ty.agent == agent):
+                self.check(ctx_lock(ctx, (agent,)), body, ty.body, kids)
+                rule = "BelievesI"
+            case Inl(inner) | Inr(inner):
+                rule = "Inl" if isinstance(e, Inl) else "Inr"
                 if not isinstance(ty, Sum):
                     raise TypeCheckError(
-                        "Inl", f"inl checked against non-sum type {type_str(ty)}", e.span)
-                self.check(ctx, inner, ty.left, kids)
-                return done("Inl")
-            case Inr(inner):
-                if not isinstance(ty, Sum):
-                    raise TypeCheckError(
-                        "Inr", f"inr checked against non-sum type {type_str(ty)}", e.span)
-                self.check(ctx, inner, ty.right, kids)
-                return done("Inr")
+                        rule, f"{rule.lower()} checked against non-sum type {type_str(ty)}",
+                        e.span)
+                self.check(ctx, inner, ty.left if rule == "Inl" else ty.right, kids)
             case Absurd(inner):
                 self.check(ctx, inner, Void(), kids)
-                return done("Absurd")
-            case Case(scrutinee, lv, lb, rv, rb):
-                scrut_ty = self.infer(ctx, scrutinee, kids)
-                if not isinstance(scrut_ty, Sum):
-                    raise TypeCheckError(
-                        "Case", f"case scrutinee has non-sum type {type_str(scrut_ty)}",
-                        e.span)
-                self.check(ctx_bind(ctx, lv, scrut_ty.left, ()), lb, ty, kids)
-                self.check(ctx_bind(ctx, rv, scrut_ty.right, ()), rb, ty, kids)
-                return done("Case")
+                rule = "Absurd"
+            case Case():
+                left, right = self._branches(ctx, e, kids)
+                self.check(left, e.left_body, ty, kids)
+                self.check(right, e.right_body, ty, kids)
+                rule = "Case"
             case _:
                 inferred = self.infer(ctx, e, kids)
                 if inferred != ty:
@@ -261,7 +264,9 @@ class Checker:
                         "Mismatch",
                         f"expected {type_str(ty)} but inferred {type_str(inferred)}",
                         e.span)
-                return done("Check")
+                rule = "Check"
+        if out is not None:
+            out.append(self.hook(rule, e, locks_of(ctx), ty, kids, None))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +291,13 @@ def check_program(program: Program, topology: Optional[Topology] = None,
                   deriv: Optional[list[Derivation]] = None) -> list[TypeCheckError]:
     """Check every definition and main; returns all rejections found.
 
-    Given a `deriv` list, appends one derivation per definition and main.
+    Given a `deriv` list, appends one derivation per definition and main
+    (with a `checker` given, its hook's result instead).
     """
     if topology is None:
         topology = resolve_topology(program, base_dir=base_dir)
-    chk = checker if checker is not None else Checker(topology)
+    chk = checker if checker is not None else Checker(
+        topology, hook=derive if deriv is not None else None)
     errors: list[TypeCheckError] = []
     ctx: Context = ()
     for name, ty in program.inputs:

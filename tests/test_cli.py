@@ -1,8 +1,13 @@
 import json
+import random
 
 import pytest
 
 from corps.cli import main
+from corps.printer import pretty_print
+from corps.topology import load_preset
+from genprog import ProgramGen
+from test_parse_golden import mutate
 
 P4 = "topology choreo;\nmain : [B] unit = send A.() to [B];\n"
 T_AXIOM = "topology doxastic;\nmain : unit = down [A] (A.());\n"
@@ -92,6 +97,45 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.strip() == f"{path}:{at}-{at + 2}: input nests too deeply"
+
+
+# Programs whose normal forms are canonical values: a pair holding an
+# unannotated injection, directly, under a function or located at A, and
+# a pair holding a located injection.
+CANONICAL = (
+    ("main : (unit + unit) * unit = ((fun x -> (x, ())) : "
+     "unit + unit -> (unit + unit) * unit) (inl ());", "(inl (), ())", "[]"),
+    ("main : unit -> (unit + unit) * unit = ((fun x -> fun y -> (x, y)) : "
+     "unit + unit -> unit -> (unit + unit) * unit) (inl ());",
+     "fun y -> (inl (), y)", "[]"),
+    ("main : [A] (unit -> (unit + unit) * unit) = A.(((fun x -> fun y -> (x, y)) : "
+     "unit + unit -> unit -> (unit + unit) * unit) (inl ()));",
+     "fun y -> (inl (), y)", "[A]"),
+    ("main : [A] (unit + unit) * unit = "
+     "(A.(((fun x -> x) : unit + unit -> unit + unit) (inl ())), ());", "(skip, ())", "[]"),
+)
+
+
+class TestCanonicalValues:
+    """The expected result of a run projects a normal form, whose
+    injections carry no annotations; `corps check` still asks for them."""
+
+    @pytest.mark.parametrize("source, value, address", CANONICAL)
+    def test_simulate_projects_the_normal_form(self, tmp_path, capsys, source,
+                                               value, address):
+        path = tmp_path / "c.corps"
+        path.write_text(source)
+        assert main(["simulate", str(path)]) == 0
+        assert f"AGREE (1 runs; expected {value} at {address})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["main : (unit + unit) * unit = (inl (), ());",
+                                        "main : [A] (unit + unit) = A.(inl ());"])
+    def test_check_rejects_them_as_programs(self, tmp_path, capsys, source):
+        path = tmp_path / "c.corps"
+        path.write_text(source)
+        assert main(["check", str(path)]) == 1
+        assert ("[Infer] cannot infer the type of an injection; annotate it"
+                in capsys.readouterr().err)
 
 
 class TestNormalize:
@@ -301,3 +345,38 @@ class TestNi:
         path.write_text(SEALED)
         assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
                      "--values", "B.(inl ())"]) == 4
+
+
+# Each subcommand under the flags that change its path through the
+# pipeline; the fuel is small so that every run stays short, and some
+# run out of it.
+FLAG_SETS = (
+    ["check"],
+    ["check", "--derivation"],
+    ["normalize", "--fuel", "5"],
+    ["normalize", "--mode", "comm-free", "--fuel", "500"],
+    ["project", "--all"],
+    ["project", "--agent", "[A]"],
+    ["simulate", "--schedule", "random", "--runs", "2", "--fuel", "50"],
+    ["ni", "--input", "x", "--observe", "[A]", "--values", "inl (),inr ()",
+     "--trials", "2", "--fuel", "500"],
+)
+
+
+def test_exit_codes_on_mutated_programs(tmp_path, capsys):
+    # Derandomized: generated programs, three in four of them mutated once,
+    # under every flag set; every run ends with a documented exit code.
+    path = tmp_path / "m.corps"
+    codes = set()
+    for preset in ("choreo", "siblings", "doxastic"):
+        topo = load_preset(preset)
+        for seed in range(30):
+            rng = random.Random(f"cli/{preset}/{seed}")
+            text = pretty_print(ProgramGen(seed, topo, depth=5).gen_program())
+            path.write_text(mutate(text, rng) if seed % 4 else text)
+            for flags in FLAG_SETS:
+                code = main([flags[0], str(path)] + flags[1:])
+                assert code in range(5), (flags, path.read_text())
+                codes.add(code)
+            capsys.readouterr()
+    assert codes == set(range(5))

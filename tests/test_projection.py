@@ -3,16 +3,15 @@ from collections import Counter
 
 import pytest
 
-from corps import projection
 from corps import syntax as S
 from corps.parser import parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq,
-    local_str, merge, project,
+    local_str, merge, project, project_expr,
     project_network,
 )
 from corps.topology import load_preset
-from corps.typecheck import Checker, inline_main
+from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
 from genprog import ProgramGen
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
@@ -122,7 +121,7 @@ class TestCaseProjection:
                     run()
 
     def test_error_at_every_address_outranks_an_earlier_one_at_some(self):
-        src = ("topology doxastic; main : [A] unit * [B] (unit * [C] unit) = "
+        src = ("topology choreo; main : [A] unit * [B] (unit * [C] unit) = "
                f"({self.DIVERGENT.format(v='()')}, send A.(((), C.())) to [B]);")
         program = parse_program(src)
         with pytest.raises(ProjectionError, match="nested modality") as err:
@@ -255,8 +254,8 @@ def fanout(k: int, sender: int) -> str:
     return f"topology choreo; main : {ty} = {expr};"
 
 
-def visits(monkeypatch, cls, run) -> Counter:
-    """How often `run()` visits each node through cls.infer/check.  A
+def visits(monkeypatch, run) -> Counter:
+    """How often `run()` visits each node through Checker.infer/check.  A
     check that falls through to infer on the same node is one visit."""
     seen: Counter = Counter()
     active: list = []
@@ -273,8 +272,8 @@ def visits(monkeypatch, cls, run) -> Counter:
         return visit
 
     with monkeypatch.context() as m:
-        m.setattr(cls, "infer", counted(cls.infer))
-        m.setattr(cls, "check", counted(cls.check))
+        m.setattr(Checker, "infer", counted(Checker.infer))
+        m.setattr(Checker, "check", counted(Checker.check))
         run()
     return seen
 
@@ -293,9 +292,70 @@ class TestSinglePass:
         topo = load_preset("choreo")
         program = parse_program(fanout(k, k // 3))
         e, ty = inline_main(program)
-        checked = visits(monkeypatch, Checker,
-                         lambda: Checker(topo).check((), e, ty))
-        projected = visits(monkeypatch, projection._Projector,
-                           lambda: project_network(program, topo))
+        checked = visits(monkeypatch, lambda: Checker(topo).check((), e, ty))
+        projected = visits(monkeypatch, lambda: project_network(program, topo))
         assert sum(checked.values()) == len(checked) == node_count(e)
         assert sum(projected.values()) == len(projected) == node_count(e)
+
+
+class TestCheckerGradeErrors:
+    """Projection walks with the checker's rules, so on a program whose
+    main is ill-typed it raises the error `check_program` reports first."""
+
+    ILL_TYPED = (
+        "main : unit = nope;",
+        "main : unit = let [] [A] x = A.() in x;",
+        "main : unit = let [] [A] x = () in ();",
+        "topology doxastic; main : [B] unit = send A.() to [B];",
+        "main : [A] unit = up [A] ();",
+        "main : unit = down [A] ();",
+        "main : unit = down [A] (A.());",
+        "main : unit = () ();",
+        "main : unit = (fun x -> x) ();",
+        "main : unit = fst ();",
+        "main : unit = snd (A.(), ());",
+        "main : unit = fst (case (inl () : unit + unit) of inl a -> ((), ()) "
+        "| inr b -> ((), A.()));",
+        "main : unit = case () of inl a -> () | inr b -> ();",
+        "main : unit = fun x -> x;",
+        "main : unit = inr ();",
+        "main : unit = absurd ();",
+        "main : [A] unit = ();",
+    )
+
+    def programs(self):
+        for source in self.ILL_TYPED:
+            program = parse_program(source)
+            yield program, load_preset(program.topology_ref or "choreo")
+        # Projectable programs checked under a preset they were not made
+        # for, which refuses some of their communications.
+        for seed in range(60):
+            program = ProgramGen(seed, load_preset("choreo"), projectable=True).gen_program()
+            if not program.defs:
+                yield program, load_preset("siblings")
+
+    def test_projection_raises_the_first_check_error(self):
+        rejected = 0
+        for program, topo in self.programs():
+            errors = check_program(program, topo)
+            if not errors:
+                continue
+            rejected += 1
+            first = errors[0]
+            for run in (lambda: project_network(program, topo),
+                        lambda: project(program, (), topo)):
+                with pytest.raises(TypeCheckError) as got:
+                    run()
+                assert ((got.value.rule, got.value.message, got.value.span)
+                        == (first.rule, first.message, first.span))
+        assert rejected > len(self.ILL_TYPED)
+
+    def test_canonical_rules_hold_only_for_normal_forms(self):
+        # project_expr checks a pair or a located value against its type;
+        # project_network infers it, as `corps check` does.
+        program = parse_program("main : [A] ((unit + unit) * unit) = A.((inl (), ()));")
+        ty = program.main_type
+        assert local_str(project_expr(program.main_expr, ty, (), ("A",),
+                                      load_preset("choreo"))) == "(inl (), ())"
+        with pytest.raises(TypeCheckError, match="injection; annotate it"):
+            project_network(program)

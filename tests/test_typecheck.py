@@ -177,19 +177,27 @@ class TestViewpointSoundness:
     def test_queries_are_anchored_at_the_viewpoint(self):
         # Every relation query's first argument is locks_of at the query
         # site: exactly for up/down, extended by the payload stack for send.
+        # The hook sees each query as the (sender, receiver) of its rule.
         topo = load_preset("choreo")
+        queries = []
+
+        def hook(rule, e, viewpoint, ty, kids, comm):
+            if comm is not None:
+                sender, receiver, _ = comm
+                a, b = (receiver, sender) if rule == "Down" else (sender, receiver)
+                queries.append((rule, a, b, viewpoint))
+
         for seed in range(80):
-            checker = Checker(topo, record_queries=True)
             program = ProgramGen(seed, topo).gen_program()
-            errors = check_program(program, topo, checker=checker)
-            assert not errors
-            assert checker.queries is not None
-            for kind, a, b, viewpoint in checker.queries:
-                if kind in ("canup", "candown"):
-                    assert a == viewpoint
-                else:
-                    assert a[:len(viewpoint)] == viewpoint
-                assert b[:len(viewpoint)] == viewpoint
+            assert not check_program(program, topo, checker=Checker(topo, hook=hook),
+                                     deriv=[])
+        assert {rule for rule, *_ in queries} == {"Send", "Up", "Down"}
+        for rule, a, b, viewpoint in queries:
+            if rule in ("Up", "Down"):
+                assert a == viewpoint
+            else:
+                assert a[:len(viewpoint)] == viewpoint
+            assert b[:len(viewpoint)] == viewpoint
 
 
 # ---------------------------------------------------------------------------
