@@ -126,9 +126,8 @@ class Checker:
                 return entry.ty
         raise TypeCheckError("Axiom", f"unbound variable {e.name!r}", e.span)
 
-    def _branches(self, ctx: Context, e: Case, kids: Optional[list]) -> tuple[Context, Context]:
-        """Infer the scrutinee; the contexts of the two branches."""
-        scrut_ty = self.infer(ctx, e.scrutinee, kids)
+    def _branches(self, ctx: Context, e: Case, scrut_ty: Type) -> tuple[Context, Context]:
+        """The contexts of the two branches, given the scrutinee's type."""
         if not isinstance(scrut_ty, Sum):
             raise TypeCheckError(
                 "Case", f"case scrutinee has non-sum type {type_str(scrut_ty)}", e.span)
@@ -202,7 +201,7 @@ class Checker:
                         rule, f"{rule.lower()} of non-product type {type_str(ty)}", e.span)
                 ty = ty.left if rule == "Fst" else ty.right
             case Case():
-                left, right = self._branches(ctx, e, kids)
+                left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
                 ty = self.infer(left, e.left_body, kids)
                 rt = self.infer(right, e.right_body, kids)
                 if ty != rt:
@@ -253,7 +252,7 @@ class Checker:
                 self.check(ctx, inner, Void(), kids)
                 rule = "Absurd"
             case Case():
-                left, right = self._branches(ctx, e, kids)
+                left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
                 self.check(left, e.left_body, ty, kids)
                 self.check(right, e.right_body, ty, kids)
                 rule = "Case"
