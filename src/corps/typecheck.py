@@ -14,12 +14,13 @@ need no annotations when the expected type is known; everything else
 infers and compares for syntactic type equality.
 
 `Checker.infer`/`check` are the only bidirectional walk of the package.
-Given a hook, each rule hands it the rule name, the node, the viewpoint,
-the type, the hook's results for the node's children in walk order and,
-for send/up/down, the (sender, receiver, moved type) of its query; what
-the hook returns becomes the node's result.  `derive` builds the
-`Derivation`s of `check --derivation`; endpoint projection is the other
-hook.  Without one, the walk builds no per-node results.
+Given a list to collect into, each rule hands the checker's hook the
+rule name, the node, the viewpoint, the type, the hook's results for the
+node's children in walk order and, for send/up/down, the (sender,
+receiver, moved type) of its query; what the hook returns becomes the
+node's result.  `derive`, the default hook, builds the `Derivation`s of
+`check --derivation`; endpoint projection is the other hook.  Given no
+list, the walk builds no per-node results.
 
 A normal form's injections carry no annotations, so projecting one (the
 expected result of a run, `projection.project_expr`) needs two more
@@ -92,14 +93,16 @@ _UNINFERABLE = {Lam: "an unannotated function", Inl: "an injection; annotate it"
 class Checker:
     """The bidirectional walk (see the module docstring).
 
-    Given a `hook`, `out` is the list a node's result goes to: the
-    caller's for the root, the parent's children below it.
+    Given a list `out`, the walk builds each node's result with the hook
+    (`derive` unless another is given) and appends it there: to the
+    caller's list for the root, to the parent's children below it.
+    Without one, it builds nothing.
     """
 
     # The checking rules for canonical values (see the module docstring).
     _canonical = False
 
-    def __init__(self, topology: Topology, hook: Optional[Callable] = None):
+    def __init__(self, topology: Topology, hook: Callable = derive):
         self.topology = topology
         self.hook = hook
 
@@ -295,8 +298,7 @@ def check_program(program: Program, topology: Optional[Topology] = None,
     """
     if topology is None:
         topology = resolve_topology(program, base_dir=base_dir)
-    chk = checker if checker is not None else Checker(
-        topology, hook=derive if deriv is not None else None)
+    chk = checker if checker is not None else Checker(topology)
     errors: list[TypeCheckError] = []
     ctx: Context = ()
     for name, ty in program.inputs:

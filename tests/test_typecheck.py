@@ -6,7 +6,7 @@ import pytest
 
 from corps import syntax as S
 from corps.parser import parse_expr, parse_program, parse_type
-from corps.syntax import Binding, Lock
+from corps.syntax import Binding, Lock, locks_of
 from corps.topology import load_preset, parse_topology
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
 from genprog import ProgramGen
@@ -174,30 +174,63 @@ class TestWeakening:
 
 
 class TestViewpointSoundness:
-    def test_queries_are_anchored_at_the_viewpoint(self):
+    def test_queries_are_anchored_at_the_viewpoint(self, monkeypatch):
         # Every relation query's first argument is locks_of at the query
         # site: exactly for up/down, extended by the payload stack for send.
-        # The hook sees each query as the (sender, receiver) of its rule.
+        # The queries are the ones `_require` makes; the viewpoint is read
+        # off the context of the inference running when it makes them.
         topo = load_preset("choreo")
-        queries = []
+        queries, sites = [], []
+        infer, require = Checker.infer, Checker._require
 
-        def hook(rule, e, viewpoint, ty, kids, comm):
-            if comm is not None:
-                sender, receiver, _ = comm
-                a, b = (receiver, sender) if rule == "Down" else (sender, receiver)
-                queries.append((rule, a, b, viewpoint))
+        def recording_infer(self, ctx, e, *rest):
+            sites.append(locks_of(ctx))
+            try:
+                return infer(self, ctx, e, *rest)
+            finally:
+                sites.pop()
 
+        def recording_require(self, rule, kind, a, b, *rest):
+            queries.append((kind, a, b, sites[-1]))
+            return require(self, rule, kind, a, b, *rest)
+
+        monkeypatch.setattr(Checker, "infer", recording_infer)
+        monkeypatch.setattr(Checker, "_require", recording_require)
         for seed in range(80):
             program = ProgramGen(seed, topo).gen_program()
-            assert not check_program(program, topo, checker=Checker(topo, hook=hook),
-                                     deriv=[])
-        assert {rule for rule, *_ in queries} == {"Send", "Up", "Down"}
-        for rule, a, b, viewpoint in queries:
-            if rule in ("Up", "Down"):
+            assert not check_program(program, topo)
+        assert {kind for kind, *_ in queries} == {"cansend", "canup", "candown"}
+        for kind, a, b, viewpoint in queries:
+            if kind in ("canup", "candown"):
                 assert a == viewpoint
             else:
                 assert a[:len(viewpoint)] == viewpoint
             assert b[:len(viewpoint)] == viewpoint
+
+
+class TestHook:
+    def test_a_given_list_collects_the_hooks_results(self):
+        topo = load_preset("choreo")
+        program = ProgramGen(3, topo).gen_program()
+        derived = []
+        assert not check_program(program, topo, deriv=derived)
+        # A checker without a hook of its own builds derivations too.
+        deriv = []
+        assert not check_program(program, topo, checker=Checker(topo), deriv=deriv)
+        assert [d.render() for d in deriv] == [d.render() for d in derived]
+        # Another hook sees every node of the walk, children first, and
+        # nothing is built when no list is given.
+        rules = []
+        hooked = Checker(topo, hook=lambda rule, *_: rules.append(rule))
+        assert not check_program(program, topo, checker=hooked)
+        assert rules == []
+        assert not check_program(program, topo, checker=hooked, deriv=[])
+
+        def walk(d):
+            for kid in d.children:
+                yield from walk(kid)
+            yield d.rule
+        assert rules == [rule for d in derived for rule in walk(d)]
 
 
 # ---------------------------------------------------------------------------
