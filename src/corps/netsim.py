@@ -16,12 +16,13 @@ normalizer: `run` does not call it, and the tests replay runs through it.
 `run` is event-driven.  Each process is a machine focused at its
 leftmost position that holds no value, with the evaluation context as a
 stack of frames (refocusing, as in the normalizer).  A step resumes at
-the focus; it walks the positions right of the focus only while the
-focus waits.  A process whose every position waits is parked under the
-channels it waits on, and it rejoins the ready list, kept in address
-order, when a message arrives on one of them.  Each tick makes one pick
-from the ready list: round-robin takes the first ready address at or
-after the one after the last to act, and the random policy takes
+the focus; only while the focus waits does it search the positions right
+of it, each with a machine of its own, kept on an explicit stack rather
+than the Python stack.  A process whose every position waits is parked
+under the channels it waits on, and it rejoins the ready list, kept in
+address order, when a message arrives on one of them.  Each tick makes
+one pick from the ready list: round-robin takes the first ready address
+at or after the one after the last to act, and the random policy takes
 `ready[rng.randrange(len(ready))]`, uniform over the ready processes.  A
 pick that turns out to wait is parked and the tick picks again.  A
 `Blocked` trace event is written each time a process is parked, not on
@@ -36,7 +37,8 @@ does not occur free.  A beta or case step into such a body returns the
 body itself, the object `substitute` would return; any other step calls
 `substitute`.  A run records its trace as raw events that hold payload
 values.  `RunResult.trace` and `DeadlockError.trace` build the
-`TraceEvent`s, payloads printed by `local_str`, when first read.
+`TraceEvent`s, payloads printed by `local_str` (the printer's
+`expr_str`), when first read.
 `_step_local` stays the reference for all of it.
 
 A run terminates when every process is a local value (or skip) and all
@@ -314,7 +316,7 @@ def _step_local(e: LocalExpr, addr: Path,
             return _BLOCKED, frozenset(blocked)
         if is_local_value(e):
             return None
-        raise NetStuck(f"process {path_str(addr)} is stuck at {local_str(e)}")
+        raise TypeError(f"not a local expression: {e!r}")
 
     return go(e)
 
@@ -458,7 +460,9 @@ def _fire(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
     elif kind is Var:
         raise NetStuck(f"free variable {e.name!r} in process {path_str(addr)}")
     else:
-        raise NetStuck(f"process {path_str(addr)} is stuck at {local_str(e)}")
+        # No local form gets here: `e` is no value, and all its positions
+        # hold values.
+        raise TypeError(f"not a local expression: {e!r}")
     return reduct, "LocalStep", None, None
 
 
@@ -542,71 +546,48 @@ def _poll(p: _Process, addr: Path, chans: dict[tuple[Path, Path], deque],
           vacuous: Vacuous) -> Optional[Action]:
     """Take the leftmost enabled action of `p`, as `_step_local` would.
 
-    The search starts at the focus.  Only if the focus waits does it walk
-    the positions to its right.  Returns None if every position waits;
-    `p.waits` then holds their sources.
+    The search starts at the focus.  Only if the focus waits does it go on
+    to the positions right of it, innermost frame first, giving the
+    subterm at each its own machine.  Returns None if every position
+    waits; `p.waits` then holds their sources.
     """
     r = _fire(p.focus, addr, chans, vacuous)
     if r is not None:
         _refocus(p, r[0])
         return r
-    waits = {p.focus.src}
-    frames = p.frames
-    for k in reversed(p.opens):
-        node, i = frames[k]
-        holes = _HOLES[type(node)]
-        for j in range(i + 1, len(holes)):
-            get, plug = holes[j]
-            r = _explore(get(node), addr, chans, vacuous, waits)
-            if r is not None:
-                frames[k] = (plug(node, r[0]), i)
-                return r
-    p.waits = waits
-    return None
-
-
-def _explore(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
-             vacuous: Vacuous, waits: set[Path]) -> Optional[Action]:
-    """Take the leftmost enabled action inside `e`, searching from its root.
-
-    Returns it with `e` rebuilt around the reduct, or None if every
-    position of `e` holds a value or waits; the sources waited on go to
-    `waits`.
-    """
-    frames: list[list] = []  # [node, index of the hole, whether a position waits]
+    waits: set[Path] = set()
+    # (machine, frame index, position, the entry the machine was built
+    # for or None for `p`): the positions left to search, the next last.
+    todo: list[tuple] = []
+    q, entry = p, None
     while True:
-        holes = _HOLES.get(type(e))
-        while holes:
-            frames.append([e, 0, False])
-            e = holes[0][0](e)
-            holes = _HOLES.get(type(e))
-        if type(e) in _LEAF_VALUES:
-            r, waited = None, False
-        else:
-            r = _fire(e, addr, chans, vacuous)
-            waited = r is None
-            if waited:
-                waits.add(e.src)
-        # Climb while nothing acts: move right to the next position, or
-        # finish a node, which waits if one of its positions does, is a
-        # value if it is a constructor, and acts otherwise.
-        while r is None and frames:
-            frame = frames[-1]
-            frame[2] = frame[2] or waited
-            holes = _HOLES[type(frame[0])]
-            if frame[1] + 1 < len(holes):
-                frame[1] += 1
-                e = holes[frame[1]][0](frame[0])
+        # q's focus waits: the positions right of it come next.
+        waits.add(q.focus.src)
+        for k in q.opens:
+            node, i = q.frames[k]
+            todo += [(q, k, j, entry) for j in range(len(_HOLES[type(node)]) - 1, i, -1)]
+        while todo:
+            entry = todo.pop()
+            m, k, j, _ = entry
+            node = m.frames[k][0]
+            q = _Process(_HOLES[type(node)][j][0](node))
+            if q.done():
+                continue
+            r = _fire(q.focus, addr, chans, vacuous)
+            if r is None:
                 break
-            node, _, waited = frames.pop()
-            if not waited and type(node) not in _CONSTRUCTORS:
-                r = _fire(node, addr, chans, vacuous)
-        if r is not None:
-            reduct = r[0]
-            for node, i, _ in reversed(frames):
-                reduct = _HOLES[type(node)][i][1](node, reduct)
-            return (reduct,) + r[1:]
-        if not frames:
+            # Rebuild each machine up to `p` around the reduct.
+            q.focus = r[0]
+            e = q.term()
+            while True:
+                m, k, j, entry = entry
+                node, i = m.frames[k]
+                m.frames[k] = (_HOLES[type(node)][j][1](node, e), i)
+                if entry is None:
+                    return r
+                e = m.term()
+        else:
+            p.waits = waits
             return None
 
 

@@ -1,19 +1,22 @@
-"""Pretty-printer; output reparses to an alpha-equivalent tree.
+"""Pretty-printer; a printed program reparses to an alpha-equivalent tree.
 
-Expression precedence levels: 0 keyword forms, 1 application, 2 unary
-operators, 3 atoms.  A subexpression is parenthesized whenever its own
-level is below the level its position requires.
+`expr_str` prints choreographies and local processes alike.  Expression
+precedence levels: 0 sequence (local processes only), 1 keyword forms,
+2 application, 3 unary operators, 4 atoms.  A subexpression is
+parenthesized whenever its own level is below the level its position
+requires.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl, Inr,
-    Lam, Located, ModalLet, Pair, Path, Product, Send, Snd, Sum, Type, Unit,
-    UnitVal, Up, Var, Void, split_stack,
+    Lam, LocalExpr, Located, ModalLet, Pair, Path, Product, RecvFrom, Send,
+    SendTo, Seq, Skip, Snd, Sum, Type, Unit, UnitVal, Up, Var, Void,
+    split_stack,
 )
 
-_KEYWORD, _APP, _UNARY, _ATOM = 0, 1, 2, 3
+_SEQ, _KEYWORD, _APP, _UNARY, _ATOM = 0, 1, 2, 3, 4
 
 
 def path_str(g: Path) -> str:
@@ -43,11 +46,19 @@ def type_str(ty: Type, prec: int = 0) -> str:
     raise TypeError(f"not a type: {ty!r}")
 
 
-def expr_str(e: Expr, prec: int = _KEYWORD) -> str:
+def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
     def wrap(s: str, level: int) -> str:
         return f"({s})" if level < prec else s
 
-    match e:
+    match e:  # the process forms first: networks are most of what is printed
+        case Seq(first, rest):
+            return wrap(f"{expr_str(first, _KEYWORD)} ; {expr_str(rest)}", _SEQ)
+        case SendTo(dest, payload):
+            return wrap(f"send_to {path_str(dest)} {expr_str(payload, _APP)}", _KEYWORD)
+        case RecvFrom(src):
+            return f"recv_from {path_str(src)}"
+        case Skip():
+            return "skip"
         case Var(name):
             return name
         case UnitVal():
@@ -59,14 +70,14 @@ def expr_str(e: Expr, prec: int = _KEYWORD) -> str:
         case Located(agent, body):
             return f"{agent}.{expr_str(body, _ATOM)}"
         case Lam(var, body):
-            return wrap(f"fun {var} -> {expr_str(body)}", _KEYWORD)
+            return wrap(f"fun {var} -> {expr_str(body, _KEYWORD)}", _KEYWORD)
         case ModalLet(g1, g2, var, bound, body):
             s = (f"let {path_str(g1)} {path_str(g2)} {var} = "
-                 f"{expr_str(bound)} in {expr_str(body)}")
+                 f"{expr_str(bound, _KEYWORD)} in {expr_str(body, _KEYWORD)}")
             return wrap(s, _KEYWORD)
         case Case(scrutinee, lv, lb, rv, rb):
-            s = (f"case {expr_str(scrutinee)} of inl {lv} -> {expr_str(lb)}"
-                 f" | inr {rv} -> {expr_str(rb)}")
+            s = (f"case {expr_str(scrutinee, _KEYWORD)} of inl {lv} -> "
+                 f"{expr_str(lb, _KEYWORD)} | inr {rv} -> {expr_str(rb, _KEYWORD)}")
             return wrap(s, _KEYWORD)
         case Send(payload, dest):
             return wrap(f"send {expr_str(payload, _APP)} to {path_str(dest)}", _KEYWORD)

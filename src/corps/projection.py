@@ -61,10 +61,9 @@ from typing import Optional, Union
 from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
-    SKIP, Absurd, App, Arrow, Believes, Case, Expr, Fst, Inl, Inr, Lam,
-    LocalExpr, Pair, Path, Product, RecvFrom, SendTo, Seq, Skip, Snd, Sum,
-    Type, UnitVal, Var, ctx_lock, expr_equal, path_concat, split_stack,
-    substitute,
+    SKIP, App, Arrow, Believes, Case, Expr, Lam, LocalExpr, Pair, Path,
+    Product, RecvFrom, SendTo, Seq, Sum, Type, UnitVal, Var, ctx_lock,
+    expr_equal, path_concat, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import Checker, inline_main, resolve_topology
@@ -78,48 +77,8 @@ class MergeConflict(ProjectionError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Rendering local processes (their forms live in syntax)
-
-def local_str(e: LocalExpr, prec: int = 0) -> str:
-    """Render a local process; seq binds loosest, below the keyword level."""
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if level < prec else s
-
-    match e:
-        case Skip():
-            return "skip"
-        case Seq(first, rest):
-            return wrap(f"{local_str(first, 1)} ; {local_str(rest, 0)}", 0)
-        case SendTo(dest, payload):
-            return wrap(f"send_to {path_str(dest)} {local_str(payload, 2)}", 1)
-        case RecvFrom(src):
-            return f"recv_from {path_str(src)}"
-        case Lam(var, body):
-            return wrap(f"fun {var} -> {local_str(body, 1)}", 1)
-        case Case(scrutinee, lv, lb, rv, rb):
-            s = (f"case {local_str(scrutinee, 1)} of inl {lv} -> {local_str(lb, 1)}"
-                 f" | inr {rv} -> {local_str(rb, 1)}")
-            return wrap(s, 1)
-        case App(fn, arg):
-            return wrap(f"{local_str(fn, 2)} {local_str(arg, 3)}", 2)
-        case Inl(inner):
-            return wrap(f"inl {local_str(inner, 3)}", 3)
-        case Inr(inner):
-            return wrap(f"inr {local_str(inner, 3)}", 3)
-        case Fst(inner):
-            return wrap(f"fst {local_str(inner, 3)}", 3)
-        case Snd(inner):
-            return wrap(f"snd {local_str(inner, 3)}", 3)
-        case Absurd(inner):
-            return wrap(f"absurd {local_str(inner, 3)}", 3)
-        case Var(name):
-            return name
-        case UnitVal():
-            return "()"
-        case Pair(left, right):
-            return f"({local_str(left)}, {local_str(right)})"
-    raise TypeError(f"not a local expression: {e!r}")
+# Local processes print as the terms they are (see `printer`).
+local_str = expr_str
 
 
 def merge(l1: LocalExpr, l2: LocalExpr) -> LocalExpr:

@@ -408,6 +408,24 @@ class TestEngine:
             assert result.steps == 3 * n - 1  # a send, a receive, a sequence step
             assert result.values == {A: U, B: U}
 
+    def test_deep_search_right_of_a_wait_runs_at_the_default_recursion_limit(self):
+        # Z's send sits right of a receive and of 3,000 nested pairs whose
+        # every position waits, so each poll of Z searches all of them.
+        n = 3_000
+        assert sys.getrecursionlimit() < n
+        Z = ("Z",)
+        nested = RecvFrom(B)
+        for _ in range(n):
+            nested = S.Pair(RecvFrom(B), nested)
+        network = Network({Z: S.Pair(RecvFrom(B), S.Pair(nested, SendTo(B, U))),
+                           B: RecvFrom(Z)}, Z, False)
+        for policy in (RoundRobin(), RandomPolicy(3)):
+            with pytest.raises(DeadlockError) as exc:
+                run(network, policy)
+            assert exc.value.waiting == {Z: (B,)}
+            assert [(e.address, e.peer) for e in exc.value.trace
+                    if e.action == "Send"] == [(Z, B)]
+
     @pytest.mark.parametrize("network", [chain(2_000), project_network(
         parse_program(fanout(64, 21)))], ids=["chain", "fanout"])
     def test_machine_visits_each_node_a_bounded_number_of_times(self, monkeypatch, network):
