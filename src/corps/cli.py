@@ -24,7 +24,7 @@ from . import netsim, nicheck
 from .normalize import EvalMode, FuelExhausted, StuckUnexpected, normalize
 from .parser import ParseError, parse_expr, parse_path, parse_program
 from .printer import expr_str, path_str, type_str
-from .projection import MergeConflict, ProjectionError, local_str, project, project_network
+from .projection import ProjectionError, local_str, project, project_network
 from .topology import TopologyError
 from .typecheck import (
     Derivation, TypeCheckError, check_program, inline_main, resolve_topology,
@@ -127,22 +127,18 @@ def cmd_project(args) -> int:
         return TYPE_ERROR
     if args.agent is None and not args.all:
         raise _Usage("give --agent PATH or --all")
-    try:
-        if args.agent is not None:
-            address = parse_path(args.agent)
-            print(local_str(project(program, address, topology)))
-        else:
-            network = project_network(program, topology)
-            for address in sorted(network.processes):
-                print(f"process {path_str(address)}: "
-                      f"{local_str(network.processes[address])}")
-            if network.lambda_wire:
-                print("note: a communication payload mentions a function; "
-                      "this network is excluded from agreement checking",
-                      file=sys.stderr)
-    except (MergeConflict, ProjectionError) as err:
-        print(f"not projectable: {err}", file=sys.stderr)
-        return TYPE_ERROR
+    if args.agent is not None:
+        address = parse_path(args.agent)
+        print(local_str(project(program, address, topology)))
+        return OK
+    network = project_network(program, topology)
+    for address in sorted(network.processes):
+        print(f"process {path_str(address)}: "
+              f"{local_str(network.processes[address])}")
+    if network.lambda_wire:
+        print("note: a communication payload mentions a function; "
+              "this network is excluded from agreement checking",
+              file=sys.stderr)
     return OK
 
 
@@ -159,16 +155,13 @@ def cmd_simulate(args) -> int:
         schedules = [netsim.RoundRobin()] * args.runs
     else:
         schedules = [netsim.RandomPolicy(args.seed + i) for i in range(args.runs)]
+    network = project_network(program, topology)
     try:
-        network = project_network(program, topology)
         report = netsim.epp_agreement(program, schedules, topology, fuel=args.fuel,
                                       network=network)
         first = report.first
         if isinstance(first, netsim.NetError):
             raise first
-    except (MergeConflict, ProjectionError) as err:
-        print(f"not projectable: {err}", file=sys.stderr)
-        return TYPE_ERROR
     except netsim.PreconditionError as err:
         raise _Usage(str(err))
     except netsim.DeadlockError as err:
@@ -222,9 +215,6 @@ def cmd_ni(args) -> int:
                            trials=args.trials, seed=args.seed)
     try:
         verdict = nicheck.ni_check(program, cfg, topology, fuel=args.fuel)
-    except (MergeConflict, ProjectionError) as err:
-        print(f"not projectable: {err}", file=sys.stderr)
-        return TYPE_ERROR
     except ValueError as err:
         raise _Usage(str(err))
     print(verdict)
@@ -308,6 +298,9 @@ def main(argv=None) -> int:
         return PARSE_ERROR
     except TypeCheckError as err:
         print(err, file=sys.stderr)
+        return TYPE_ERROR
+    except ProjectionError as err:
+        print(f"not projectable: {err}", file=sys.stderr)
         return TYPE_ERROR
     except OSError as err:
         print(err, file=sys.stderr)
