@@ -701,9 +701,9 @@ class AgreementReport:
         return self.agree
 
 
-def _prepare(program: Program, topology: Optional[Topology], base_dir: str):
+def _prepare(program: Program, topology: Optional[Topology]):
     if topology is None:
-        topology = resolve_topology(program, base_dir=base_dir)
+        topology = resolve_topology(program)
     errors = check_program(program, topology)
     if errors:
         raise PreconditionError("program does not typecheck: "
@@ -730,8 +730,7 @@ def expected_result(program: Program, topology: Topology,
 
 def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
                   topology: Optional[Topology] = None, fuel: int = 100_000,
-                  base_dir: str = ".", network: Optional[Network] = None,
-                  ) -> AgreementReport:
+                  network: Optional[Network] = None) -> AgreementReport:
     """Run the projected network under each schedule and compare the value
     at the result address with the choreography's normal form.
 
@@ -739,7 +738,7 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
     `topology` passes that network, so neither is done again.
     """
     if network is None:
-        topology, network = _prepare(program, topology, base_dir)
+        topology, network = _prepare(program, topology)
     if network.lambda_wire:
         raise PreconditionError(
             "a communication payload mentions a function; excluded from agreement")
@@ -780,11 +779,11 @@ class DeadlockReport:
 
 def check_deadlock_free(program: Program, trials: int, seed0: int = 0,
                         topology: Optional[Topology] = None,
-                        fuel: int = 100_000, base_dir: str = ".") -> DeadlockReport:
+                        fuel: int = 100_000) -> DeadlockReport:
     """Run `trials` random schedules; deadlocks are findings, not errors."""
     if trials <= 0:
         return DeadlockReport(0, [])
-    topology, network = _prepare(program, topology, base_dir)
+    topology, network = _prepare(program, topology)
     findings: list[dict] = []
     for i in range(trials):
         policy = RandomPolicy(seed0 + i)

@@ -184,10 +184,9 @@ def compare_observations(program: Program, cfg: NIConfig,
 
 
 def ni_check(program: Program, cfg: NIConfig,
-             topology: Optional[Topology] = None, fuel: int = 100_000,
-             base_dir: str = ".") -> Verdict:
+             topology: Optional[Topology] = None, fuel: int = 100_000) -> Verdict:
     if topology is None:
-        topology = resolve_topology(program, base_dir=base_dir)
+        topology = resolve_topology(program)
     input_ty, elaborated = _validate(program, cfg, topology)
     source, _ = split_stack(input_ty)
     universe: set[Path] = set()

@@ -321,18 +321,18 @@ def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
     return _walk(e, ty, viewpoint, topology, _Projection(target), canonical=True)[0]
 
 
-def project(program: Program, g: Path, topology: Optional[Topology] = None,
-            base_dir: str = ".") -> LocalExpr:
+def project(program: Program, g: Path,
+            topology: Optional[Topology] = None) -> LocalExpr:
     if topology is None:
-        topology = resolve_topology(program, base_dir=base_dir)
+        topology = resolve_topology(program)
     e, ty = _closed_main(program)
     return _walk(e, ty, (), topology, _Projection(g))[0]
 
 
-def project_network(program: Program, topology: Optional[Topology] = None,
-                    base_dir: str = ".") -> Network:
+def project_network(program: Program,
+                    topology: Optional[Topology] = None) -> Network:
     if topology is None:
-        topology = resolve_topology(program, base_dir=base_dir)
+        topology = resolve_topology(program)
     e, ty = _closed_main(program)
     result_address, _ = split_stack(ty)
     projection = _Projection()

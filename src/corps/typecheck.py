@@ -288,7 +288,6 @@ def resolve_topology(program: Program, override: Optional[str] = None,
 
 
 def check_program(program: Program, topology: Optional[Topology] = None,
-                  base_dir: str = ".",
                   checker: Optional[Checker] = None,
                   deriv: Optional[list[Derivation]] = None) -> list[TypeCheckError]:
     """Check every definition and main; returns all rejections found.
@@ -297,7 +296,7 @@ def check_program(program: Program, topology: Optional[Topology] = None,
     (with a `checker` given, its hook's result instead).
     """
     if topology is None:
-        topology = resolve_topology(program, base_dir=base_dir)
+        topology = resolve_topology(program)
     chk = checker if checker is not None else Checker(topology)
     errors: list[TypeCheckError] = []
     ctx: Context = ()
