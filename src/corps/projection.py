@@ -48,9 +48,12 @@ So `project_network` raises the generic process's first error if there
 is one, and otherwise the error at the smallest address of the universe
 that has one; `project(g)` walks for g alone and raises g's first error.
 A rule that does not apply ends the walk with the checker's own
-TypeCheckError: on a program whose definitions check and whose main
-does not, both raise the first error `check_program` reports, unless a
-projection error comes first in walk order.
+TypeCheckError; without definitions, that is the first error
+`check_program` reports, unless a projection error comes first.  The
+walk checks main with definitions inlined, so a definition used under a
+lock past its binding goes unreported: `def f : unit = (); main : [A]
+unit = A.(f);` projects though `check_program` rejects it.  Callers
+check first, as the CLI and `netsim` do.
 """
 
 from __future__ import annotations

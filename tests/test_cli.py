@@ -347,6 +347,24 @@ class TestNi:
                      "--values", "B.(inl ())"]) == 4
 
 
+# Inlining `f` into main takes its body past the lock without the
+# binding-tag check, so `project_network` alone would project this
+# program; `project` and `simulate` reject it because they check first.
+ESCAPING_DEF = "topology choreo;\ndef f : unit = ();\nmain : [A] unit = A.(f);\n"
+
+
+@pytest.mark.parametrize("flags", [["project", "--all"], ["project", "--agent", "[A]"],
+                                   ["simulate"]], ids=["all", "agent", "simulate"])
+def test_a_definition_that_fails_under_a_lock_is_not_projected(tmp_path, capsys, flags):
+    path = tmp_path / "f.corps"
+    path.write_text(ESCAPING_DEF)
+    assert main([flags[0], str(path)] + flags[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"{path}:57-58: [Axiom] variable 'f' is tagged [] but is used "
+                   "under locks [A] past its binding (viewpoint [A])\n")
+
+
 # Each subcommand under the flags that change its path through the
 # pipeline; the fuel is small so that every run stays short, and some
 # run out of it.
