@@ -50,21 +50,22 @@ def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
     def wrap(s: str, level: int) -> str:
         return f"({s})" if level < prec else s
 
-    match e:  # the process forms first: networks are most of what is printed
+    # Most frequent in networks first, which are most of what is printed.
+    match e:
+        case Skip():
+            return "skip"
+        case Pair(left, right):
+            return f"({expr_str(left)}, {expr_str(right)})"
         case Seq(first, rest):
             return wrap(f"{expr_str(first, _KEYWORD)} ; {expr_str(rest)}", _SEQ)
         case SendTo(dest, payload):
             return wrap(f"send_to {path_str(dest)} {expr_str(payload, _APP)}", _KEYWORD)
         case RecvFrom(src):
             return f"recv_from {path_str(src)}"
-        case Skip():
-            return "skip"
         case Var(name):
             return name
         case UnitVal():
             return "()"
-        case Pair(left, right):
-            return f"({expr_str(left)}, {expr_str(right)})"
         case Annot(inner, ty):
             return f"({expr_str(inner)} : {type_str(ty)})"
         case Located(agent, body):
