@@ -578,14 +578,12 @@ def _poll(p: _Process, addr: Path, chans: dict[tuple[Path, Path], deque],
                 break
             # Rebuild each machine up to `p` around the reduct.
             q.focus = r[0]
-            e = q.term()
-            while True:
-                m, k, j, entry = entry
-                node, i = m.frames[k]
-                m.frames[k] = (_HOLES[type(node)][j][1](node, e), i)
-                if entry is None:
-                    return r
-                e = m.term()
+            while entry is not None:
+                e = q.term()
+                q, k, j, entry = entry
+                node, i = q.frames[k]
+                q.frames[k] = (_HOLES[type(node)][j][1](node, e), i)
+            return r
         else:
             p.waits = waits
             return None
