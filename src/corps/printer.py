@@ -50,7 +50,7 @@ def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
     def wrap(s: str, level: int) -> str:
         return f"({s})" if level < prec else s
 
-    # Most frequent in networks first, which are most of what is printed.
+    # The forms most frequent in networks first: they are most of what is printed.
     match e:
         case Skip():
             return "skip"

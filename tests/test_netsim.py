@@ -305,8 +305,8 @@ HAND_BUILT = {
     "case of non-sum value": (
         {A: S.Case(S.Pair(U, U), "x", S.Var("x"), "y", S.Var("y"))},
         (NetStuck, "case of non-sum value")),
-    # _step_local's last NetStuck prints the node with local_str, which
-    # rejects any node that is no local form.
+    # The engine and _step_local reject a node that is no local form
+    # where they meet it.
     "choreographic node": (
         {A: S.Pair(U, S.Located("A", U))}, (TypeError, "not a local expression")),
     "undelivered message": (
