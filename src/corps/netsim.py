@@ -28,13 +28,29 @@ pick that turns out to wait is parked and the tick picks again.  A
 `Blocked` trace event is written each time a process is parked, not on
 every poll.
 
-Every run of one network starts from one prepared start, which its first
-run builds and keeps on the network, so a network that never runs costs
-nothing.  It holds each process's initial machine, which a run copies
-instead of refocusing from the root, and the network's vacuous binders:
-the bodies of `Lam`s and `Case` branches in which the bound variable
-does not occur free.  A beta or case step into such a body returns the
-body itself, the object `substitute` would return; any other step calls
+The runs of one network walk one graph of machine states, kept on the
+network by its first run, so the graph lives as long as its `Network`
+and a network that never runs builds none.  A state is one process's
+machine at one point; it holds its evaluation context as a linked stack
+of frames shared with the state it came from, so a step builds only the
+frames it changes.  A process is deterministic: the step at its focus
+depends on its state alone, and for a receive on the message taken.  So
+the first time any run takes the step at a state's focus, the state it
+reaches is stored, and later runs replay it: a send enqueues its payload
+again, and a receive is replayed only when the head of its queue is the
+very message object it took.  Identity is a test in constant time that
+implies equality, and it usually holds, since a replayed send enqueues
+the identical payload; any other message is received as in a first run.
+A pick that finds every position waiting is stored too, with the
+sources, and replayed while each of their channels is empty.  A step
+found right of a waiting focus also depends on the other channels, and
+a step that raises reaches no state: both are computed every time and
+never stored.
+
+The start of the graph also holds the network's vacuous binders: the
+bodies of `Lam`s and `Case` branches in which the bound variable does
+not occur free.  A beta or case step into such a body returns the body
+itself, the object `substitute` would return; any other step calls
 `substitute`.  A run records its trace as raw events that hold payload
 values.  `RunResult.trace` and `DeadlockError.trace` build the
 `TraceEvent`s, payloads printed by `local_str` (the printer's
@@ -105,13 +121,15 @@ class TraceEvent:
 
 
 class _Events(list):
-    """A trace as a run records it: (step, address, action, peer, payload
-    value) tuples, the payload not yet rendered."""
+    """A trace as a run records it: the step, address, action, peer and
+    payload value of each event in turn, flat, the payload not yet
+    rendered."""
 
     def render(self) -> list[TraceEvent]:
+        fields = iter(self)
         return [TraceEvent(step, addr, action, peer,
                            None if value is None else local_str(value))
-                for step, addr, action, peer, value in self]
+                for step, addr, action, peer, value in zip(*[fields] * 5)]
 
 
 class _Trace:
@@ -341,8 +359,6 @@ _LEAF_VALUES = frozenset((UnitVal, Lam, Skip))
 _CONSTRUCTORS = frozenset((Pair, Inl, Inr))  # values once all their positions are
 _VALUE_FORMS = _LEAF_VALUES | _CONSTRUCTORS
 
-# (reduct, action, peer, payload value) of one action
-Action = tuple[LocalExpr, str, Optional[Path], Optional[LocalExpr]]
 # (id of a body, the variable bound over it) -> that body, for each body of
 # a Lam or Case branch in the network in which its variable does not occur
 # free.  A Case rebuilt around its scrutinee's value keeps its bodies.
@@ -362,9 +378,11 @@ def _vacuous_binders(terms) -> Vacuous:
     table lives.
     """
     out: Vacuous = {}
-    free: dict[int, frozenset[str]] = {}  # id -> free variables, per node done
+    free: dict[int, frozenset[str]] = {}  # id -> free variables, per inner node done
     none: frozenset[str] = frozenset()
-    todo: list = list(terms)  # nodes to enter, and (node,) once its subterms are done
+    # Nodes to enter, and (node,) once its subterms are done.  Leaves are
+    # never entered: a subterm with no entry in `free` is a leaf.
+    todo: list = [e for e in terms if _SCOPES.get(type(e))]
     while todo:
         e = todo.pop()
         if type(e) is tuple:
@@ -372,7 +390,9 @@ def _vacuous_binders(terms) -> Vacuous:
             fv = none
             for field, binder in _SCOPES[type(e)]:
                 body = getattr(e, field)
-                inner = free[id(body)]
+                inner = free.get(id(body))
+                if inner is None:
+                    inner = frozenset((body.name,)) if type(body) is Var else none
                 if binder is not None:
                     var = getattr(e, binder)
                     if var in inner:
@@ -383,12 +403,11 @@ def _vacuous_binders(terms) -> Vacuous:
                     fv = fv | inner
             free[id(e)] = fv
         elif id(e) not in free:
-            scopes = _SCOPES.get(type(e))
-            if scopes:
-                todo.append((e,))
-                todo += [getattr(e, field) for field, _ in scopes]
-            else:
-                free[id(e)] = frozenset((e.name,)) if type(e) is Var else none
+            todo.append((e,))
+            for field, _ in _SCOPES[type(e)]:
+                sub = getattr(e, field)
+                if _SCOPES.get(type(sub)):
+                    todo.append(sub)
     return out
 
 
@@ -401,28 +420,30 @@ def _instantiate(body: LocalExpr, var: str, value: LocalExpr,
     return substitute(body, var, value)
 
 
-def _fire(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
-          vacuous: Vacuous) -> Optional[Action]:
-    """Act at `e`, whose positions all hold values and which is no value.
+def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
+          vacuous: Vacuous) -> Optional[_State]:
+    """Act at the focus of `s`, whose positions all hold values and which
+    is no value.
 
-    Returns the reduct with the action, peer and payload for the trace
-    after performing any channel side effect, or None for a receive on an
-    empty channel.  Raises NetStuck where `_step_local` does.
+    Returns the state after the action, having performed any channel side
+    effect, or None for a receive on an empty channel.  Raises NetStuck
+    where `_step_local` does.
     """
+    e = s.focus
     kind = type(e)
     if kind is RecvFrom:
         queue = chans.get((e.src, addr))
         if not queue:
             return None
         value = queue.popleft()
-        return value, "Recv", e.src, value
+        return _refocus(s.frames, s.opens, value, "Recv", e.src, value)
     if kind is SendTo:
         payload = e.payload
         if not _wire_ok(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
         chans.setdefault((addr, e.dest), deque()).append(payload)
-        return payload, "Send", e.dest, payload
+        return _refocus(s.frames, s.opens, payload, "Send", e.dest, payload)
     if kind is Seq:
         reduct = e.rest
     elif kind is App:
@@ -463,130 +484,193 @@ def _fire(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
         # No local form gets here: `e` is no value, and all its positions
         # hold values.
         raise TypeError(f"not a local expression: {e!r}")
-    return reduct, "LocalStep", None, None
+    return _refocus(s.frames, s.opens, reduct, "LocalStep")
 
 
-class _Process:
-    """One process as a machine focused at its leftmost position that
-    holds no value.
+class _State:
+    """One state of a process's machine, focused at its leftmost position
+    that holds no value, with the step that reached it.  Once built, a
+    state stays as it is but for what `_pick` stores on it, so the runs of
+    one network share every state that any of them reaches.
 
-    `frames` is the evaluation context of `focus`, outermost first: a
-    node and the index of the position that holds the hole.  Every
-    position left of a hole holds a value.  `opens` indexes the frames
-    with a position right of their hole, the only ones a wait can pass to.
-    `focus` is a leaf that is no value, or a node whose positions all
-    hold values; with no frames left it may be the value the process ended
-    with.  `waits` holds the sources a waiting process waits on.
+    `frames` is the evaluation context of `focus` as a linked stack,
+    innermost first: each frame is (node, index of the position that holds
+    the hole, the next frame out, `opens` as it was before this frame was
+    pushed).  Every position left of a hole holds a value.  `opens` is the
+    innermost frame with a position right of its hole, the only frames a
+    wait can pass to; the last field of each such frame leads to the next.
+    A step builds only the frames it changes, and shares the rest with the
+    state it came from.  `focus` is a leaf that is no value, or a node
+    whose positions all hold values; with no frames left it may be the
+    value the process ended with.
+
+    `action`, `peer` and `payload` (a value) are for the trace of the step
+    that reached the state; an initial state has none.  `next` is the
+    state the step at the focus reached from here, and `waits` the sorted
+    sources of a pick that found every position waiting, each stored by
+    `_pick` the first time.
     """
-    __slots__ = ("frames", "opens", "focus", "waits")
-
-    def __init__(self, term: LocalExpr):
-        self.frames: list[tuple[LocalExpr, int]] = []
-        self.opens: list[int] = []
-        self.waits: set[Path] = set()
-        _refocus(self, term)
-
-    def copy(self) -> _Process:
-        p = _Process.__new__(_Process)
-        p.frames, p.opens, p.focus, p.waits = (
-            self.frames.copy(), self.opens.copy(), self.focus, set())
-        return p
+    __slots__ = ("focus", "frames", "opens", "action", "peer", "payload", "next", "waits")
 
     def done(self) -> bool:
-        return not self.frames and type(self.focus) in _VALUE_FORMS
+        return self.frames is None and type(self.focus) in _VALUE_FORMS
 
     def term(self) -> LocalExpr:
-        e = self.focus
-        for node, i in reversed(self.frames):
+        e, frame = self.focus, self.frames
+        while frame is not None:
+            node, i, frame, _ = frame
             get, plug = _HOLES[type(node)][i]
             e = node if get(node) is e else plug(node, e)
         return e
 
 
-def _refocus(p: _Process, e: LocalExpr) -> None:
-    """Focus `p` on the leftmost position that holds no value, searching
-    from `e`, the new subterm in the hole of its innermost frame (the
-    whole term if there are no frames)."""
-    frames, opens = p.frames, p.opens
+_new_state = object.__new__  # builds a _State faster than an __init__ would
+
+
+def _refocus(frames: Optional[tuple], opens: Optional[tuple], e: LocalExpr,
+             action: Optional[str] = None, peer: Optional[Path] = None,
+             payload: Optional[LocalExpr] = None) -> _State:
+    """The state focused on the leftmost position that holds no value,
+    searching from `e`, the new subterm in the hole of the innermost of
+    `frames` (the whole term if there are none), reached by a step with
+    the given `action`, `peer` and `payload`."""
     while True:
         holes = _HOLES.get(type(e))
         while holes:
+            frames = (e, 0, frames, opens)
             if len(holes) > 1:
-                opens.append(len(frames))
-            frames.append((e, 0))
+                opens = frames
             e = holes[0][0](e)
             holes = _HOLES.get(type(e))
         if type(e) not in _LEAF_VALUES:
             break
         # Climb with the value `e`: plug it into its frame, then move right
         # to the next position, or stop at a node that is no value.
-        while frames:
-            node, i = frames.pop()
+        while frames is not None:
+            node, i, outer, opens = frames
             holes = _HOLES[type(node)]
             get, plug = holes[i]
             if get(node) is not e:
                 node = plug(node, e)
             i += 1
             if i < len(holes):
-                if i + 1 == len(holes):
-                    opens.pop()
-                frames.append((node, i))
+                frames = (node, i, outer, opens)
+                if i + 1 < len(holes):
+                    opens = frames
                 e = holes[i][0](node)
                 break
-            e = node
+            frames, e = outer, node
             if type(node) not in _CONSTRUCTORS:
-                p.focus = e
-                return
+                break
         else:
             break
-    p.focus = e
+        if e is node:  # the climb stopped at `node`, not at one of its positions
+            break
+    s = _new_state(_State)
+    s.focus, s.frames, s.opens, s.action, s.peer, s.payload = (
+        e, frames, opens, action, peer, payload)
+    s.next = s.waits = None
+    return s
 
 
-def _poll(p: _Process, addr: Path, chans: dict[tuple[Path, Path], deque],
-          vacuous: Vacuous) -> Optional[Action]:
-    """Take the leftmost enabled action of `p`, as `_step_local` would.
+def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
+          vacuous: Vacuous) -> Optional[_State]:
+    """Take the leftmost enabled action of the process in state `s`, as
+    `_step_local` would, and return the state it reaches, or None if every
+    position waits (`s.waits` then holds their sources).
 
-    The search starts at the focus.  Only if the focus waits does it go on
-    to the positions right of it, innermost frame first, giving the
-    subterm at each its own machine.  Returns None if every position
-    waits; `p.waits` then holds their sources.
+    A step stored on `s` is replayed, a send enqueuing its payload again
+    and a receive only when the head of its queue is the very message it
+    took; so is a stored wait, while every channel it waits on is empty.
+    Any other pick is computed, and the first step at the focus and a
+    wait are stored.
     """
-    r = _fire(p.focus, addr, chans, vacuous)
-    if r is not None:
-        _refocus(p, r[0])
-        return r
+    t = s.next
+    if t is not None:
+        action = t.action
+        if action == "LocalStep":
+            return t
+        if action == "Send":
+            chans.setdefault((addr, t.peer), deque()).append(t.payload)
+            return t
+        queue = chans.get((t.peer, addr))
+        if queue and queue[0] is t.payload:
+            queue.popleft()
+            return t
+    if s.waits is not None:
+        for src in s.waits:
+            if chans.get((src, addr)):
+                break
+        else:
+            return None
+    t = _fire(s, addr, chans, vacuous)
+    if t is None:
+        return _search(s, addr, chans, vacuous)
+    if s.next is None:
+        s.next = t
+    return t
+
+
+def _search(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
+            vacuous: Vacuous) -> Optional[_State]:
+    """The pick of `s`, whose focus waits: the search goes on to the
+    positions right of it, innermost frame first, giving the subterm at
+    each a machine of its own.  A step found there leaves the focus
+    waiting, and is not stored, since whether it is taken depends on
+    channels other than the focus's.
+    """
     waits: set[Path] = set()
-    # (machine, frame index, position, the entry the machine was built
-    # for or None for `p`): the positions left to search, the next last.
+    # (machine, frame, position, the entry the machine was built for or
+    # None for `s`): the positions left to search, the next last.
     todo: list[tuple] = []
-    q, entry = p, None
+    q, entry = s, None
     while True:
         # q's focus waits: the positions right of it come next.
         waits.add(q.focus.src)
-        for k in q.opens:
-            node, i = q.frames[k]
-            todo += [(q, k, j, entry) for j in range(len(_HOLES[type(node)]) - 1, i, -1)]
+        right = []
+        frame = q.opens
+        while frame is not None:
+            right += [(q, frame, j, entry)
+                      for j in range(frame[1] + 1, len(_HOLES[type(frame[0])]))]
+            frame = frame[3]
+        todo += reversed(right)
         while todo:
             entry = todo.pop()
-            m, k, j, _ = entry
-            node = m.frames[k][0]
-            q = _Process(_HOLES[type(node)][j][0](node))
+            node, j = entry[1][0], entry[2]
+            q = _refocus(None, None, _HOLES[type(node)][j][0](node))
             if q.done():
                 continue
-            r = _fire(q.focus, addr, chans, vacuous)
-            if r is None:
+            t = _fire(q, addr, chans, vacuous)
+            if t is None:
                 break
-            # Rebuild each machine up to `p` around the reduct.
-            q.focus = r[0]
+            # Rebuild each machine up to `s` around the subterm.
+            q = t
             while entry is not None:
                 e = q.term()
-                q, k, j, entry = entry
-                node, i = q.frames[k]
-                q.frames[k] = (_HOLES[type(node)][j][1](node, e), i)
-            return r
+                q, frame, j, entry = entry
+                q = _replaced(q, frame, _HOLES[type(frame[0])][j][1](frame[0], e))
+            q.action, q.peer, q.payload = t.action, t.peer, t.payload
+            return q
         else:
-            p.waits = waits
+            s.waits = tuple(sorted(waits))
             return None
+
+
+def _replaced(s: _State, frame: tuple, node: LocalExpr) -> _State:
+    """`s` with `node` in place of the node of `frame`, one of its frames:
+    that frame and the frames inside it are pushed again."""
+    inner = []
+    f = s.frames
+    while f is not frame:
+        inner.append((f[0], f[1]))
+        f = f[2]
+    top, opens = frame[2], frame[3]
+    for node, i in [(node, frame[1])] + inner[::-1]:
+        top = (node, i, top, opens)
+        if i + 1 < len(_HOLES[type(node)]):
+            opens = top
+    # The focus of `s` waits, so the new state is focused where `s` is.
+    return _refocus(top, opens, s.focus)
 
 
 class _Start:
@@ -594,13 +678,13 @@ class _Start:
     and kept on the network.
 
     `processes` holds the (address, term) pairs it was built from.
-    `procs` holds each process's initial machine in address order, which
-    a run copies; `ready` indexes those that are no value, and `events`
-    holds a Done event for each of the others.  `slots` pairs each
-    address, in the network's order, with its index.  `vacuous` holds the
-    network's vacuous binders.
+    `states` holds each process's initial state in address order; from
+    there the runs share every state they reach (see `_pick`).  `ready`
+    indexes those that are no value, and `events` holds a Done event for
+    each of the others.  `slots` pairs each address, in the network's
+    order, with its index.  `vacuous` holds the network's vacuous binders.
     """
-    __slots__ = ("processes", "order", "index", "slots", "procs", "ready",
+    __slots__ = ("processes", "order", "index", "slots", "states", "ready",
                  "events", "vacuous")
 
     def __init__(self, processes: dict[Path, LocalExpr]):
@@ -608,10 +692,12 @@ class _Start:
         self.order = sorted(processes)
         self.index = {addr: n for n, addr in enumerate(self.order)}
         self.slots = [(addr, self.index[addr]) for addr in processes]
-        self.procs = [_Process(processes[addr]) for addr in self.order]
-        self.ready = [n for n, p in enumerate(self.procs) if not p.done()]
-        self.events = _Events((0, addr, "Done", None, None)
-                              for addr, p in zip(self.order, self.procs) if p.done())
+        self.states = [_refocus(None, None, processes[addr]) for addr in self.order]
+        self.ready = [n for n, s in enumerate(self.states) if not s.done()]
+        self.events = _Events()
+        for addr, s in zip(self.order, self.states):
+            if s.done():
+                self.events += (0, addr, "Done", None, None)
         self.vacuous = _vacuous_binders(processes.values())
 
     def fits(self, processes: dict[Path, LocalExpr]) -> bool:
@@ -632,7 +718,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
         raise ValueError("fuel must be positive")
     start = _start_of(network)
     order, index, vacuous = start.order, start.index, start.vacuous
-    procs = [p.copy() for p in start.procs]
+    states = start.states.copy()  # each process's state, in address order
     chans: dict[tuple[Path, Path], deque] = {}
     trace = _Events(start.events)
     ready = start.ready.copy()  # indexes into order, ascending
@@ -648,23 +734,24 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
         else:
             k = rng.randrange(len(ready))
         n = ready[k]
-        addr, p = order[n], procs[n]
-        r = _poll(p, addr, chans, vacuous)
-        if r is None:
+        addr, s = order[n], states[n]
+        t = _pick(s, addr, chans, vacuous)
+        if t is None:
             del ready[k]
-            srcs = waiting[n] = tuple(sorted(p.waits))
-            trace.append((steps, addr, "Blocked", srcs[0], None))
+            srcs = waiting[n] = s.waits
+            trace += (steps, addr, "Blocked", srcs[0], None)
             continue
         if steps >= fuel:
             raise NetFuelExhausted(steps)
-        _, action, peer, payload = r
-        trace.append((steps, addr, action, peer, payload))
+        states[n] = t
+        action = t.action
+        trace += (steps, addr, action, t.peer, t.payload)
         steps += 1
-        if p.done():
+        if t.frames is None and type(t.focus) in _VALUE_FORMS:  # t.done(), inlined
             del ready[k]
-            trace.append((steps, addr, "Done", None, None))
+            trace += (steps, addr, "Done", None, None)
         if action == "Send":
-            m = index.get(peer)
+            m = index.get(t.peer)
             if m in waiting and addr in waiting[m]:
                 del waiting[m]
                 insort(ready, m)
@@ -672,13 +759,13 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
 
     if waiting:
         raise DeadlockError({order[n]: srcs for n, srcs in waiting.items()}, trace,
-                            {addr: procs[n].term() for addr, n in start.slots})
+                            {addr: states[n].term() for addr, n in start.slots})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:
         raise NetStuck(f"run completed with undelivered messages: "
                        + ", ".join(f"{path_str(s)}->{path_str(d)}"
                                    for s, d in sorted(leftovers)))
-    return RunResult({addr: procs[n].focus for addr, n in start.slots}, trace, steps)
+    return RunResult({addr: states[n].focus for addr, n in start.slots}, trace, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ class Network:
     result_address: Path
     lambda_wire: bool
     universe: frozenset[Path] = field(default_factory=frozenset)
-    # The simulator's prepared start (`netsim._Start`): built by the first
-    # run of the network, reused by the later ones.
+    # The start of the simulator's graph of machine states (`netsim._Start`):
+    # built by the first run of the network, walked by every run.
     _start: Optional[object] = field(default=None, init=False, repr=False,
                                      compare=False)
 

@@ -175,13 +175,16 @@ PRESETS = {
 }
 
 
+# Each preset parsed once; a Topology is frozen, so every caller shares it.
+_PRESET_TOPOLOGIES = {name: parse_topology(text, name) for name, text in PRESETS.items()}
+
+
 def load_preset(name: str) -> Topology:
     try:
-        text = PRESETS[name]
+        return _PRESET_TOPOLOGIES[name]
     except KeyError:
         raise TopologyError(f"unknown preset {name!r}; expected one of "
                             + ", ".join(sorted(PRESETS))) from None
-    return parse_topology(text, name)
 
 
 def flow_reachable(topology: Topology, src: Path, dst: Path,

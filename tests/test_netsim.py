@@ -1,9 +1,11 @@
 import json
+import random
 import sys
+import tracemalloc
 
 import pytest
 
-from corps import netsim
+from corps import netsim, nicheck
 from corps import syntax as S
 from corps.netsim import (
     DeadlockError, NetError, NetFuelExhausted, NetStuck, Network,
@@ -18,6 +20,7 @@ from corps.projection import (
 )
 from corps.topology import load_preset
 from genprog import ProgramGen
+from test_nicheck import FLOW_PROGRAM, SEALED_PROGRAM, cfg
 from test_projection import fanout, node_count
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
@@ -247,10 +250,10 @@ def reference_replay(network: Network, polls: list, fuel: int, round_robin: bool
 def assert_replays(network: Network, policy, fuel: int = 100_000) -> None:
     """`run` must give what the reference gives on the addresses it polled."""
     polls: list = []
-    poll = netsim._poll
+    pick = netsim._pick
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(netsim, "_poll", lambda p, addr, *rest: polls.append(addr) or
-                  poll(p, addr, *rest))
+        m.setattr(netsim, "_pick", lambda s, addr, *rest: polls.append(addr) or
+                  pick(s, addr, *rest))
         try:
             got = run(network, policy, fuel)
         except Exception as err:  # the reference must raise the same
@@ -321,6 +324,11 @@ HAND_BUILT = {
         A: S.Pair(RecvFrom(B), S.Pair(Seq(RecvFrom(C), SendTo(B, U)),
                                       S.Inr(SendTo(C, S.Pair(U, U))))),
         B: Seq(RecvFrom(A), SendTo(A, U)), C: Seq(RecvFrom(A), SendTo(A, U))}, None),
+    # B's first message is inr () if A's search right of its wait sends
+    # first, and inl () if C's message reaches A first.
+    "messages in either order": ({
+        A: S.Pair(Seq(RecvFrom(C), SendTo(B, S.Inl(U))), SendTo(B, S.Inr(U))),
+        B: S.Pair(RecvFrom(A), RecvFrom(A)), C: SendTo(A, U)}, None),
     "merged branches": ({A: Seq(S.App(SKIP, U), Seq(S.Fst(SKIP), Seq(
         S.Snd(SKIP), Seq(S.Absurd(SKIP), S.Case(SKIP, "x", S.Var("x"), "y", U)))))}, None),
     "beta and case": ({
@@ -448,9 +456,113 @@ class TestEngine:
         monkeypatch.setattr(netsim, "_HOLES", Counted(netsim._HOLES))
         nodes = sum(node_count(p) for p in network.processes.values())
         for policy in (RoundRobin(), RandomPolicy(3)):
+            # A first run: later runs replay the steps it stored.
+            network._start = None
             visits = 0
             result = run(network, policy)
             assert 0 < visits <= 2 * nodes + 2 * result.steps
+            visits = 0
+            run(network, policy)
+            assert visits == 0
+
+
+# ---------------------------------------------------------------------------
+# Runs that replay what earlier runs of their network stored, against
+# runs from a cold start
+
+def outcome(network: Network, policy, fuel: int):
+    """What a run gives: its values, steps and trace, or its error with
+    the waiting graph, trace and residuals of a deadlock."""
+    try:
+        result = run(network, policy, fuel)
+    except DeadlockError as err:
+        return type(err), str(err), err.waiting, err.trace, err.residuals
+    except (NetError, TypeError) as err:
+        return type(err), str(err)
+    return result.values, result.steps, result.trace
+
+
+def cold_outcome(network: Network, policy, fuel: int):
+    network._start = None
+    return outcome(network, policy, fuel)
+
+
+# rr, random seeds and runs cut short by fuel
+SCHEDULES = ([(RoundRobin(), 100_000)] + [(policy, 100_000) for policy in POLICIES[1:]]
+             + [(RoundRobin(), 3), (RandomPolicy(5), 2), (RandomPolicy(1), 7)])
+
+
+class TestWarmRuns:
+    def test_warm_runs_give_what_cold_starts_give(self, monkeypatch):
+        # Each network runs every schedule, and some twice, in an order of
+        # its own.  Count the actions computed, to see that warm runs
+        # replay most of theirs.
+        fired = {"warm": 0, "cold": 0}
+        side = "warm"
+        fire = netsim._fire
+
+        def counted(*args):
+            fired[side] += 1
+            return fire(*args)
+
+        monkeypatch.setattr(netsim, "_fire", counted)
+        rng = random.Random(10)
+        networks = list(generated_networks()) + [
+            Network(processes, A, False) for processes, _ in HAND_BUILT.values()]
+        for network in networks:
+            cold = fresh(network)
+            schedules = SCHEDULES + rng.sample(SCHEDULES, 4)
+            rng.shuffle(schedules)
+            for policy, fuel in schedules:
+                side = "warm"
+                warm = outcome(network, policy, fuel)
+                side = "cold"
+                assert warm == cold_outcome(cold, policy, fuel), (network, policy, fuel)
+        assert len(networks) > 200
+        assert fired["warm"] < fired["cold"] / 5
+
+    def test_deadlock_findings_and_ni_verdicts_match_cold_starts(self):
+        programs = [ProgramGen(seed, load_preset(preset), projectable=True).gen_program()
+                    for seed, preset in ((569, "choreo"), (376, "doxastic"))]
+
+        def checks():
+            return ([check_deadlock_free(program, 20) for program in programs],
+                    nicheck.ni_check(parse_program(SEALED_PROGRAM), cfg()),
+                    nicheck.compare_observations(parse_program(FLOW_PROGRAM), cfg(),
+                                                 load_preset("choreo")))
+
+        warm = checks()
+        with pytest.MonkeyPatch.context() as m:
+            def cold_run(network, *rest):
+                network._start = None
+                return run(network, *rest)
+
+            m.setattr(netsim, "run", cold_run)
+            m.setattr(nicheck, "run", cold_run)
+            cold = checks()
+        assert warm == cold
+        reports, verdict, (witness, _) = warm
+        assert all(report.findings for report in reports)
+        assert verdict.kind == "Secure" and witness is not None
+
+
+def test_a_first_run_holds_memory_linear_in_nodes_and_steps():
+    # The states a run stores share their frames: a step builds only the
+    # frames it changes.  A copy of the frame stack per state would hold
+    # O(steps x depth) on a chain.
+    network = chain(2_000)
+    nodes = sum(node_count(p) for p in network.processes.values())
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(network, RoundRobin())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held <= 400 * (nodes + result.steps)
 
 
 # What each seed names.  A change to the scheduler that changes these

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corps.topology import (
-    Topology, TopologyError, flow_reachable, load_preset, parse_topology,
+    PRESETS, Topology, TopologyError, flow_reachable, load_preset, parse_topology,
     relation_holds,
 )
 
@@ -56,8 +56,15 @@ class TestPresets:
         assert not relation_holds(t, "cansend", ("A",), ("C", "B"))
 
     def test_unknown_preset(self):
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="^unknown preset 'nosuch'; expected one "
+                           "of choreo, doxastic, siblings$"):
             load_preset("nosuch")
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_each_preset_is_parsed_once(self, name):
+        t = load_preset(name)
+        assert load_preset(name) is t
+        assert t == parse_topology(PRESETS[name], name)
 
     def test_doxastic_characterization_exhaustive(self):
         # Enumerate all path pairs up to length 3 over three agents and
