@@ -5,24 +5,24 @@ empty queue.  The simulator is a sequential interleaving machine: each
 tick one process performs one atomic action chosen by the scheduler, so
 a run is reproducible bit-for-bit from (network, policy, fuel).
 
-Within a process the action is the one at its leftmost enabled
-position.  `_step_local` defines that: it walks the process from the
-root, and every position of a node that is not under a binder is an
-evaluation position, except a sequence's rest.  A receive on an empty
-queue waits, and the walk moves on to the positions right of it.  It is
+Each process evaluates call by value, left to right: its only action is
+the one at its leftmost position that holds no value.
+`_step_local` defines that: it walks the process from the root, and
+every position of a node that is not under a binder is an evaluation
+position, except a sequence's rest.  A receive on an empty queue at that
+position blocks the whole process on its one source, and nothing right
+of it runs; concurrency comes only from interleaving processes.  It is
 the reference semantics, the role `normalize.step` plays for the
 normalizer: `run` does not call it, and the tests replay runs through it.
 
 `run` is event-driven.  Each process is a machine focused at its
 leftmost position that holds no value, with the evaluation context as a
 stack of frames (refocusing, as in the normalizer).  A step resumes at
-the focus; only while the focus waits does it search the positions right
-of it, each with a machine of its own, kept on an explicit stack rather
-than the Python stack.  A process whose every position waits is parked
-under the channels it waits on, and it rejoins the ready list, kept in
-address order, when a message arrives on one of them.  Each tick makes
-one pick from the ready list: round-robin takes the first ready address
-at or after the one after the last to act, and the random policy takes
+the focus.  A process whose focus waits is parked under the channel it
+waits on, and it rejoins the ready list, kept in address order, when a
+message arrives on that channel.  Each tick makes one pick from the
+ready list: round-robin takes the first ready address at or after the
+one after the last to act, and the random policy takes
 `ready[rng.randrange(len(ready))]`, uniform over the ready processes.  A
 pick that turns out to wait is parked and the tick picks again.  A
 `Blocked` trace event is written each time a process is parked, not on
@@ -41,11 +41,9 @@ again, and a receive is replayed only when the head of its queue is the
 very message object it took.  Identity is a test in constant time that
 implies equality, and it usually holds, since a replayed send enqueues
 the identical payload; any other message is received as in a first run.
-A pick that finds every position waiting is stored too, with the
-sources, and replayed while each of their channels is empty.  A step
-found right of a waiting focus also depends on the other channels, and
-a step that raises reaches no state: both are computed every time and
-never stored.
+A pick whose focus waits stores nothing, since testing the one channel
+it waits on is all a replay would do; a step that raises reaches no
+state.  Both are computed every time.
 
 The start of the graph also holds the network's vacuous binders: the
 bodies of `Lam`s and `Case` branches in which the bound variable does
@@ -202,7 +200,8 @@ def _wire_ok(v: LocalExpr) -> bool:
             return False
 
 
-_BLOCKED = "blocked"
+class _Wait(Exception):
+    """A receive on an empty queue: it ends `_step_local`'s walk."""
 
 
 def _step_local(e: LocalExpr, addr: Path,
@@ -210,22 +209,12 @@ def _step_local(e: LocalExpr, addr: Path,
     """One action of a single process.
 
     Returns ("act", e', action, peer, payload) after performing any
-    channel side effect, ("blocked", srcs) if every reducible position
-    waits on an empty queue, or None on a local value.
+    channel side effect, ("blocked", src) if the leftmost position that
+    holds no value is a receive from `src` on an empty queue, or None on
+    a local value.
     """
 
     def go(e: LocalExpr):
-        blocked: set[Path] = set()
-
-        def sub(inner: LocalExpr):
-            r = go(inner)
-            if r is None:
-                return None
-            if r[0] == _BLOCKED:
-                blocked.update(r[1])
-                return None
-            return r
-
         match e:
             case Skip() | UnitVal() | Lam():
                 return None
@@ -237,8 +226,6 @@ def _step_local(e: LocalExpr, addr: Path,
                 r = go(first)
                 if r is None:
                     raise NetStuck(f"stuck sequence head in {path_str(addr)}")
-                if r[0] == _BLOCKED:
-                    return r
                 return "act", Seq(r[1], rest), r[2], r[3], r[4]
             case SendTo(dest, payload):
                 if is_local_value(payload):
@@ -248,7 +235,7 @@ def _step_local(e: LocalExpr, addr: Path,
                             f"{local_str(payload)}")
                     chans.setdefault((addr, dest), deque()).append(payload)
                     return "act", payload, "Send", dest, local_str(payload)
-                r = sub(payload)
+                r = go(payload)
                 if r:
                     return "act", SendTo(dest, r[1]), r[2], r[3], r[4]
             case RecvFrom(src):
@@ -256,12 +243,12 @@ def _step_local(e: LocalExpr, addr: Path,
                 if queue:
                     value = queue.popleft()
                     return "act", value, "Recv", src, local_str(value)
-                return _BLOCKED, frozenset((src,))
+                raise _Wait(src)
             case App(fn, arg):
-                r = sub(fn)
+                r = go(fn)
                 if r:
                     return "act", App(r[1], arg), r[2], r[3], r[4]
-                r = sub(arg)
+                r = go(arg)
                 if r:
                     return "act", App(fn, r[1]), r[2], r[3], r[4]
                 if is_local_value(fn) and is_local_value(arg):
@@ -272,14 +259,14 @@ def _step_local(e: LocalExpr, addr: Path,
                         return "act", SKIP, "LocalStep", None, None
                     raise NetStuck(f"applied non-function in {path_str(addr)}")
             case Pair(left, right):
-                r = sub(left)
+                r = go(left)
                 if r:
                     return "act", Pair(r[1], right), r[2], r[3], r[4]
-                r = sub(right)
+                r = go(right)
                 if r:
                     return "act", Pair(left, r[1]), r[2], r[3], r[4]
             case Fst(inner):
-                r = sub(inner)
+                r = go(inner)
                 if r:
                     return "act", Fst(r[1]), r[2], r[3], r[4]
                 if is_local_value(inner):
@@ -289,7 +276,7 @@ def _step_local(e: LocalExpr, addr: Path,
                         return "act", SKIP, "LocalStep", None, None
                     raise NetStuck(f"fst of non-pair in {path_str(addr)}")
             case Snd(inner):
-                r = sub(inner)
+                r = go(inner)
                 if r:
                     return "act", Snd(r[1]), r[2], r[3], r[4]
                 if is_local_value(inner):
@@ -299,15 +286,15 @@ def _step_local(e: LocalExpr, addr: Path,
                         return "act", SKIP, "LocalStep", None, None
                     raise NetStuck(f"snd of non-pair in {path_str(addr)}")
             case Inl(inner):
-                r = sub(inner)
+                r = go(inner)
                 if r:
                     return "act", Inl(r[1]), r[2], r[3], r[4]
             case Inr(inner):
-                r = sub(inner)
+                r = go(inner)
                 if r:
                     return "act", Inr(r[1]), r[2], r[3], r[4]
             case Absurd(inner):
-                r = sub(inner)
+                r = go(inner)
                 if r:
                     return "act", Absurd(r[1]), r[2], r[3], r[4]
                 if is_local_value(inner):
@@ -315,7 +302,7 @@ def _step_local(e: LocalExpr, addr: Path,
                         return "act", SKIP, "LocalStep", None, None
                     raise NetStuck(f"absurd applied to a value in {path_str(addr)}")
             case Case(scrutinee, lv, lb, rv, rb):
-                r = sub(scrutinee)
+                r = go(scrutinee)
                 if r:
                     return "act", Case(r[1], lv, lb, rv, rb), r[2], r[3], r[4]
                 if is_local_value(scrutinee):
@@ -330,13 +317,14 @@ def _step_local(e: LocalExpr, addr: Path,
                         return ("act", substitute(lb, lv, SKIP),
                                 "LocalStep", None, None)
                     raise NetStuck(f"case of non-sum value in {path_str(addr)}")
-        if blocked:
-            return _BLOCKED, frozenset(blocked)
         if is_local_value(e):
             return None
         raise TypeError(f"not a local expression: {e!r}")
 
-    return go(e)
+    try:
+        return go(e)
+    except _Wait as wait:
+        return "blocked", wait.args[0]
 
 
 @dataclass
@@ -436,14 +424,14 @@ def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
         if not queue:
             return None
         value = queue.popleft()
-        return _refocus(s.frames, s.opens, value, "Recv", e.src, value)
+        return _refocus(s.frames, value, "Recv", e.src, value)
     if kind is SendTo:
         payload = e.payload
         if not _wire_ok(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
         chans.setdefault((addr, e.dest), deque()).append(payload)
-        return _refocus(s.frames, s.opens, payload, "Send", e.dest, payload)
+        return _refocus(s.frames, payload, "Send", e.dest, payload)
     if kind is Seq:
         reduct = e.rest
     elif kind is App:
@@ -484,33 +472,30 @@ def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
         # No local form gets here: `e` is no value, and all its positions
         # hold values.
         raise TypeError(f"not a local expression: {e!r}")
-    return _refocus(s.frames, s.opens, reduct, "LocalStep")
+    return _refocus(s.frames, reduct, "LocalStep")
 
 
 class _State:
     """One state of a process's machine, focused at its leftmost position
     that holds no value, with the step that reached it.  Once built, a
-    state stays as it is but for what `_pick` stores on it, so the runs of
-    one network share every state that any of them reaches.
+    state stays as it is but for the step `_pick` stores on it, so the
+    runs of one network share every state that any of them reaches.
 
     `frames` is the evaluation context of `focus` as a linked stack,
     innermost first: each frame is (node, index of the position that holds
-    the hole, the next frame out, `opens` as it was before this frame was
-    pushed).  Every position left of a hole holds a value.  `opens` is the
-    innermost frame with a position right of its hole, the only frames a
-    wait can pass to; the last field of each such frame leads to the next.
-    A step builds only the frames it changes, and shares the rest with the
-    state it came from.  `focus` is a leaf that is no value, or a node
-    whose positions all hold values; with no frames left it may be the
-    value the process ended with.
+    the hole, the next frame out).  Every position left of a hole holds a
+    value.  A step builds only the frames it changes, and shares the rest
+    with the state it came from.  `focus` is a leaf that is no value, or a
+    node whose positions all hold values; with no frames left it may be
+    the value the process ended with.  The focus is the process's only
+    enabled position: a receive there on an empty queue blocks it.
 
     `action`, `peer` and `payload` (a value) are for the trace of the step
     that reached the state; an initial state has none.  `next` is the
-    state the step at the focus reached from here, and `waits` the sorted
-    sources of a pick that found every position waiting, each stored by
-    `_pick` the first time.
+    state the step at the focus reached from here, stored by `_pick` the
+    first time.
     """
-    __slots__ = ("focus", "frames", "opens", "action", "peer", "payload", "next", "waits")
+    __slots__ = ("focus", "frames", "action", "peer", "payload", "next")
 
     def done(self) -> bool:
         return self.frames is None and type(self.focus) in _VALUE_FORMS
@@ -518,7 +503,7 @@ class _State:
     def term(self) -> LocalExpr:
         e, frame = self.focus, self.frames
         while frame is not None:
-            node, i, frame, _ = frame
+            node, i, frame = frame
             get, plug = _HOLES[type(node)][i]
             e = node if get(node) is e else plug(node, e)
         return e
@@ -527,9 +512,8 @@ class _State:
 _new_state = object.__new__  # builds a _State faster than an __init__ would
 
 
-def _refocus(frames: Optional[tuple], opens: Optional[tuple], e: LocalExpr,
-             action: Optional[str] = None, peer: Optional[Path] = None,
-             payload: Optional[LocalExpr] = None) -> _State:
+def _refocus(frames: Optional[tuple], e: LocalExpr, action: Optional[str] = None,
+             peer: Optional[Path] = None, payload: Optional[LocalExpr] = None) -> _State:
     """The state focused on the leftmost position that holds no value,
     searching from `e`, the new subterm in the hole of the innermost of
     `frames` (the whole term if there are none), reached by a step with
@@ -537,9 +521,7 @@ def _refocus(frames: Optional[tuple], opens: Optional[tuple], e: LocalExpr,
     while True:
         holes = _HOLES.get(type(e))
         while holes:
-            frames = (e, 0, frames, opens)
-            if len(holes) > 1:
-                opens = frames
+            frames = (e, 0, frames)
             e = holes[0][0](e)
             holes = _HOLES.get(type(e))
         if type(e) not in _LEAF_VALUES:
@@ -547,16 +529,14 @@ def _refocus(frames: Optional[tuple], opens: Optional[tuple], e: LocalExpr,
         # Climb with the value `e`: plug it into its frame, then move right
         # to the next position, or stop at a node that is no value.
         while frames is not None:
-            node, i, outer, opens = frames
+            node, i, outer = frames
             holes = _HOLES[type(node)]
             get, plug = holes[i]
             if get(node) is not e:
                 node = plug(node, e)
             i += 1
             if i < len(holes):
-                frames = (node, i, outer, opens)
-                if i + 1 < len(holes):
-                    opens = frames
+                frames = (node, i, outer)
                 e = holes[i][0](node)
                 break
             frames, e = outer, node
@@ -567,23 +547,21 @@ def _refocus(frames: Optional[tuple], opens: Optional[tuple], e: LocalExpr,
         if e is node:  # the climb stopped at `node`, not at one of its positions
             break
     s = _new_state(_State)
-    s.focus, s.frames, s.opens, s.action, s.peer, s.payload = (
-        e, frames, opens, action, peer, payload)
-    s.next = s.waits = None
+    s.focus, s.frames, s.action, s.peer, s.payload = e, frames, action, peer, payload
+    s.next = None
     return s
 
 
 def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
           vacuous: Vacuous) -> Optional[_State]:
-    """Take the leftmost enabled action of the process in state `s`, as
-    `_step_local` would, and return the state it reaches, or None if every
-    position waits (`s.waits` then holds their sources).
+    """Take the action at the focus of the process in state `s`, as
+    `_step_local` would, and return the state it reaches, or None if the
+    focus is a receive on an empty queue.
 
     A step stored on `s` is replayed, a send enqueuing its payload again
     and a receive only when the head of its queue is the very message it
-    took; so is a stored wait, while every channel it waits on is empty.
-    Any other pick is computed, and the first step at the focus and a
-    wait are stored.
+    took.  Any other pick is computed, and the first step at the focus is
+    stored.
     """
     t = s.next
     if t is not None:
@@ -597,80 +575,10 @@ def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
         if queue and queue[0] is t.payload:
             queue.popleft()
             return t
-    if s.waits is not None:
-        for src in s.waits:
-            if chans.get((src, addr)):
-                break
-        else:
-            return None
     t = _fire(s, addr, chans, vacuous)
-    if t is None:
-        return _search(s, addr, chans, vacuous)
-    if s.next is None:
+    if t is not None and s.next is None:
         s.next = t
     return t
-
-
-def _search(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
-            vacuous: Vacuous) -> Optional[_State]:
-    """The pick of `s`, whose focus waits: the search goes on to the
-    positions right of it, innermost frame first, giving the subterm at
-    each a machine of its own.  A step found there leaves the focus
-    waiting, and is not stored, since whether it is taken depends on
-    channels other than the focus's.
-    """
-    waits: set[Path] = set()
-    # (machine, frame, position, the entry the machine was built for or
-    # None for `s`): the positions left to search, the next last.
-    todo: list[tuple] = []
-    q, entry = s, None
-    while True:
-        # q's focus waits: the positions right of it come next.
-        waits.add(q.focus.src)
-        right = []
-        frame = q.opens
-        while frame is not None:
-            right += [(q, frame, j, entry)
-                      for j in range(frame[1] + 1, len(_HOLES[type(frame[0])]))]
-            frame = frame[3]
-        todo += reversed(right)
-        while todo:
-            entry = todo.pop()
-            node, j = entry[1][0], entry[2]
-            q = _refocus(None, None, _HOLES[type(node)][j][0](node))
-            if q.done():
-                continue
-            t = _fire(q, addr, chans, vacuous)
-            if t is None:
-                break
-            # Rebuild each machine up to `s` around the subterm.
-            q = t
-            while entry is not None:
-                e = q.term()
-                q, frame, j, entry = entry
-                q = _replaced(q, frame, _HOLES[type(frame[0])][j][1](frame[0], e))
-            q.action, q.peer, q.payload = t.action, t.peer, t.payload
-            return q
-        else:
-            s.waits = tuple(sorted(waits))
-            return None
-
-
-def _replaced(s: _State, frame: tuple, node: LocalExpr) -> _State:
-    """`s` with `node` in place of the node of `frame`, one of its frames:
-    that frame and the frames inside it are pushed again."""
-    inner = []
-    f = s.frames
-    while f is not frame:
-        inner.append((f[0], f[1]))
-        f = f[2]
-    top, opens = frame[2], frame[3]
-    for node, i in [(node, frame[1])] + inner[::-1]:
-        top = (node, i, top, opens)
-        if i + 1 < len(_HOLES[type(node)]):
-            opens = top
-    # The focus of `s` waits, so the new state is focused where `s` is.
-    return _refocus(top, opens, s.focus)
 
 
 class _Start:
@@ -692,7 +600,7 @@ class _Start:
         self.order = sorted(processes)
         self.index = {addr: n for n, addr in enumerate(self.order)}
         self.slots = [(addr, self.index[addr]) for addr in processes]
-        self.states = [_refocus(None, None, processes[addr]) for addr in self.order]
+        self.states = [_refocus(None, processes[addr]) for addr in self.order]
         self.ready = [n for n, s in enumerate(self.states) if not s.done()]
         self.events = _Events()
         for addr, s in zip(self.order, self.states):
@@ -722,7 +630,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
     chans: dict[tuple[Path, Path], deque] = {}
     trace = _Events(start.events)
     ready = start.ready.copy()  # indexes into order, ascending
-    waiting: dict[int, tuple[Path, ...]] = {}  # parked index -> sources
+    waiting: dict[int, Path] = {}  # parked index -> the source it waits on
     rng = random.Random(policy.seed) if isinstance(policy, RandomPolicy) else None
     turn = 0  # round robin: the index to try first
     steps = 0
@@ -738,8 +646,8 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
         t = _pick(s, addr, chans, vacuous)
         if t is None:
             del ready[k]
-            srcs = waiting[n] = s.waits
-            trace += (steps, addr, "Blocked", srcs[0], None)
+            src = waiting[n] = s.focus.src
+            trace += (steps, addr, "Blocked", src, None)
             continue
         if steps >= fuel:
             raise NetFuelExhausted(steps)
@@ -752,13 +660,13 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             trace += (steps, addr, "Done", None, None)
         if action == "Send":
             m = index.get(t.peer)
-            if m in waiting and addr in waiting[m]:
+            if waiting.get(m) == addr:
                 del waiting[m]
                 insort(ready, m)
         turn = n + 1
 
     if waiting:
-        raise DeadlockError({order[n]: srcs for n, srcs in waiting.items()}, trace,
+        raise DeadlockError({order[n]: (src,) for n, src in waiting.items()}, trace,
                             {addr: states[n].term() for addr, n in start.slots})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -237,7 +238,7 @@ def reference_replay(network: Network, polls: list, fuel: int, round_robin: bool
         if not is_local_value(procs[addr]):
             r = _step_local(procs[addr], addr, chans)
             assert r[0] == "blocked", f"{path_str(addr)} could still act"
-            waiting[addr] = tuple(sorted(r[1]))
+            waiting[addr] = (r[1],)
     if waiting:
         raise DeadlockError(waiting, events, procs)
     leftovers = sorted(pair for pair, queue in chans.items() if queue)
@@ -296,7 +297,7 @@ HAND_BUILT = {
     "free variable": ({A: S.Var("ghost")}, (NetStuck, "free variable 'ghost'")),
     "free variable right of a wait": (
         {A: S.Pair(RecvFrom(B), S.Var("ghost")), B: SKIP},
-        (NetStuck, "free variable 'ghost'")),
+        (DeadlockError, "deadlock: [A] waits on [B]")),
     "function on the wire": (
         {A: SendTo(B, S.Lam("x", S.Var("x"))), B: RecvFrom(A)},
         (NetStuck, "non-positive value on the wire")),
@@ -316,17 +317,19 @@ HAND_BUILT = {
         {A: SendTo(B, U), B: SKIP}, (NetStuck, "run completed with undelivered messages")),
     "out of fuel": (chain(12).processes, (NetFuelExhausted, "network made no progress")),
     "cyclic wait": ({A: RecvFrom(B), B: RecvFrom(A)}, (DeadlockError, "deadlock")),
-    "wait on two sources": (
+    "wait on the leftmost of two sources": (
         {A: S.Pair(RecvFrom(B), RecvFrom(C)), B: Seq(SendTo(C, U), RecvFrom(A)),
          C: RecvFrom(B)},
-        (DeadlockError, "deadlock: [A] waits on [B], [C], [B] waits on [A]")),
+        (DeadlockError, "deadlock: [A] waits on [B], [B] waits on [A]")),
     "actions right of waits": ({
         A: S.Pair(RecvFrom(B), S.Pair(Seq(RecvFrom(C), SendTo(B, U)),
                                       S.Inr(SendTo(C, S.Pair(U, U))))),
-        B: Seq(RecvFrom(A), SendTo(A, U)), C: Seq(RecvFrom(A), SendTo(A, U))}, None),
-    # B's first message is inr () if A's search right of its wait sends
-    # first, and inl () if C's message reaches A first.
-    "messages in either order": ({
+        B: Seq(RecvFrom(A), SendTo(A, U)), C: Seq(RecvFrom(A), SendTo(A, U))},
+        (DeadlockError,
+         "deadlock: [A] waits on [B], [B] waits on [A], [C] waits on [A]")),
+    # A sends nothing until C's message reaches it, and then sends in
+    # program order, so B's first message is inl ().
+    "messages in program order": ({
         A: S.Pair(Seq(RecvFrom(C), SendTo(B, S.Inl(U))), SendTo(B, S.Inr(U))),
         B: S.Pair(RecvFrom(A), RecvFrom(A)), C: SendTo(A, U)}, None),
     "merged branches": ({A: Seq(S.App(SKIP, U), Seq(S.Fst(SKIP), Seq(
@@ -416,9 +419,16 @@ class TestEngine:
             assert result.steps == 3 * n - 1  # a send, a receive, a sequence step
             assert result.values == {A: U, B: U}
 
-    def test_deep_search_right_of_a_wait_runs_at_the_default_recursion_limit(self):
-        # Z's send sits right of a receive and of 3,000 nested pairs whose
-        # every position waits, so each poll of Z searches all of them.
+    def test_messages_arrive_in_program_order(self):
+        processes, _ = HAND_BUILT["messages in program order"]
+        network = Network(processes, B, False)
+        for policy in POLICIES:
+            assert run(network, policy).values[B] == S.Pair(S.Inl(U), S.Inr(U))
+
+    def test_deep_term_right_of_a_wait_stays_unvisited_at_the_default_recursion_limit(self):
+        # Z's send sits right of a receive and of 3,000 nested pairs of
+        # receives.  Z's leftmost receive blocks the whole process, so the
+        # send never happens and Z is left as it was.
         n = 3_000
         assert sys.getrecursionlimit() < n
         Z = ("Z",)
@@ -430,9 +440,9 @@ class TestEngine:
         for policy in (RoundRobin(), RandomPolicy(3)):
             with pytest.raises(DeadlockError) as exc:
                 run(network, policy)
-            assert exc.value.waiting == {Z: (B,)}
-            assert [(e.address, e.peer) for e in exc.value.trace
-                    if e.action == "Send"] == [(Z, B)]
+            assert exc.value.waiting == {Z: (B,), B: (Z,)}
+            assert not any(e.action == "Send" for e in exc.value.trace)
+            assert exc.value.residuals[Z] is network.processes[Z]
 
     @pytest.mark.parametrize("network", [chain(2_000), project_network(
         parse_program(fanout(64, 21)))], ids=["chain", "fanout"])
@@ -542,7 +552,7 @@ class TestWarmRuns:
             cold = checks()
         assert warm == cold
         reports, verdict, (witness, _) = warm
-        assert all(report.findings for report in reports)
+        assert all(report.findings == [] for report in reports)
         assert verdict.kind == "Secure" and witness is not None
 
 
@@ -720,3 +730,37 @@ def test_agreement_matches_fresh_unshared_runs():
                                         agreement_outcome(result, expected, network))
             if policy is schedules[0]:
                 assert same_result(report.first, result)
+
+
+# ---------------------------------------------------------------------------
+# Each process runs in one call-by-value order
+
+# Programs from bench/progen's generator (seed, preset, projectable) that
+# failed agreement while a process could act right of a waiting receive:
+# such an action put a message on a channel ahead of one the choreography
+# sends there first.
+CALL_BY_VALUE_REGRESSIONS = json.loads(
+    (Path(__file__).parent / "call_by_value_regressions.json").read_text())
+
+
+def assert_agrees_and_replays(program, schedules, topology=None) -> None:
+    report = epp_agreement(program, schedules, topology)
+    assert report.agree, report.outcomes
+    network = project_network(program, topology)
+    for policy in schedules:
+        assert_replays(network, policy)
+
+
+@pytest.mark.parametrize("entry", CALL_BY_VALUE_REGRESSIONS,
+                         ids=lambda entry: f"{entry['seed']}/{entry['preset']}")
+def test_sweep_programs_agree_once_a_wait_blocks_its_process(entry):
+    schedules = [RoundRobin()] + [RandomPolicy(n) for n in range(5)]
+    assert_agrees_and_replays(parse_program(entry["source"]), schedules)
+
+
+@pytest.mark.parametrize("seed, preset", [(569, "choreo"), (376, "doxastic")])
+def test_generated_programs_agree_once_a_wait_blocks_its_process(seed, preset):
+    topology = load_preset(preset)
+    program = ProgramGen(seed, topology, projectable=True).gen_program()
+    schedules = [RoundRobin()] + [RandomPolicy(n) for n in range(20)]
+    assert_agrees_and_replays(program, schedules, topology)
