@@ -37,13 +37,13 @@ frames it changes.  A process is deterministic: the step at its focus
 depends on its state alone, and for a receive on the message taken.  So
 the first time any run takes the step at a state's focus, the state it
 reaches is stored, and later runs replay it: a send enqueues its payload
-again, and a receive is replayed only when the head of its queue is the
-very message object it took.  Identity is a test in constant time that
-implies equality, and it usually holds, since a replayed send enqueues
-the identical payload; any other message is received as in a first run.
-A pick whose focus waits stores nothing, since testing the one channel
-it waits on is all a replay would do; a step that raises reaches no
-state.  Both are computed every time.
+again, and a receive takes the head of its queue whenever the queue is
+not empty.  That head equals the message the stored step took: with one
+order per process and each receive naming one source, a network is a
+Kahn process network (Kahn, 1974), so the n-th message on a channel is
+the same in every run.  A pick whose focus waits stores nothing, since
+testing the one channel it waits on is all a replay would do; a step
+that raises reaches no state.  Both are computed every time.
 
 The start of the graph also holds the network's vacuous binders: the
 bodies of `Lam`s and `Case` branches in which the bound variable does
@@ -78,7 +78,7 @@ from .syntax import (
     hole, match_located, split_stack, substitute,
 )
 from .topology import Topology
-from .typecheck import check_program, inline_main, resolve_topology
+from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
 
 
 @dataclass(frozen=True)
@@ -559,25 +559,21 @@ def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
     focus is a receive on an empty queue.
 
     A step stored on `s` is replayed, a send enqueuing its payload again
-    and a receive only when the head of its queue is the very message it
-    took.  Any other pick is computed, and the first step at the focus is
-    stored.
+    and a receive taking the head of its queue if there is one.  Otherwise
+    the step is computed, and stored if it reaches a state.
     """
     t = s.next
-    if t is not None:
-        action = t.action
-        if action == "LocalStep":
-            return t
-        if action == "Send":
-            chans.setdefault((addr, t.peer), deque()).append(t.payload)
-            return t
+    if t is None:
+        s.next = t = _fire(s, addr, chans, vacuous)
+        return t
+    action = t.action
+    if action == "Send":
+        chans.setdefault((addr, t.peer), deque()).append(t.payload)
+    elif action == "Recv":
         queue = chans.get((t.peer, addr))
-        if queue and queue[0] is t.payload:
-            queue.popleft()
-            return t
-    t = _fire(s, addr, chans, vacuous)
-    if t is not None and s.next is None:
-        s.next = t
+        if not queue:
+            return None
+        queue.popleft()
     return t
 
 
@@ -697,11 +693,12 @@ class AgreementReport:
 def _prepare(program: Program, topology: Optional[Topology]):
     if topology is None:
         topology = resolve_topology(program)
-    errors = check_program(program, topology)
-    if errors:
-        raise PreconditionError("program does not typecheck: "
-                                + "; ".join(str(e) for e in errors))
-    network = project_network(program, topology)
+    try:
+        network = project_network(program, topology)
+    except TypeCheckError:
+        # Checked again, to list every error and not only the first.
+        raise PreconditionError("program does not typecheck: " + "; ".join(
+            str(e) for e in check_program(program, topology))) from None
     return topology, network
 
 
@@ -727,8 +724,8 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
     """Run the projected network under each schedule and compare the value
     at the result address with the choreography's normal form.
 
-    A caller that has already checked the program and projected it under
-    `topology` passes that network, so neither is done again.
+    A caller that has already projected the program under `topology`
+    passes that network, so it is not projected again.
     """
     if network is None:
         topology, network = _prepare(program, topology)

@@ -39,21 +39,22 @@ Only viewpoints of unit values, injections and cases, and the two ends
 of each message, ever become keys, so a rule combines its children's
 processes per key rather than per address of the universe.
 
-Errors follow walk order, as if each address had its own walk that
-stops at its first error.  A merge conflict at a key takes the place of
-that address's process, and a rule whose children hold errors keeps the
-first.  An error in the generic process (a merge conflict there, or a
-nested-modality payload, which fails at every address) ends the walk.
-So `project_network` raises the generic process's first error if there
-is one, and otherwise the error at the smallest address of the universe
-that has one; `project(g)` walks for g alone and raises g's first error.
-A rule that does not apply ends the walk with the checker's own
-TypeCheckError; without definitions, that is the first error
-`check_program` reports, unless a projection error comes first.  The
-walk checks main with definitions inlined, so a definition used under a
-lock past its binding goes unreported: `def f : unit = (); main : [A]
-unit = A.(f);` projects though `check_program` rejects it.  Callers
-check first, as the CLI and `netsim` do.
+The walk follows `check_program`: each definition is projected once,
+where it is bound, then main with the definitions bound.  A reference
+to a definition stands for its sparse projection: a definition is
+tagged [], so it is referenced only at the root viewpoint, where it was
+projected.  Its participants and functions on the wire count only where
+it is referenced.
+
+Errors are values, in walk order, as if each address had its own walk
+that stops at its first error.  A merge conflict, or a payload of a
+nested modality (which fails at every address), takes the place of the
+process, and a rule whose children hold errors keeps the first.  A rule
+that does not apply ends the walk with the checker's TypeCheckError, so
+`project_network` and `project` raise the first error `check_program`
+reports, if any.  Otherwise `project_network` raises the generic
+process's error, then the error at the smallest address of the universe
+that has one; `project(g)` raises g's.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .syntax import (
     expr_equal, path_concat, split_stack, substitute,
 )
 from .topology import Topology
-from .typecheck import Checker, inline_main, resolve_topology
+from .typecheck import Checker, judgments, resolve_topology
 
 
 class ProjectionError(Exception):
@@ -148,11 +149,11 @@ class Network:
 
 # ---------------------------------------------------------------------------
 # Sparse projections: (generic, at), where address g gets at[g], or
-# `generic` if g is not a key.  An error may stand in for a process at a
-# key (see the module docstring).
+# `generic` if g is not a key.  An error may stand in for any process
+# (see the module docstring).
 
 Local = Union[LocalExpr, ProjectionError]
-Sparse = tuple[LocalExpr, dict[Path, Local]]
+Sparse = tuple[Local, dict[Path, Local]]
 
 _NOWHERE: dict[Path, Local] = {}  # shared; no sparse map is ever mutated
 
@@ -175,24 +176,20 @@ class _Projection:
     """The checker's hook that projects every address at once.
 
     Each rule of the walk hands it the sparse projections of the node's
-    children, in walk order, and gets the node's own.  Given a target
-    address, it projects for that address alone: its process is the
-    generic one, and the maps stay empty.
+    children, in walk order, and gets the node's own.  `defs` maps the
+    position each definition walked so far is bound at to its sparse
+    projection, participants and `lambda_wire`.
     """
 
-    def __init__(self, target: Optional[Path] = None):
-        self.target = target
+    def __init__(self):
         self.participants: set[Path] = set()
         self.lambda_wire = False
+        self.defs: dict[int, tuple[Sparse, set[Path], bool]] = {}
 
     def _node(self, rule, *specs: Sparse, special=_NOWHERE) -> Sparse:
         """Apply `rule` to the children's processes, address by address;
         an address that `special` maps to a rule of its own applies that."""
-        if self.target is not None:
-            # The target's process is the generic one; no map gets a key.
-            rule, special = special.get(self.target, rule), _NOWHERE
-        # An error in the generic process ends the walk (module docstring).
-        generic = _process(rule(*[generic for generic, _ in specs]))
+        generic = _apply(rule, [generic for generic, _ in specs])
         keys = set(special).union(*[at for _, at in specs])
         if not keys:
             return generic, _NOWHERE
@@ -201,7 +198,7 @@ class _Projection:
             for g in keys}
 
     def visit(self, rule: str, e: Expr, L: Path, ty: Type, kids: list[Sparse],
-              comm: Optional[tuple[Path, Path, Type]]) -> Sparse:
+              comm: Union[tuple[Path, Path, Type], int, None]) -> Sparse:
         """The node's sparse projection; the cases run most frequent first."""
         match rule:
             case "Check" | "Annot":
@@ -245,7 +242,12 @@ class _Projection:
             case "Fst" | "Snd" | "Absurd":
                 return self._node(_unary(type(e)), *kids)
             case "Axiom":
-                return Var(e.name), _NOWHERE
+                if comm not in self.defs:  # a local binder, not a definition
+                    return Var(e.name), _NOWHERE
+                sparse, participants, lambda_wire = self.defs[comm]
+                self.participants |= participants
+                self.lambda_wire |= lambda_wire
+                return sparse
         raise TypeError(f"no projection for rule {rule!r}")
 
     # -- communication and choice -------------------------------------------
@@ -253,10 +255,11 @@ class _Projection:
     def _comm(self, payload: Sparse, sender: Path, receiver: Path,
               moved_ty: Type, site: Expr) -> Sparse:
         if _mentions(moved_ty, Believes):
-            # Every address fails here, so the generic process does too.
-            raise ProjectionError(
+            # Every address fails here, once its payload's errors are past.
+            error = ProjectionError(
                 f"communicated value of type with a nested modality cannot be "
                 f"projected to a single message ({expr_str(site)})")
+            return self._node(lambda p: error, payload)
         if _mentions(moved_ty, Arrow):
             self.lambda_wire = True
         self.participants.add(sender)
@@ -299,20 +302,21 @@ def _prefix_closure(paths: set[Path]) -> frozenset[Path]:
     return out
 
 
-def _closed_main(program: Program) -> tuple[Expr, Type]:
+def _project_program(program: Program, topology: Optional[Topology]
+                     ) -> tuple[Sparse, set[Path], bool]:
+    """Main's sparse projection, participants and `lambda_wire`, walking
+    the judgments `check_program` checks; raises the first TypeCheckError."""
+    projection = _Projection()
+    checker = Checker(topology or resolve_topology(program), hook=projection.visit)
+    for ctx, e, ty in judgments(program):
+        projection.participants, projection.lambda_wire = set(), False
+        out: list[Sparse] = []
+        checker.check(ctx, e, ty, out)
+        projection.defs[len(ctx)] = out[0], projection.participants, projection.lambda_wire
     if program.inputs:
         raise ProjectionError(
             "program has free inputs; substitute values for them first")
-    return inline_main(program)
-
-
-def _walk(e: Expr, ty: Type, viewpoint: Path, topology: Topology,
-          projection: _Projection, canonical: bool = False) -> Sparse:
-    checker = Checker(topology, hook=projection.visit)
-    checker._canonical = canonical
-    out: list[Sparse] = []
-    checker.check(ctx_lock((), viewpoint), e, ty, out)
-    return out[0]
+    return projection.defs[len(ctx)]
 
 
 def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
@@ -321,28 +325,27 @@ def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
     one target address.  Its injections need no annotations: the walk
     checks pairs and located values against their types (see `typecheck`).
     """
-    return _walk(e, ty, viewpoint, topology, _Projection(target), canonical=True)[0]
+    checker = Checker(topology, hook=_Projection().visit)
+    checker._canonical = True
+    out: list[Sparse] = []
+    checker.check(ctx_lock((), viewpoint), e, ty, out)
+    generic, at = out[0]
+    return _process(at.get(target, generic))
 
 
 def project(program: Program, g: Path,
             topology: Optional[Topology] = None) -> LocalExpr:
-    if topology is None:
-        topology = resolve_topology(program)
-    e, ty = _closed_main(program)
-    return _walk(e, ty, (), topology, _Projection(g))[0]
+    (generic, at), _, _ = _project_program(program, topology)
+    return _process(at.get(g, generic))
 
 
 def project_network(program: Program,
                     topology: Optional[Topology] = None) -> Network:
-    if topology is None:
-        topology = resolve_topology(program)
-    e, ty = _closed_main(program)
-    result_address, _ = split_stack(ty)
-    projection = _Projection()
-    generic, at = _walk(e, ty, (), topology, projection)
-    universe = _prefix_closure(projection.participants | {result_address})
-    # Sorted, so that the smallest address with an error raises it.
+    (generic, at), participants, lambda_wire = _project_program(program, topology)
+    result_address, _ = split_stack(program.main_type)
+    universe = _prefix_closure(participants | {result_address})
+    # The generic process's error first, then the smallest address's.
+    _process(generic)
     processes = {address: _process(at.get(address, generic))
                  for address in sorted(universe)}
-    return Network(processes, result_address, projection.lambda_wire,
-                   frozenset(universe))
+    return Network(processes, result_address, lambda_wire, frozenset(universe))

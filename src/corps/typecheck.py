@@ -16,24 +16,27 @@ infers and compares for syntactic type equality.
 `Checker.infer`/`check` are the only bidirectional walk of the package.
 Given a list to collect into, each rule hands the checker's hook the
 rule name, the node, the viewpoint, the type, the hook's results for the
-node's children in walk order and, for send/up/down, the (sender,
-receiver, moved type) of its query; what the hook returns becomes the
-node's result.  `derive`, the default hook, builds the `Derivation`s of
-`check --derivation`; endpoint projection is the other hook.  Given no
-list, the walk builds no per-node results.
+node's children in walk order and `comm`: for send/up/down the (sender,
+receiver, moved type) of its query, for Axiom the position in the
+context of the binding found, so a hook can tell a definition from a
+local binder of the same name.  What the hook returns becomes the node's
+result.  `derive`, the default hook, builds the `Derivation`s of `check
+--derivation`; endpoint projection is the other hook.  Given no list,
+the walk builds no per-node results.
 
 A normal form's injections carry no annotations, so projecting one (the
 expected result of a run, `projection.project_expr`) needs two more
 checking rules: a pair against a product and a located value against its
-own modality.  They are off everywhere else, so `check_program` and
-`project_network` accept the same programs.
+own modality.  They are off everywhere else, and projection walks the
+`judgments` of a program as `check_program` does, so `check_program`
+and `project_network` accept the same programs, definitions included.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .parser import Program
 from .printer import expr_str, path_str, type_str
@@ -114,7 +117,7 @@ class Checker:
                 rule, f"{kind}({path_str(a)}, {path_str(b)}) does not hold "
                 f"(viewpoint {path_str(viewpoint)}{payload})", e.span, (kind, a, b))
 
-    def _axiom(self, ctx: Context, e: Var) -> Type:
+    def _axiom(self, ctx: Context, e: Var) -> tuple[Type, int]:
         for i in range(len(ctx) - 1, -1, -1):
             entry = ctx[i]
             if isinstance(entry, Binding) and entry.name == e.name:
@@ -126,7 +129,7 @@ class Checker:
                         f"used under locks {path_str(after)} past its binding "
                         f"(viewpoint {path_str(locks_of(ctx))})",
                         e.span)
-                return entry.ty
+                return entry.ty, i
         raise TypeCheckError("Axiom", f"unbound variable {e.name!r}", e.span)
 
     def _branches(self, ctx: Context, e: Case, scrut_ty: Type) -> tuple[Context, Context]:
@@ -141,10 +144,10 @@ class Checker:
 
     def infer(self, ctx: Context, e: Expr, out: Optional[list] = None) -> Type:
         kids: Optional[list] = [] if out is not None else None
-        comm = None  # (sender, receiver, moved type) of a communication
+        comm = None  # the hook's `comm` (see the module docstring)
         match e:
             case Var():
-                rule, ty = "Axiom", self._axiom(ctx, e)
+                rule, (ty, comm) = "Axiom", self._axiom(ctx, e)
             case UnitVal():
                 rule, ty = "Unit", Unit()
             case Located(agent, body):
@@ -299,20 +302,26 @@ def check_program(program: Program, topology: Optional[Topology] = None,
         topology = resolve_topology(program)
     chk = checker if checker is not None else Checker(topology)
     errors: list[TypeCheckError] = []
+    for ctx, e, ty in judgments(program):
+        try:
+            chk.check(ctx, e, ty, deriv)
+        except TypeCheckError as err:
+            errors.append(err)
+    return errors
+
+
+def judgments(program: Program) -> Iterator[tuple[Context, Expr, Type]]:
+    """The judgments `program` stands for, in order: each definition's
+    body in the context of the inputs and the definitions before it, then
+    main in the context of all of them.  A definition is bound at position
+    `len(ctx)` of the context its body is checked in."""
     ctx: Context = ()
     for name, ty in program.inputs:
         ctx = ctx_bind(ctx, name, ty, ())
     for name, ty, body in program.defs:
-        try:
-            chk.check(ctx, body, ty, deriv)
-        except TypeCheckError as err:
-            errors.append(err)
+        yield ctx, body, ty
         ctx = ctx_bind(ctx, name, ty, ())
-    try:
-        chk.check(ctx, program.main_expr, program.main_type, deriv)
-    except TypeCheckError as err:
-        errors.append(err)
-    return errors
+    yield ctx, program.main_expr, program.main_type
 
 
 def inline_main(program: Program) -> tuple[Expr, Type]:

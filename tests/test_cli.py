@@ -347,9 +347,8 @@ class TestNi:
                      "--values", "B.(inl ())"]) == 4
 
 
-# Inlining `f` into main takes its body past the lock without the
-# binding-tag check, so `project_network` alone would project this
-# program; `project` and `simulate` reject it because they check first.
+# `f` is used under a lock past its binding: `check_program` and
+# projection both reject it, and the CLI prints the check's error.
 ESCAPING_DEF = "topology choreo;\ndef f : unit = ();\nmain : [A] unit = A.(f);\n"
 
 

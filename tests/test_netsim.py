@@ -137,6 +137,22 @@ class TestAgreement:
         with pytest.raises(PreconditionError):
             epp_agreement(parse_program(src), [RoundRobin()])
 
+    def test_a_definition_under_a_lock_is_a_precondition_error(self):
+        program = parse_program("topology choreo; def f : unit = (); main : [A] unit = A.(f);")
+        with pytest.raises(PreconditionError, match=r"does not typecheck: .*\[Axiom\]"):
+            epp_agreement(program, [RoundRobin()])
+
+    def test_a_well_typed_program_is_walked_once(self, monkeypatch):
+        # Projection checks the program; the full check runs only to list
+        # the errors of an ill-typed one.
+        def refused(*args, **kwargs):
+            raise AssertionError("check_program called on a well-typed program")
+        monkeypatch.setattr(netsim, "check_program", refused)
+        program = parse_program("topology choreo; def f : [B] unit = send A.() to [B]; "
+                                "main : [B] unit * [B] unit = (f, f);")
+        assert epp_agreement(program, [RoundRobin(), RandomPolicy(1)]).agree
+        assert epp_agreement(parse_program(P3), [RoundRobin()]).agree
+
     def test_schedule_confluence(self):
         for seed in (2, 7, 11):
             topo = load_preset("choreo")

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -297,10 +298,37 @@ class TestSinglePass:
         assert sum(checked.values()) == len(checked) == node_count(e)
         assert sum(projected.values()) == len(projected) == node_count(e)
 
+    def test_a_definition_is_visited_once_however_often_it_is_used(self, monkeypatch):
+        topo = load_preset("choreo")
+        program = parse_program(
+            "topology choreo; def f : [B] unit = send A.() to [B]; "
+            "main : [B] unit * ([B] unit * [B] unit) = (f, (f, f));")
+        projected = visits(monkeypatch, lambda: project_network(program, topo))
+        (_, _, body), = program.defs
+        assert sum(projected.values()) == len(projected)
+        assert len(projected) == node_count(body) + node_count(program.main_expr)
+        inlined = replace(program, defs=(), main_expr=inline_main(program)[0])
+        assert project_network(program, topo) == project_network(inlined, topo)
+
+    @pytest.mark.parametrize("definition", [
+        # an agent main does not mention, with a function on the wire
+        "def f : [C] (unit -> unit) = send A.((fun x -> x : unit -> unit)) to [C];",
+        # a payload of a nested modality, which is not projectable
+        "def f : [B] (unit * [C] unit) = send A.(((), C.())) to [B];",
+    ])
+    def test_an_unused_definition_changes_nothing(self, definition):
+        program = parse_program(f"topology choreo; {definition} {P4.split('; ', 1)[1]}")
+        assert not check_program(program)
+        got = project_network(program)
+        want = project_network(replace(program, defs=()))
+        assert ((got.processes, got.universe, got.lambda_wire)
+                == (want.processes, want.universe, want.lambda_wire))
+
 
 class TestCheckerGradeErrors:
-    """Projection walks with the checker's rules, so on a program whose
-    main is ill-typed it raises the error `check_program` reports first."""
+    """Projection walks with the checker's rules over the judgments
+    `check_program` checks, so on an ill-typed program it raises the error
+    `check_program` reports first, definitions included."""
 
     ILL_TYPED = (
         "main : unit = nope;",
@@ -331,24 +359,30 @@ class TestCheckerGradeErrors:
         # for, which refuses some of their communications.
         for seed in range(60):
             program = ProgramGen(seed, load_preset("choreo"), projectable=True).gen_program()
-            if not program.defs:
-                yield program, load_preset("siblings")
+            yield program, load_preset("siblings")
 
     def test_projection_raises_the_first_check_error(self):
-        rejected = 0
-        for program, topo in self.programs():
-            errors = check_program(program, topo)
-            if not errors:
-                continue
-            rejected += 1
-            first = errors[0]
-            for run in (lambda: project_network(program, topo),
-                        lambda: project(program, (), topo)):
-                with pytest.raises(TypeCheckError) as got:
-                    run()
-                assert ((got.value.rule, got.value.message, got.value.span)
-                        == (first.rule, first.message, first.span))
-        assert rejected > len(self.ILL_TYPED)
+        assert rejected_alike(self.programs()) > len(self.ILL_TYPED)
+
+    def test_a_definition_under_a_lock_is_rejected(self):
+        program = parse_program("topology choreo; def f : unit = (); main : [A] unit = A.(f);")
+        first, = check_program(program)
+        assert first.rule == "Axiom" and "past its binding" in first.message
+        assert rejected_alike([(program, load_preset("choreo"))]) == 1
+
+    def test_programs_with_mutated_definitions(self):
+        # Each generated program with definitions, and its mutants, under
+        # the preset it was made for and under a stricter one.
+        strict = load_preset("siblings")
+        programs = []
+        for preset in ("choreo", "doxastic", "siblings"):
+            topo = load_preset(preset)
+            for seed in range(40):
+                program = ProgramGen(seed, topo, projectable=seed % 2 == 0).gen_program()
+                if program.defs:
+                    for variant in [program, *def_mutants(program)]:
+                        programs += [(variant, topo), (variant, strict)]
+        assert rejected_alike(programs) > 200
 
     def test_canonical_rules_hold_only_for_normal_forms(self):
         # project_expr checks a pair or a located value against its type;
@@ -359,3 +393,37 @@ class TestCheckerGradeErrors:
                                       load_preset("choreo"))) == "(inl (), ())"
         with pytest.raises(TypeCheckError, match="injection; annotate it"):
             project_network(program)
+
+
+def rejected_alike(programs) -> int:
+    """How many of the (program, topology) pairs `check_program` rejects;
+    on each, projection must raise its first error."""
+    rejected = 0
+    for program, topo in programs:
+        errors = check_program(program, topo)
+        if not errors:
+            continue
+        rejected += 1
+        first = errors[0]
+        for run in (lambda: project_network(program, topo),
+                    lambda: project(program, (), topo)):
+            with pytest.raises(TypeCheckError) as got:
+                run()
+            assert ((got.value.rule, got.value.message, got.value.span)
+                    == (first.rule, first.message, first.span))
+    return rejected
+
+
+def def_mutants(program):
+    """Ill-typed variants of a program with definitions: an unbound name
+    in a body, a body of the wrong type, and a definition referenced under
+    a lock, in a later definition and in main."""
+    defs = list(program.defs)
+    for j, (name, ty, body) in enumerate(defs):
+        bodies = [S.Fst(S.Pair(body, S.Var("nope"))), S.Located("A", body)]
+        if j:
+            bodies.append(S.Fst(S.Pair(body, S.Located("A", S.Var(defs[j - 1][0])))))
+        for mutated in bodies:
+            yield replace(program, defs=(*defs[:j], (name, ty, mutated), *defs[j + 1:]))
+    under_lock = S.Located("A", S.Var(defs[-1][0]))
+    yield replace(program, main_expr=S.Fst(S.Pair(program.main_expr, under_lock)))
