@@ -7,11 +7,14 @@ a run is reproducible bit-for-bit from (network, policy, fuel).
 
 Each process evaluates call by value, left to right: its only action is
 the one at its leftmost position that holds no value.
-`_step_local` defines that: it walks the process from the root, and
-every position of a node that is not under a binder is an evaluation
-position, except a sequence's rest.  A receive on an empty queue at that
-position blocks the whole process on its one source, and nothing right
-of it runs; concurrency comes only from interleaving processes.  It is
+`_step_local` defines that: it searches the process from the root
+through its evaluation positions (`_HOLES`: every position of a node
+that is not under a binder, except a sequence's rest) and acts at the
+first node that is no value and whose positions all hold values, by
+`_contract`.  `_contract` is the one copy of the local redex rules, and
+`run` shares it.  A receive on an empty queue at that position blocks
+the whole process on its one source, and nothing right of it runs;
+concurrency comes only from interleaving processes.  `_step_local` is
 the reference semantics, the role `normalize.step` plays for the
 normalizer: `run` does not call it, and the tests replay runs through it.
 
@@ -200,10 +203,6 @@ def _wire_ok(v: LocalExpr) -> bool:
             return False
 
 
-class _Wait(Exception):
-    """A receive on an empty queue: it ends `_step_local`'s walk."""
-
-
 def _step_local(e: LocalExpr, addr: Path,
                 chans: dict[tuple[Path, Path], deque]):
     """One action of a single process.
@@ -211,120 +210,20 @@ def _step_local(e: LocalExpr, addr: Path,
     Returns ("act", e', action, peer, payload) after performing any
     channel side effect, ("blocked", src) if the leftmost position that
     holds no value is a receive from `src` on an empty queue, or None on
-    a local value.
+    a local value.  This restarts at the root every time, and acts by
+    `_contract` with no vacuous binders, so it always substitutes.
     """
-
-    def go(e: LocalExpr):
-        match e:
-            case Skip() | UnitVal() | Lam():
-                return None
-            case Var(name):
-                raise NetStuck(f"free variable {name!r} in process {path_str(addr)}")
-            case Seq(first, rest):
-                if is_local_value(first):
-                    return "act", rest, "LocalStep", None, None
-                r = go(first)
-                if r is None:
-                    raise NetStuck(f"stuck sequence head in {path_str(addr)}")
-                return "act", Seq(r[1], rest), r[2], r[3], r[4]
-            case SendTo(dest, payload):
-                if is_local_value(payload):
-                    if not _wire_ok(payload):
-                        raise NetStuck(
-                            f"non-positive value on the wire from {path_str(addr)}: "
-                            f"{local_str(payload)}")
-                    chans.setdefault((addr, dest), deque()).append(payload)
-                    return "act", payload, "Send", dest, local_str(payload)
-                r = go(payload)
-                if r:
-                    return "act", SendTo(dest, r[1]), r[2], r[3], r[4]
-            case RecvFrom(src):
-                queue = chans.get((src, addr))
-                if queue:
-                    value = queue.popleft()
-                    return "act", value, "Recv", src, local_str(value)
-                raise _Wait(src)
-            case App(fn, arg):
-                r = go(fn)
-                if r:
-                    return "act", App(r[1], arg), r[2], r[3], r[4]
-                r = go(arg)
-                if r:
-                    return "act", App(fn, r[1]), r[2], r[3], r[4]
-                if is_local_value(fn) and is_local_value(arg):
-                    if isinstance(fn, Lam):
-                        return ("act", substitute(fn.body, fn.var, arg),
-                                "LocalStep", None, None)
-                    if fn == SKIP:
-                        return "act", SKIP, "LocalStep", None, None
-                    raise NetStuck(f"applied non-function in {path_str(addr)}")
-            case Pair(left, right):
-                r = go(left)
-                if r:
-                    return "act", Pair(r[1], right), r[2], r[3], r[4]
-                r = go(right)
-                if r:
-                    return "act", Pair(left, r[1]), r[2], r[3], r[4]
-            case Fst(inner):
-                r = go(inner)
-                if r:
-                    return "act", Fst(r[1]), r[2], r[3], r[4]
-                if is_local_value(inner):
-                    if isinstance(inner, Pair):
-                        return "act", inner.left, "LocalStep", None, None
-                    if inner == SKIP:
-                        return "act", SKIP, "LocalStep", None, None
-                    raise NetStuck(f"fst of non-pair in {path_str(addr)}")
-            case Snd(inner):
-                r = go(inner)
-                if r:
-                    return "act", Snd(r[1]), r[2], r[3], r[4]
-                if is_local_value(inner):
-                    if isinstance(inner, Pair):
-                        return "act", inner.right, "LocalStep", None, None
-                    if inner == SKIP:
-                        return "act", SKIP, "LocalStep", None, None
-                    raise NetStuck(f"snd of non-pair in {path_str(addr)}")
-            case Inl(inner):
-                r = go(inner)
-                if r:
-                    return "act", Inl(r[1]), r[2], r[3], r[4]
-            case Inr(inner):
-                r = go(inner)
-                if r:
-                    return "act", Inr(r[1]), r[2], r[3], r[4]
-            case Absurd(inner):
-                r = go(inner)
-                if r:
-                    return "act", Absurd(r[1]), r[2], r[3], r[4]
-                if is_local_value(inner):
-                    if inner == SKIP:
-                        return "act", SKIP, "LocalStep", None, None
-                    raise NetStuck(f"absurd applied to a value in {path_str(addr)}")
-            case Case(scrutinee, lv, lb, rv, rb):
-                r = go(scrutinee)
-                if r:
-                    return "act", Case(r[1], lv, lb, rv, rb), r[2], r[3], r[4]
-                if is_local_value(scrutinee):
-                    if isinstance(scrutinee, Inl):
-                        return ("act", substitute(lb, lv, scrutinee.inner),
-                                "LocalStep", None, None)
-                    if isinstance(scrutinee, Inr):
-                        return ("act", substitute(rb, rv, scrutinee.inner),
-                                "LocalStep", None, None)
-                    if scrutinee == SKIP:
-                        # Branches were merged; run the left one with a hole.
-                        return ("act", substitute(lb, lv, SKIP),
-                                "LocalStep", None, None)
-                    raise NetStuck(f"case of non-sum value in {path_str(addr)}")
-        if is_local_value(e):
-            return None
-        raise TypeError(f"not a local expression: {e!r}")
-
-    try:
-        return go(e)
-    except _Wait as wait:
-        return "blocked", wait.args[0]
+    if is_local_value(e):
+        return None
+    for get, plug in _HOLES.get(type(e), ()):
+        r = _step_local(get(e), addr, chans)
+        if r:
+            return r if r[0] == "blocked" else ("act", plug(e, r[1]), *r[2:])
+    r = _contract(e, addr, chans, {})
+    if r is None:
+        return "blocked", e.src
+    reduct, action, peer, payload = r
+    return "act", reduct, action, peer, None if payload is None else local_str(payload)
 
 
 @dataclass
@@ -334,9 +233,9 @@ class RunResult:
     steps: int
 
 
-# The focused engine.  Its evaluation positions are those `_step_local`
-# walks: every subterm no binder scopes, except a sequence's rest, which
-# runs only once its head is a value.
+# The evaluation positions, for `_step_local` and the focused engine:
+# every subterm no binder scopes, except a sequence's rest, which runs
+# only once its head is a value.
 _HOLES: dict[type, tuple[Hole, ...]] = {
     cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms if binder is None)
     for cls in get_args(LocalExpr)
@@ -408,30 +307,28 @@ def _instantiate(body: LocalExpr, var: str, value: LocalExpr,
     return substitute(body, var, value)
 
 
-def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
-          vacuous: Vacuous) -> Optional[_State]:
-    """Act at the focus of `s`, whose positions all hold values and which
-    is no value.
+def _contract(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
+              vacuous: Vacuous) -> Optional[tuple]:
+    """Act on `e`, which is no value and whose positions all hold values.
 
-    Returns the state after the action, having performed any channel side
-    effect, or None for a receive on an empty channel.  Raises NetStuck
-    where `_step_local` does.
+    Returns (reduct, action, peer, payload) after performing any channel
+    side effect, or None for a receive on an empty channel.  Raises
+    NetStuck on a redex no rule takes.
     """
-    e = s.focus
     kind = type(e)
     if kind is RecvFrom:
         queue = chans.get((e.src, addr))
         if not queue:
             return None
         value = queue.popleft()
-        return _refocus(s.frames, value, "Recv", e.src, value)
+        return value, "Recv", e.src, value
     if kind is SendTo:
         payload = e.payload
         if not _wire_ok(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
         chans.setdefault((addr, e.dest), deque()).append(payload)
-        return _refocus(s.frames, payload, "Send", e.dest, payload)
+        return payload, "Send", e.dest, payload
     if kind is Seq:
         reduct = e.rest
     elif kind is App:
@@ -472,7 +369,15 @@ def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
         # No local form gets here: `e` is no value, and all its positions
         # hold values.
         raise TypeError(f"not a local expression: {e!r}")
-    return _refocus(s.frames, reduct, "LocalStep")
+    return reduct, "LocalStep", None, None
+
+
+def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
+          vacuous: Vacuous) -> Optional[_State]:
+    """Act at the focus of `s`: the state `_contract` reaches, or None
+    for a receive on an empty channel."""
+    r = _contract(s.focus, addr, chans, vacuous)
+    return None if r is None else _refocus(s.frames, *r)
 
 
 class _State:

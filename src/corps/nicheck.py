@@ -117,8 +117,7 @@ def _substituted(program: Program, name: str, value: Expr) -> Program:
                    main_expr=substitute(program.main_expr, name, value))
 
 
-def _validate(program: Program, cfg: NIConfig,
-              topology: Topology) -> tuple[Type, list[Expr]]:
+def _validate(program: Program, cfg: NIConfig, topology: Topology) -> Type:
     errors = check_program(program, topology)
     if errors:
         raise ValueError("program does not typecheck: "
@@ -132,7 +131,6 @@ def _validate(program: Program, cfg: NIConfig,
     if len(cfg.values) < 2:
         raise ValueError("need at least two input values to vary")
     checker = Checker(topology)
-    elaborated: list[Expr] = []
     for value in cfg.values:
         if not is_positive_value(value):
             raise ValueError(f"input value {expr_str(value)} is not a "
@@ -143,12 +141,22 @@ def _validate(program: Program, cfg: NIConfig,
         except TypeCheckError as err:
             raise ValueError(f"input value {expr_str(value)} does not have "
                              f"the declared type: {err}") from None
-        elaborated.append(rich)
-    return input_ty, elaborated
+    return input_ty
 
 
 def shared_schedules(cfg: NIConfig) -> list[SchedulerPolicy]:
     return [RoundRobin()] + [RandomPolicy(cfg.seed + i) for i in range(cfg.trials)]
+
+
+def _networks(program: Program, cfg: NIConfig,
+              topology: Topology) -> list[tuple[Expr, Network]]:
+    """Each input value with the network of the program it is substituted
+    into."""
+    input_ty = dict(program.inputs)[cfg.input_name]
+    return [(value, project_network(_substituted(program, cfg.input_name,
+                                                 elaborate_value(value, input_ty)),
+                                    topology))
+            for value in cfg.values]
 
 
 def compare_observations(program: Program, cfg: NIConfig,
@@ -159,12 +167,11 @@ def compare_observations(program: Program, cfg: NIConfig,
     This is the detection core, independent of the reachability gate, so
     its positive behavior can be exercised directly.
     """
-    input_ty = dict(program.inputs)[cfg.input_name]
-    networks: list[tuple[Expr, Network]] = []
-    for value in cfg.values:
-        rich = elaborate_value(value, input_ty)
-        networks.append((value, project_network(_substituted(program, cfg.input_name, rich),
-                                                topology)))
+    return _compare(_networks(program, cfg, topology), cfg, fuel)
+
+
+def _compare(networks: list[tuple[Expr, Network]], cfg: NIConfig,
+             fuel: int) -> tuple[Optional[Witness], int]:
     runs = 0
     for policy in shared_schedules(cfg):
         baseline: Optional[tuple[Expr, tuple]] = None
@@ -187,17 +194,14 @@ def ni_check(program: Program, cfg: NIConfig,
              topology: Optional[Topology] = None, fuel: int = 100_000) -> Verdict:
     if topology is None:
         topology = resolve_topology(program)
-    input_ty, elaborated = _validate(program, cfg, topology)
-    source, _ = split_stack(input_ty)
-    universe: set[Path] = set()
-    for rich in elaborated:
-        network = project_network(_substituted(program, cfg.input_name, rich),
-                                  topology)
-        universe |= set(network.universe)
-    universe.add(cfg.observer)
+    source, _ = split_stack(_validate(program, cfg, topology))
+    # Each value's network is projected once, for the flow universe and
+    # for the runs.
+    networks = _networks(program, cfg, topology)
+    universe = {cfg.observer}.union(*(network.universe for _, network in networks))
     if flow_reachable(topology, source, cfg.observer, universe):
         return Verdict("FlowPermitted", source, cfg.observer)
-    witness, runs = compare_observations(program, cfg, topology, fuel)
+    witness, runs = _compare(networks, cfg, fuel)
     if witness is None:
         return Verdict("Secure", source, cfg.observer, runs=runs)
     return Verdict("InterferenceFound", source, cfg.observer, runs=runs,

@@ -242,8 +242,6 @@ Expr = Union[
     Lam, App, Pair, Fst, Snd, Inl, Inr, Case, UnitVal, Absurd, Annot,
 ]
 
-UNIT_VAL = UnitVal()
-
 
 # Local processes, the target of endpoint projection: the intuitionistic
 # fragment of Expr plus four process forms.
@@ -550,8 +548,6 @@ class Lock:
 
 ContextEntry = Union[Binding, Lock]
 Context = tuple[ContextEntry, ...]
-
-EMPTY_CONTEXT: Context = ()
 
 
 def locks_of(ctx: Context) -> Path:

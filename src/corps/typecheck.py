@@ -291,16 +291,14 @@ def resolve_topology(program: Program, override: Optional[str] = None,
 
 
 def check_program(program: Program, topology: Optional[Topology] = None,
-                  checker: Optional[Checker] = None,
                   deriv: Optional[list[Derivation]] = None) -> list[TypeCheckError]:
     """Check every definition and main; returns all rejections found.
 
-    Given a `deriv` list, appends one derivation per definition and main
-    (with a `checker` given, its hook's result instead).
+    Given a `deriv` list, appends one derivation per definition and main.
     """
     if topology is None:
         topology = resolve_topology(program)
-    chk = checker if checker is not None else Checker(topology)
+    chk = Checker(topology)
     errors: list[TypeCheckError] = []
     for ctx, e, ty in judgments(program):
         try:

@@ -360,6 +360,25 @@ HAND_BUILT = {
         B: Seq(SendTo(A, U), RecvFrom(A))}, None),
 }
 
+# One network per local rule, with the values its run ends with.  `run` and
+# `_step_local` share the rules, so the replay oracle cannot see a wrong one.
+L, R = S.Inl(U), S.Inr(U)
+RULES = {
+    "send and receive": ({A: SendTo(B, L), B: RecvFrom(A)}, {A: L, B: L}),
+    "sequence": ({A: Seq(U, L)}, {A: L}),
+    "beta": ({A: S.App(S.Lam("x", S.Pair(S.Var("x"), R)), L)}, {A: S.Pair(L, R)}),
+    "skip applied": ({A: S.App(SKIP, U)}, {A: SKIP}),
+    "fst": ({A: S.Fst(S.Pair(L, R))}, {A: L}),
+    "snd": ({A: S.Snd(S.Pair(L, R))}, {A: R}),
+    "fst of skip": ({A: S.Fst(SKIP)}, {A: SKIP}),
+    "snd of skip": ({A: S.Snd(SKIP)}, {A: SKIP}),
+    "absurd of skip": ({A: S.Absurd(SKIP)}, {A: SKIP}),
+    "case inl": ({A: S.Case(L, "x", S.Pair(S.Var("x"), L), "y", R)}, {A: S.Pair(U, L)}),
+    "case inr": ({A: S.Case(R, "x", L, "y", S.Pair(S.Var("y"), R))}, {A: S.Pair(U, R)}),
+    "case of skip": ({A: S.Case(SKIP, "x", S.Pair(S.Var("x"), L), "y", R)},
+                     {A: S.Pair(SKIP, L)}),
+}
+
 
 def fresh(network: Network) -> Network:
     """The same processes in a network that has not run yet."""
@@ -424,6 +443,12 @@ class TestEngine:
             assert str(exc.value).startswith(ends[1])
         for policy in POLICIES:
             assert_replays(network, policy, fuel)
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_each_rule_gives_its_reduct(self, name):
+        processes, values = RULES[name]
+        for policy in POLICIES:
+            assert run(Network(processes, A, False), policy).values == values
 
     def test_deep_chain_runs_at_the_default_recursion_limit(self):
         n = 5_000
@@ -570,6 +595,34 @@ class TestWarmRuns:
         reports, verdict, (witness, _) = warm
         assert all(report.findings == [] for report in reports)
         assert verdict.kind == "Secure" and witness is not None
+
+
+def test_outcomes_are_schedule_independent():
+    # With one call-by-value order per process and each receive naming one
+    # source, a network is a Kahn process network (Kahn, 1974): every
+    # schedule gives the same values and steps, or the same error, waiting
+    # graph and residuals.  `_pick`'s replay of a receive rests on this,
+    # so each run here starts cold and replays nothing.
+    def ending(network: Network, policy):
+        network._start = None
+        try:
+            result = run(network, policy)
+        except DeadlockError as err:
+            return type(err), str(err), err.waiting, err.residuals
+        except (NetError, TypeError) as err:
+            return type(err), str(err)
+        return result.values, result.steps
+
+    networks = list(generated_networks()) + [
+        Network(processes, A, False) for processes, _ in HAND_BUILT.values()]
+    kinds = set()
+    for network in networks:
+        first = ending(network, POLICIES[0])
+        kinds.add(first[0] if isinstance(first[0], type) else None)
+        for policy in POLICIES[1:]:
+            assert ending(network, policy) == first, (network, policy)
+    assert len(networks) > 200
+    assert {None, DeadlockError, NetStuck, TypeError} <= kinds
 
 
 def test_a_first_run_holds_memory_linear_in_nodes_and_steps():

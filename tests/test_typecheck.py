@@ -8,7 +8,7 @@ from corps import syntax as S
 from corps.parser import parse_expr, parse_program, parse_type
 from corps.syntax import Binding, Lock, locks_of
 from corps.topology import load_preset, parse_topology
-from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
+from corps.typecheck import Checker, TypeCheckError, check_program, inline_main, judgments
 from genprog import ProgramGen
 
 GOLDEN = Path(__file__).parent / "golden_logic_suite.json"
@@ -216,15 +216,19 @@ class TestHook:
         assert not check_program(program, topo, deriv=derived)
         # A checker without a hook of its own builds derivations too.
         deriv = []
-        assert not check_program(program, topo, checker=Checker(topo), deriv=deriv)
+        checker = Checker(topo)
+        for ctx, e, ty in judgments(program):
+            checker.check(ctx, e, ty, deriv)
         assert [d.render() for d in deriv] == [d.render() for d in derived]
         # Another hook sees every node of the walk, children first, and
         # nothing is built when no list is given.
         rules = []
         hooked = Checker(topo, hook=lambda rule, *_: rules.append(rule))
-        assert not check_program(program, topo, checker=hooked)
+        for ctx, e, ty in judgments(program):
+            hooked.check(ctx, e, ty)
         assert rules == []
-        assert not check_program(program, topo, checker=hooked, deriv=[])
+        for ctx, e, ty in judgments(program):
+            hooked.check(ctx, e, ty, [])
 
         def walk(d):
             for kid in d.children:
