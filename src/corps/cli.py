@@ -49,6 +49,11 @@ def _topology(program, args):
                             base_dir=os.path.dirname(os.path.abspath(args.file)))
 
 
+def _topology_flag(args) -> str:
+    """The `--topology` option for a replay line: the one given, if any."""
+    return "" if args.topology is None else f" --topology {args.topology}"
+
+
 def _checked(program, topology, deriv=None):
     errors = check_program(program, topology, deriv=deriv)
     for err in errors:
@@ -145,6 +150,8 @@ def cmd_project(args) -> int:
 def cmd_simulate(args) -> int:
     if args.runs <= 0:
         raise _Usage("--runs must be positive")
+    if args.fuel <= 0:
+        raise _Usage("--fuel must be positive")
     program = _load(args.file)
     topology = _topology(program, args)
     if _checked(program, topology):
@@ -167,7 +174,7 @@ def cmd_simulate(args) -> int:
     except netsim.DeadlockError as err:
         print(err, file=sys.stderr)
         print(f"replay: corps simulate {args.file} --schedule {args.schedule} "
-              f"--seed {args.seed}", file=sys.stderr)
+              f"--seed {args.seed}{_topology_flag(args)}", file=sys.stderr)
         return FINDING
     except FuelExhausted as err:
         print(f"fuel exhausted after {err.steps} steps of normalizing the choreography",
@@ -181,8 +188,10 @@ def cmd_simulate(args) -> int:
             # The first line says what produced the run, so the file alone
             # replays it.
             seed = args.seed if args.schedule == "random" else None
-            handle.write(json.dumps({"policy": args.schedule, "seed": seed,
-                                     "fuel": args.fuel}) + "\n")
+            header = {"policy": args.schedule, "seed": seed, "fuel": args.fuel}
+            if args.topology is not None:
+                header["topology"] = args.topology
+            handle.write(json.dumps(header) + "\n")
             for event in first.trace:
                 handle.write(json.dumps(event.to_json_dict()) + "\n")
     for address in sorted(first.values):
@@ -201,7 +210,7 @@ def cmd_simulate(args) -> int:
                       f"--seed {label.split(':')[-1]}")
         else:
             replay = f"corps simulate {args.file} --schedule rr"
-        print(f"  replay: {replay}", file=sys.stderr)
+        print(f"  replay: {replay}{_topology_flag(args)}", file=sys.stderr)
     return FINDING
 
 
@@ -223,7 +232,8 @@ def cmd_ni(args) -> int:
         print(f"replay: corps ni {args.file} --input {args.input} "
               f"--observe {args.observe} "
               f"--values '{expr_str(witness.value_a)},{expr_str(witness.value_b)}' "
-              f"--trials {args.trials} --seed {args.seed}", file=sys.stderr)
+              f"--trials {args.trials} --seed {args.seed}{_topology_flag(args)}",
+              file=sys.stderr)
         return FINDING
     return OK
 

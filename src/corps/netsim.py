@@ -48,19 +48,20 @@ the same in every run.  A pick whose focus waits stores nothing, since
 testing the one channel it waits on is all a replay would do; a step
 that raises reaches no state.  Both are computed every time.
 
-The start of the graph also holds the network's vacuous binders: the
-bodies of `Lam`s and `Case` branches in which the bound variable does
-not occur free.  A beta or case step into such a body returns the body
-itself, the object `substitute` would return; any other step calls
-`substitute`.  A run records its trace as raw events that hold payload
-values.  `RunResult.trace` and `DeadlockError.trace` build the
-`TraceEvent`s, payloads printed by `local_str` (the printer's
-`expr_str`), when first read.
-`_step_local` stays the reference for all of it.
+A run records its trace as raw events that hold payload values.
+`RunResult.trace` and `DeadlockError.trace` build the `TraceEvent`s,
+payloads printed by `local_str` (the printer's `expr_str`), when first
+read.  `_step_local` stays the reference for all of it.
 
 A run terminates when every process is a local value (or skip) and all
 queues are empty.  If the ready list empties while some process waits,
 the run is reported as a deadlock together with the waiting graph.
+
+Being a Kahn network, a network's values, steps, deadlock or error type
+are the same under every schedule.  One thing is not: when two or more
+processes get stuck, the run stops at the first `NetStuck` the schedule
+meets, so the error text names that process.  A network projected from
+a well-typed program never gets stuck (progress).
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _step_local(e: LocalExpr, addr: Path,
     channel side effect, ("blocked", src) if the leftmost position that
     holds no value is a receive from `src` on an empty queue, or None on
     a local value.  This restarts at the root every time, and acts by
-    `_contract` with no vacuous binders, so it always substitutes.
+    `_contract`.
     """
     if is_local_value(e):
         return None
@@ -219,7 +220,7 @@ def _step_local(e: LocalExpr, addr: Path,
         r = _step_local(get(e), addr, chans)
         if r:
             return r if r[0] == "blocked" else ("act", plug(e, r[1]), *r[2:])
-    r = _contract(e, addr, chans, {})
+    r = _contract(e, addr, chans)
     if r is None:
         return "blocked", e.src
     reduct, action, peer, payload = r
@@ -246,69 +247,8 @@ _LEAF_VALUES = frozenset((UnitVal, Lam, Skip))
 _CONSTRUCTORS = frozenset((Pair, Inl, Inr))  # values once all their positions are
 _VALUE_FORMS = _LEAF_VALUES | _CONSTRUCTORS
 
-# (id of a body, the variable bound over it) -> that body, for each body of
-# a Lam or Case branch in the network in which its variable does not occur
-# free.  A Case rebuilt around its scrutinee's value keeps its bodies.
-Vacuous = dict[tuple[int, str], LocalExpr]
-
-
-# Per node class: (subterm field, field of the binder over it or None).
-_SCOPES = {cls: tuple((shape.fields[i], None if b is None else shape.fields[b])
-                      for i, b in shape.subterms)
-           for cls, shape in SCHEMA.items()}
-
-
-def _vacuous_binders(terms) -> Vacuous:
-    """The bodies among `terms` whose bound variable does not occur free.
-
-    Each entry keeps its body, so its id names no other node while the
-    table lives.
-    """
-    out: Vacuous = {}
-    free: dict[int, frozenset[str]] = {}  # id -> free variables, per inner node done
-    none: frozenset[str] = frozenset()
-    # Nodes to enter, and (node,) once its subterms are done.  Leaves are
-    # never entered: a subterm with no entry in `free` is a leaf.
-    todo: list = [e for e in terms if _SCOPES.get(type(e))]
-    while todo:
-        e = todo.pop()
-        if type(e) is tuple:
-            e = e[0]
-            fv = none
-            for field, binder in _SCOPES[type(e)]:
-                body = getattr(e, field)
-                inner = free.get(id(body))
-                if inner is None:
-                    inner = frozenset((body.name,)) if type(body) is Var else none
-                if binder is not None:
-                    var = getattr(e, binder)
-                    if var in inner:
-                        inner = inner - {var}
-                    else:
-                        out[(id(body), var)] = body
-                if inner:
-                    fv = fv | inner
-            free[id(e)] = fv
-        elif id(e) not in free:
-            todo.append((e,))
-            for field, _ in _SCOPES[type(e)]:
-                sub = getattr(e, field)
-                if _SCOPES.get(type(sub)):
-                    todo.append(sub)
-    return out
-
-
-def _instantiate(body: LocalExpr, var: str, value: LocalExpr,
-                 vacuous: Vacuous) -> LocalExpr:
-    """`body` with `value` for `var`.  Where `vacuous` says `var` does not
-    occur, that is `body` itself, as `substitute` would return it."""
-    if vacuous.get((id(body), var)) is body:
-        return body
-    return substitute(body, var, value)
-
-
-def _contract(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
-              vacuous: Vacuous) -> Optional[tuple]:
+def _contract(e: LocalExpr, addr: Path,
+              chans: dict[tuple[Path, Path], deque]) -> Optional[tuple]:
     """Act on `e`, which is no value and whose positions all hold values.
 
     Returns (reduct, action, peer, payload) after performing any channel
@@ -334,7 +274,7 @@ def _contract(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
     elif kind is App:
         fn = e.fn
         if isinstance(fn, Lam):
-            reduct = _instantiate(fn.body, fn.var, e.arg, vacuous)
+            reduct = substitute(fn.body, fn.var, e.arg)
         elif fn == SKIP:
             reduct = SKIP
         else:
@@ -355,12 +295,12 @@ def _contract(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
     elif kind is Case:
         scrutinee = e.scrutinee
         if isinstance(scrutinee, Inl):
-            reduct = _instantiate(e.left_body, e.left_var, scrutinee.inner, vacuous)
+            reduct = substitute(e.left_body, e.left_var, scrutinee.inner)
         elif isinstance(scrutinee, Inr):
-            reduct = _instantiate(e.right_body, e.right_var, scrutinee.inner, vacuous)
+            reduct = substitute(e.right_body, e.right_var, scrutinee.inner)
         elif scrutinee == SKIP:
             # Branches were merged; run the left one with a hole.
-            reduct = _instantiate(e.left_body, e.left_var, SKIP, vacuous)
+            reduct = substitute(e.left_body, e.left_var, SKIP)
         else:
             raise NetStuck(f"case of non-sum value in {path_str(addr)}")
     elif kind is Var:
@@ -372,11 +312,11 @@ def _contract(e: LocalExpr, addr: Path, chans: dict[tuple[Path, Path], deque],
     return reduct, "LocalStep", None, None
 
 
-def _fire(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
-          vacuous: Vacuous) -> Optional[_State]:
+def _fire(s: _State, addr: Path,
+          chans: dict[tuple[Path, Path], deque]) -> Optional[_State]:
     """Act at the focus of `s`: the state `_contract` reaches, or None
     for a receive on an empty channel."""
-    r = _contract(s.focus, addr, chans, vacuous)
+    r = _contract(s.focus, addr, chans)
     return None if r is None else _refocus(s.frames, *r)
 
 
@@ -457,8 +397,8 @@ def _refocus(frames: Optional[tuple], e: LocalExpr, action: Optional[str] = None
     return s
 
 
-def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
-          vacuous: Vacuous) -> Optional[_State]:
+def _pick(s: _State, addr: Path,
+          chans: dict[tuple[Path, Path], deque]) -> Optional[_State]:
     """Take the action at the focus of the process in state `s`, as
     `_step_local` would, and return the state it reaches, or None if the
     focus is a receive on an empty queue.
@@ -469,7 +409,7 @@ def _pick(s: _State, addr: Path, chans: dict[tuple[Path, Path], deque],
     """
     t = s.next
     if t is None:
-        s.next = t = _fire(s, addr, chans, vacuous)
+        s.next = t = _fire(s, addr, chans)
         return t
     action = t.action
     if action == "Send":
@@ -491,10 +431,9 @@ class _Start:
     there the runs share every state they reach (see `_pick`).  `ready`
     indexes those that are no value, and `events` holds a Done event for
     each of the others.  `slots` pairs each address, in the network's
-    order, with its index.  `vacuous` holds the network's vacuous binders.
+    order, with its index.
     """
-    __slots__ = ("processes", "order", "index", "slots", "states", "ready",
-                 "events", "vacuous")
+    __slots__ = ("processes", "order", "index", "slots", "states", "ready", "events")
 
     def __init__(self, processes: dict[Path, LocalExpr]):
         self.processes = tuple(processes.items())
@@ -507,7 +446,6 @@ class _Start:
         for addr, s in zip(self.order, self.states):
             if s.done():
                 self.events += (0, addr, "Done", None, None)
-        self.vacuous = _vacuous_binders(processes.values())
 
     def fits(self, processes: dict[Path, LocalExpr]) -> bool:
         """Whether the start was built from these processes."""
@@ -526,7 +464,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     start = _start_of(network)
-    order, index, vacuous = start.order, start.index, start.vacuous
+    order, index = start.order, start.index
     states = start.states.copy()  # each process's state, in address order
     chans: dict[tuple[Path, Path], deque] = {}
     trace = _Events(start.events)
@@ -544,7 +482,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             k = rng.randrange(len(ready))
         n = ready[k]
         addr, s = order[n], states[n]
-        t = _pick(s, addr, chans, vacuous)
+        t = _pick(s, addr, chans)
         if t is None:
             del ready[k]
             src = waiting[n] = s.focus.src

@@ -5,7 +5,9 @@ input to an observer address, varying the input's value must not change
 anything the observer can see.  The observation is the observer's final
 residual value together with the sends and receives it participates in,
 in order, with payloads; schedules are shared across input values so
-runs are comparable.
+runs are comparable.  A projected network is a Kahn network (see
+`netsim`), so every schedule gives the observation round-robin gives:
+the `trials` random schedules re-confirm it rather than explore.
 
 A reachable pair yields the verdict FlowPermitted and no claim is made.
 An InterferenceFound verdict always carries a replayable witness: two

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corps.cli import main
 from corps.printer import pretty_print
@@ -288,6 +289,55 @@ class TestSimulate:
         assert "deadlock" in err and "waits on" in err
         assert "replay:" in err
 
+    @pytest.mark.parametrize("flags, tail", [([], ""), (["--topology", "choreo"],
+                                                         " --topology choreo")])
+    def test_deadlock_replay_keeps_the_topology(self, p4, capsys, monkeypatch,
+                                                flags, tail):
+        from corps import cli
+
+        monkeypatch.setattr(cli.netsim, "epp_agreement",
+                            lambda *a, **k: (_ for _ in ()).throw(
+                                cli.netsim.DeadlockError({("A",): (("B",),)}, [], {})))
+        assert main(["simulate", p4, "--schedule", "random", "--seed", "4"] + flags) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "deadlock: [A] waits on [B]",
+            f"replay: corps simulate {p4} --schedule random --seed 4{tail}"]
+
+    @pytest.mark.parametrize("flags, tail", [([], ""), (["--topology", "choreo"],
+                                                         " --topology choreo")])
+    def test_disagree_replay_keeps_the_topology(self, p4, capsys, monkeypatch,
+                                                flags, tail):
+        # Every well-typed P4 run agrees, so report each outcome as a
+        # disagreement.
+        from dataclasses import replace
+
+        from corps import cli
+
+        agreement = cli.netsim.epp_agreement
+        monkeypatch.setattr(cli.netsim, "epp_agreement", lambda *a, **k: replace(
+            report := agreement(*a, **k), agree=False,
+            outcomes=[(label, "disagree: got skip") for label, _ in report.outcomes]))
+        assert main(["simulate", p4, "--schedule", "random", "--seed", "2",
+                     "--runs", "2"] + flags) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "DISAGREE",
+            "  random:2: disagree: got skip",
+            f"  replay: corps simulate {p4} --schedule random --seed 2{tail}",
+            "  random:3: disagree: got skip",
+            f"  replay: corps simulate {p4} --schedule random --seed 3{tail}"]
+
+    def test_trace_header_keeps_the_topology(self, p4, tmp_path):
+        first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+        assert main(["simulate", p4, "--topology", "siblings",
+                     "--trace", str(first)]) == 0
+        header = json.loads(first.read_text().splitlines()[0])
+        assert header == {"policy": "rr", "seed": None, "fuel": 100_000,
+                          "topology": "siblings"}
+        assert main(["simulate", p4, "--schedule", header["policy"],
+                     "--fuel", str(header["fuel"]), "--topology", header["topology"],
+                     "--trace", str(again)]) == 0
+        assert again.read_text() == first.read_text()
+
     def test_normalize_fuel_exhausted_exit_3(self, tmp_path, capsys):
         # Normalizing the two sends takes more than one step, before any
         # network runs.
@@ -339,6 +389,26 @@ class TestNi:
                      "--input", "b", "--observe", "[A]",
                      "--values", "B.(inl ()),B.(inr ())"]) == 0
         assert "FlowPermitted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, tail", [([], ""), (["--topology", "doxastic"],
+                                                         " --topology doxastic")])
+    def test_interference_replay_keeps_the_topology(self, tmp_path, capsys,
+                                                    monkeypatch, flags, tail):
+        # No well-typed program interferes, so stand a finding in for the check.
+        from corps import cli
+        from corps.syntax import UnitVal
+
+        path = tmp_path / "sealed.corps"
+        path.write_text(SEALED)
+        witness = cli.nicheck.Witness(UnitVal(), UnitVal(),
+                                      cli.netsim.RoundRobin(), (), ())
+        monkeypatch.setattr(cli.nicheck, "ni_check", lambda *a, **k: cli.nicheck.Verdict(
+            "InterferenceFound", ("B",), ("A",), 2, witness))
+        assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
+                     "--values", "B.(inl ()),B.(inr ())", "--trials", "3"] + flags) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"replay: corps ni {path} --input b --observe [A] --values '(),()' "
+            f"--trials 3 --seed 0{tail}"]
 
     def test_bad_values_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sealed.corps"
@@ -397,3 +467,73 @@ def test_exit_codes_on_mutated_programs(tmp_path, capsys):
                 codes.add(code)
             capsys.readouterr()
     assert codes == set(range(5))
+
+
+# Arbitrary text, or a program that gets past the parser, under arbitrary
+# flags: zero and negative counts, malformed addresses, missing and
+# malformed topology files, and now and then a flag the subcommand does not
+# take.  Numbers stay small, so every run is short.
+NUMBERS = st.one_of(st.integers(-3, 0), st.integers(1, 50)).map(str)
+ADDRESSES = st.one_of(st.sampled_from(("[A]", "[B]", "[A.B]", "[]", "[", "A", "[A.",
+                                       "[a]", "[A B]", "")),
+                      st.text(max_size=6))
+FLAG_VALUES = {
+    "--fuel": NUMBERS, "--runs": NUMBERS, "--trials": NUMBERS, "--seed": NUMBERS,
+    "--schedule": st.sampled_from(("rr", "random", "fifo")),
+    "--mode": st.sampled_from(("comm-free", "positive", "eager")),
+    "--agent": ADDRESSES, "--observe": ADDRESSES,
+    "--input": st.sampled_from(("b", "x", "nothing")),
+    "--values": st.sampled_from(("B.(inl ()),B.(inr ())", "inl (),inr ()", "()",
+                                 "(,", "")),
+    # File names are made paths in the test's directory.
+    "--topology": st.sampled_from(("choreo", "siblings", "doxastic", "missing.topo",
+                                   "bad.topo", "ab.topo")),
+    "--trace": st.sampled_from(("trace.jsonl", ".")),
+    "--all": st.none(), "--derivation": st.none(),
+}
+TAKES = {
+    "check": ("--topology", "--derivation"),
+    "normalize": ("--topology", "--mode", "--fuel", "--trace"),
+    "project": ("--topology", "--agent", "--all"),
+    "simulate": ("--topology", "--schedule", "--seed", "--runs", "--fuel", "--trace"),
+    "ni": ("--topology", "--input", "--observe", "--values", "--trials", "--seed",
+           "--fuel"),
+}
+REQUIRED = {"ni": ["--input", "--observe", "--values"]}
+CLI_TEXTS = st.one_of(st.sampled_from((P4, T_AXIOM, SEALED, ESCAPING_DEF)),
+                      st.text(st.characters(blacklist_categories=("Cs",)), max_size=80))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(tuple(TAKES)))
+    names = REQUIRED.get(command, []) + draw(
+        st.lists(st.sampled_from(TAKES[command]), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(tuple(FLAG_VALUES))))
+    flags = []
+    for name in names:
+        value = draw(FLAG_VALUES[name])
+        flags += [name] if value is None else [name, value]
+    return command, flags
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    (root / "ab.topo").write_text("cansend: A => B\n")
+    (root / "bad.topo").write_text("cansend A B\n")
+    return root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(CLI_TEXTS, invocations())
+@example(P4, ("simulate", ["--fuel", "0"]))  # once a ValueError traceback
+def test_any_text_under_any_flags_ends_with_an_exit_code(cli_dir, text, invocation):
+    command, flags = invocation
+    path = cli_dir / "any.corps"
+    path.write_text(text, encoding="utf-8")
+    flags = [str(cli_dir / flag) if flag.endswith((".topo", ".jsonl")) or flag == "."
+             else flag for flag in flags]
+    code = main([command, str(path)] + flags)
+    assert type(code) is int and code in range(5), (command, text, flags)

@@ -3,7 +3,7 @@ import random
 import sys
 from typing import get_args
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corps import syntax as S
 from corps.syntax import (
@@ -29,10 +29,12 @@ paths = st.lists(st.sampled_from(AGENTS), max_size=6).map(tuple)
 
 
 class TestPathMonoid:
+    @settings(derandomize=True, deadline=None)
     @given(paths, paths, paths)
     def test_associativity(self, g1, g2, g3):
         assert path_concat(path_concat(g1, g2), g3) == path_concat(g1, path_concat(g2, g3))
 
+    @settings(derandomize=True, deadline=None)
     @given(paths)
     def test_identity(self, g):
         assert path_concat((), g) == g
