@@ -314,9 +314,13 @@ class TestSimulate:
         from corps import cli
 
         agreement = cli.netsim.epp_agreement
-        monkeypatch.setattr(cli.netsim, "epp_agreement", lambda *a, **k: replace(
-            report := agreement(*a, **k), agree=False,
-            outcomes=[(label, "disagree: got skip") for label, _ in report.outcomes]))
+
+        def disagreeing(*args, **kwargs):
+            report = agreement(*args, **kwargs)
+            return replace(report, agree=False, outcomes=[
+                (label, "disagree: got skip") for label, _ in report.outcomes])
+
+        monkeypatch.setattr(cli.netsim, "epp_agreement", disagreeing)
         assert main(["simulate", p4, "--schedule", "random", "--seed", "2",
                      "--runs", "2"] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [

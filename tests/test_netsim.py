@@ -580,7 +580,8 @@ def test_outcomes_are_schedule_independent():
     # graph and residuals.  `_pick`'s replay of a receive rests on this,
     # so each run here starts cold and replays nothing.  The one exception
     # is the error text when two or more processes get stuck: it names the
-    # first one the schedule meets, so no network here has two.
+    # first one the schedule meets, so this holds only for networks with
+    # at most one stuck process.
     def ending(network: Network, policy):
         network._start = None
         try:
