@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 
 from . import netsim, nicheck
@@ -51,7 +52,7 @@ def _topology(program, args):
 
 def _topology_flag(args) -> str:
     """The `--topology` option for a replay line: the one given, if any."""
-    return "" if args.topology is None else f" --topology {args.topology}"
+    return "" if args.topology is None else f" --topology {shlex.quote(args.topology)}"
 
 
 def _checked(program, topology, deriv=None):
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> int:
         raise _Usage(str(err))
     except netsim.DeadlockError as err:
         print(err, file=sys.stderr)
-        print(f"replay: corps simulate {args.file} --schedule {args.schedule} "
+        print(f"replay: corps simulate {shlex.quote(args.file)} --schedule {args.schedule} "
               f"--seed {args.seed}{_topology_flag(args)}", file=sys.stderr)
         return FINDING
     except FuelExhausted as err:
@@ -206,10 +207,10 @@ def cmd_simulate(args) -> int:
             continue
         print(f"  {label}: {outcome}", file=sys.stderr)
         if label.startswith("random"):
-            replay = (f"corps simulate {args.file} --schedule random "
+            replay = (f"corps simulate {shlex.quote(args.file)} --schedule random "
                       f"--seed {label.split(':')[-1]}")
         else:
-            replay = f"corps simulate {args.file} --schedule rr"
+            replay = f"corps simulate {shlex.quote(args.file)} --schedule rr"
         print(f"  replay: {replay}{_topology_flag(args)}", file=sys.stderr)
     return FINDING
 
@@ -229,7 +230,7 @@ def cmd_ni(args) -> int:
     print(verdict)
     if verdict.kind == "InterferenceFound":
         witness = verdict.witness
-        print(f"replay: corps ni {args.file} --input {args.input} "
+        print(f"replay: corps ni {shlex.quote(args.file)} --input {args.input} "
               f"--observe {args.observe} "
               f"--values '{expr_str(witness.value_a)},{expr_str(witness.value_b)}' "
               f"--trials {args.trials} --seed {args.seed}{_topology_flag(args)}",

@@ -470,16 +470,23 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
     trace = _Events(start.events)
     ready = start.ready.copy()  # indexes into order, ascending
     waiting: dict[int, Path] = {}  # parked index -> the source it waits on
-    rng = random.Random(policy.seed) if isinstance(policy, RandomPolicy) else None
+    # The random policy's draw is `randrange(len(ready))`, inlined: the same
+    # bits from the same generator, so every seed keeps its interleaving.
+    getrandbits = (random.Random(policy.seed).getrandbits
+                   if isinstance(policy, RandomPolicy) else None)
     turn = 0  # round robin: the index to try first
     steps = 0
     while ready:
-        if rng is None:
+        if getrandbits is None:
             k = bisect_left(ready, turn)
             if k == len(ready):
                 k = 0
         else:
-            k = rng.randrange(len(ready))
+            size = len(ready)
+            width = size.bit_length()
+            k = getrandbits(width)
+            while k >= size:
+                k = getrandbits(width)
         n = ready[k]
         addr, s = order[n], states[n]
         t = _pick(s, addr, chans)

@@ -5,6 +5,10 @@ precedence levels: 0 sequence (local processes only), 1 keyword forms,
 2 application, 3 unary operators, 4 atoms.  A subexpression is
 parenthesized whenever its own level is below the level its position
 requires.
+
+`expr_str` must stay one Python frame per nesting level: `test_nesting`
+prints operator chains about twice `MAX_NESTING` deep at the default
+recursion limit.
 """
 
 from __future__ import annotations
@@ -47,19 +51,17 @@ def type_str(ty: Type, prec: int = 0) -> str:
 
 
 def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
-    def wrap(s: str, level: int) -> str:
-        return f"({s})" if level < prec else s
-
-    # The forms most frequent in networks first: they are most of what is printed.
+    # The forms most frequent in networks first: they are most of what is
+    # printed.  A form that can need parentheses sets its text and level.
     match e:
         case Skip():
             return "skip"
         case Pair(left, right):
             return f"({expr_str(left)}, {expr_str(right)})"
         case Seq(first, rest):
-            return wrap(f"{expr_str(first, _KEYWORD)} ; {expr_str(rest)}", _SEQ)
+            s, level = f"{expr_str(first, _KEYWORD)} ; {expr_str(rest)}", _SEQ
         case SendTo(dest, payload):
-            return wrap(f"send_to {path_str(dest)} {expr_str(payload, _APP)}", _KEYWORD)
+            s, level = f"send_to {path_str(dest)} {expr_str(payload, _APP)}", _KEYWORD
         case RecvFrom(src):
             return f"recv_from {path_str(src)}"
         case Var(name):
@@ -71,34 +73,36 @@ def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
         case Located(agent, body):
             return f"{agent}.{expr_str(body, _ATOM)}"
         case Lam(var, body):
-            return wrap(f"fun {var} -> {expr_str(body, _KEYWORD)}", _KEYWORD)
+            s, level = f"fun {var} -> {expr_str(body, _KEYWORD)}", _KEYWORD
         case ModalLet(g1, g2, var, bound, body):
             s = (f"let {path_str(g1)} {path_str(g2)} {var} = "
                  f"{expr_str(bound, _KEYWORD)} in {expr_str(body, _KEYWORD)}")
-            return wrap(s, _KEYWORD)
+            level = _KEYWORD
         case Case(scrutinee, lv, lb, rv, rb):
             s = (f"case {expr_str(scrutinee, _KEYWORD)} of inl {lv} -> "
                  f"{expr_str(lb, _KEYWORD)} | inr {rv} -> {expr_str(rb, _KEYWORD)}")
-            return wrap(s, _KEYWORD)
+            level = _KEYWORD
         case Send(payload, dest):
-            return wrap(f"send {expr_str(payload, _APP)} to {path_str(dest)}", _KEYWORD)
+            s, level = f"send {expr_str(payload, _APP)} to {path_str(dest)}", _KEYWORD
         case Up(path, body):
-            return wrap(f"up {path_str(path)} {expr_str(body, _APP)}", _KEYWORD)
+            s, level = f"up {path_str(path)} {expr_str(body, _APP)}", _KEYWORD
         case Down(path, body):
-            return wrap(f"down {path_str(path)} {expr_str(body, _APP)}", _KEYWORD)
+            s, level = f"down {path_str(path)} {expr_str(body, _APP)}", _KEYWORD
         case App(fn, arg):
-            return wrap(f"{expr_str(fn, _APP)} {expr_str(arg, _UNARY)}", _APP)
+            s, level = f"{expr_str(fn, _APP)} {expr_str(arg, _UNARY)}", _APP
         case Inl(inner):
-            return wrap(f"inl {expr_str(inner, _UNARY)}", _UNARY)
+            s, level = f"inl {expr_str(inner, _UNARY)}", _UNARY
         case Inr(inner):
-            return wrap(f"inr {expr_str(inner, _UNARY)}", _UNARY)
+            s, level = f"inr {expr_str(inner, _UNARY)}", _UNARY
         case Fst(inner):
-            return wrap(f"fst {expr_str(inner, _UNARY)}", _UNARY)
+            s, level = f"fst {expr_str(inner, _UNARY)}", _UNARY
         case Snd(inner):
-            return wrap(f"snd {expr_str(inner, _UNARY)}", _UNARY)
+            s, level = f"snd {expr_str(inner, _UNARY)}", _UNARY
         case Absurd(inner):
-            return wrap(f"absurd {expr_str(inner, _UNARY)}", _UNARY)
-    raise TypeError(f"not an expression: {e!r}")
+            s, level = f"absurd {expr_str(inner, _UNARY)}", _UNARY
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    return f"({s})" if level < prec else s
 
 
 def pretty_print(program) -> str:

@@ -66,7 +66,7 @@ from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
     SKIP, App, Arrow, Believes, Case, Expr, Lam, LocalExpr, Pair, Path,
-    Product, RecvFrom, SendTo, Seq, Sum, Type, UnitVal, Var, ctx_lock,
+    Product, RecvFrom, SendTo, Seq, Skip, Sum, Type, UnitVal, Var, ctx_lock,
     expr_equal, path_concat, split_stack, substitute,
 )
 from .topology import Topology
@@ -95,27 +95,28 @@ def merge(l1: LocalExpr, l2: LocalExpr) -> LocalExpr:
 
 
 # ---------------------------------------------------------------------------
-# Smart constructors: a node whose parts are all skip carries nothing.
+# Smart constructors: a node whose parts are all skip carries nothing.  Skip
+# has no fields, so `type(x) is Skip` is exactly `x == SKIP`.
 
 def _mk_lam(var: str, body: LocalExpr) -> LocalExpr:
-    return SKIP if body == SKIP else Lam(var, body)
+    return SKIP if type(body) is Skip else Lam(var, body)
 
 
 def _mk_app(fn: LocalExpr, arg: LocalExpr) -> LocalExpr:
-    return SKIP if fn == SKIP and arg == SKIP else App(fn, arg)
+    return SKIP if type(fn) is Skip and type(arg) is Skip else App(fn, arg)
 
 
 def _mk_pair(left: LocalExpr, right: LocalExpr) -> LocalExpr:
-    return SKIP if left == SKIP and right == SKIP else Pair(left, right)
+    return SKIP if type(left) is Skip and type(right) is Skip else Pair(left, right)
 
 
 def _mk_seq(first: LocalExpr, rest: LocalExpr) -> LocalExpr:
-    return rest if first == SKIP else Seq(first, rest)
+    return rest if type(first) is Skip else Seq(first, rest)
 
 
 def _mk_case(scrutinee: LocalExpr, lv: str, lb: LocalExpr,
              rv: str, rb: LocalExpr) -> LocalExpr:
-    if scrutinee == SKIP and lb == SKIP and rb == SKIP:
+    if type(scrutinee) is Skip and type(lb) is Skip and type(rb) is Skip:
         return SKIP
     return Case(scrutinee, lv, lb, rv, rb)
 
@@ -188,8 +189,37 @@ class _Projection:
 
     def _node(self, rule, *specs: Sparse, special=_NOWHERE) -> Sparse:
         """Apply `rule` to the children's processes, address by address;
-        an address that `special` maps to a rule of its own applies that."""
-        generic = _apply(rule, [generic for generic, _ in specs])
+        an address that `special` maps to a rule of its own applies that.
+
+        One child, and two without `special`, the most frequent nodes,
+        read each child's process at an address once and keep the first
+        error in walk order themselves, as `_apply` does.
+        """
+        generic = _apply(rule, [default for default, _ in specs])
+        if len(specs) == 1:
+            (d0, at0), = specs
+            if not at0 and not special:
+                return generic, _NOWHERE
+            at = {g: p if isinstance(p, ProjectionError) else rule(p)
+                  for g, p in at0.items() if g not in special}
+            for g, own in special.items():
+                p = at0.get(g, d0)
+                at[g] = p if isinstance(p, ProjectionError) else own(p)
+            return generic, at
+        if len(specs) == 2 and not special:
+            (d0, at0), (d1, at1) = specs
+            if not at0 and not at1:
+                return generic, _NOWHERE
+            at = {}
+            for g in at0.keys() | at1.keys():
+                p0, p1 = at0.get(g, d0), at1.get(g, d1)
+                if isinstance(p0, ProjectionError):
+                    at[g] = p0
+                elif isinstance(p1, ProjectionError):
+                    at[g] = p1
+                else:
+                    at[g] = rule(p0, p1)
+            return generic, at
         keys = set(special).union(*[at for _, at in specs])
         if not keys:
             return generic, _NOWHERE
@@ -204,7 +234,7 @@ class _Projection:
             case "Check" | "Annot":
                 return kids[0]
             case "Unit":
-                return self._node(lambda: SKIP, special={L: UnitVal})
+                return SKIP, {L: UnitVal()}
             case "BelievesI":
                 self.participants.add(path_concat(L, (e.agent,)))
                 return kids[0]
@@ -217,7 +247,7 @@ class _Projection:
                 var = e.var
 
                 def bind(b: LocalExpr, l: LocalExpr) -> LocalExpr:
-                    if b == SKIP:
+                    if type(b) is Skip:
                         # This address holds no part of the bound value and
                         # has no duties computing it, so the binding is the
                         # skip value; substituting keeps uninvolved
@@ -291,7 +321,7 @@ class _Projection:
 
 
 def _unary(ctor):
-    return lambda inner: SKIP if inner == SKIP else ctor(inner)
+    return lambda inner: SKIP if type(inner) is Skip else ctor(inner)
 
 
 def _prefix_closure(paths: set[Path]) -> frozenset[Path]:

@@ -21,9 +21,38 @@ over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
+
+
+def _frozen(cls: type) -> type:
+    """`dataclass(frozen=True)` with a faster `__init__`.
+
+    The generated `__init__` of a frozen dataclass calls
+    `object.__setattr__` once per field; this one writes the fields into
+    the instance's `__dict__`, in field order, then runs `__post_init__`
+    if the class has one.  Its parameters are the dataclass's.  Only
+    `__init__` changes: assignment still raises `FrozenInstanceError`,
+    and `==`, `hash` and `repr` are the dataclass's own.
+    """
+    cls = dataclass(frozen=True, init=False)(cls)
+    positional, keyword, body, env = [], [], [], {}
+    for f in fields(cls):
+        param = f.name
+        if f.default is not MISSING:
+            env[f"_default_{f.name}"] = f.default
+            param += f"=_default_{f.name}"
+        (keyword if f.kw_only else positional).append(param)
+        body.append(f"    d[{f.name!r}] = {f.name}\n")
+    params = ["self", *positional] + (["*", *keyword] if keyword else [])
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    exec(f"def __init__({', '.join(params)}):\n    d = self.__dict__\n" + "".join(body), env)
+    cls.__init__ = env["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
 
 # ---------------------------------------------------------------------------
 # Agent paths
@@ -45,7 +74,7 @@ def path_concat(g1: Path, g2: Path) -> Path:
 # ---------------------------------------------------------------------------
 # Source positions
 
-@dataclass(frozen=True)
+@_frozen
 class Span:
     file: str
     start: int
@@ -62,35 +91,35 @@ class Span:
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
+@_frozen
 class Unit:
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Void:
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Believes:
     agent: str
     body: "Type"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Product:
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Sum:
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Arrow:
     dom: "Type"
     cod: "Type"
@@ -130,23 +159,23 @@ def peel_stack(ty: Type, g: Path) -> Optional[Type]:
 # ---------------------------------------------------------------------------
 # Expressions
 
-@dataclass(frozen=True)
+@_frozen
 class Node:
     span: Optional[Span] = field(default=None, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class Located(Node):
     agent: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class ModalLet(Node):
     # let [open_path] [stack_path] var = bound in body
     open_path: Path
@@ -156,63 +185,63 @@ class ModalLet(Node):
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Send(Node):
     payload: "Expr"
     dest: Path
 
 
-@dataclass(frozen=True)
+@_frozen
 class Up(Node):
     path: Path
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Down(Node):
     path: Path
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Lam(Node):
     var: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class App(Node):
     fn: "Expr"
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Pair(Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Fst(Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Snd(Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Inl(Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Inr(Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Case(Node):
     scrutinee: "Expr"
     left_var: str
@@ -221,17 +250,17 @@ class Case(Node):
     right_body: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class UnitVal(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class Absurd(Node):
     inner: "Expr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Annot(Node):
     inner: "Expr"
     ty: Type
@@ -246,23 +275,23 @@ Expr = Union[
 # Local processes, the target of endpoint projection: the intuitionistic
 # fragment of Expr plus four process forms.
 
-@dataclass(frozen=True)
+@_frozen
 class Skip(Node):
     pass
 
 
-@dataclass(frozen=True)
+@_frozen
 class SendTo(Node):
     dest: Path
     payload: "LocalExpr"
 
 
-@dataclass(frozen=True)
+@_frozen
 class RecvFrom(Node):
     src: Path
 
 
-@dataclass(frozen=True)
+@_frozen
 class Seq(Node):
     first: "LocalExpr"
     rest: "LocalExpr"
@@ -534,14 +563,14 @@ def wrap_located(g: Path, e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Typing contexts
 
-@dataclass(frozen=True)
+@_frozen
 class Binding:
     name: str
     ty: Type
     tag: Path
 
 
-@dataclass(frozen=True)
+@_frozen
 class Lock:
     path: Path
 

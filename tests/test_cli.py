@@ -1,5 +1,6 @@
 import json
 import random
+import shlex
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,42 @@ def p4(tmp_path):
     path = tmp_path / "p4.corps"
     path.write_text(P4)
     return str(path)
+
+
+# No well-typed program deadlocks, disagrees or interferes, so these stand
+# a finding in for the check that would report it.
+
+def fake_deadlock(monkeypatch):
+    from corps import cli
+
+    monkeypatch.setattr(cli.netsim, "epp_agreement",
+                        lambda *a, **k: (_ for _ in ()).throw(
+                            cli.netsim.DeadlockError({("A",): (("B",),)}, [], {})))
+
+
+def fake_disagreement(monkeypatch):
+    """Report each outcome of the real agreement check as a disagreement."""
+    from dataclasses import replace
+
+    from corps import cli
+
+    agreement = cli.netsim.epp_agreement
+
+    def disagreeing(*args, **kwargs):
+        report = agreement(*args, **kwargs)
+        return replace(report, agree=False, outcomes=[
+            (label, "disagree: got skip") for label, _ in report.outcomes])
+
+    monkeypatch.setattr(cli.netsim, "epp_agreement", disagreeing)
+
+
+def fake_interference(monkeypatch):
+    from corps import cli
+    from corps.syntax import UnitVal
+
+    witness = cli.nicheck.Witness(UnitVal(), UnitVal(), cli.netsim.RoundRobin(), (), ())
+    monkeypatch.setattr(cli.nicheck, "ni_check", lambda *a, **k: cli.nicheck.Verdict(
+        "InterferenceFound", ("B",), ("A",), 2, witness))
 
 
 class TestCheck:
@@ -293,11 +330,7 @@ class TestSimulate:
                                                          " --topology choreo")])
     def test_deadlock_replay_keeps_the_topology(self, p4, capsys, monkeypatch,
                                                 flags, tail):
-        from corps import cli
-
-        monkeypatch.setattr(cli.netsim, "epp_agreement",
-                            lambda *a, **k: (_ for _ in ()).throw(
-                                cli.netsim.DeadlockError({("A",): (("B",),)}, [], {})))
+        fake_deadlock(monkeypatch)
         assert main(["simulate", p4, "--schedule", "random", "--seed", "4"] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
             "deadlock: [A] waits on [B]",
@@ -307,20 +340,7 @@ class TestSimulate:
                                                          " --topology choreo")])
     def test_disagree_replay_keeps_the_topology(self, p4, capsys, monkeypatch,
                                                 flags, tail):
-        # Every well-typed P4 run agrees, so report each outcome as a
-        # disagreement.
-        from dataclasses import replace
-
-        from corps import cli
-
-        agreement = cli.netsim.epp_agreement
-
-        def disagreeing(*args, **kwargs):
-            report = agreement(*args, **kwargs)
-            return replace(report, agree=False, outcomes=[
-                (label, "disagree: got skip") for label, _ in report.outcomes])
-
-        monkeypatch.setattr(cli.netsim, "epp_agreement", disagreeing)
+        fake_disagreement(monkeypatch)
         assert main(["simulate", p4, "--schedule", "random", "--seed", "2",
                      "--runs", "2"] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -398,16 +418,9 @@ class TestNi:
                                                          " --topology doxastic")])
     def test_interference_replay_keeps_the_topology(self, tmp_path, capsys,
                                                     monkeypatch, flags, tail):
-        # No well-typed program interferes, so stand a finding in for the check.
-        from corps import cli
-        from corps.syntax import UnitVal
-
         path = tmp_path / "sealed.corps"
         path.write_text(SEALED)
-        witness = cli.nicheck.Witness(UnitVal(), UnitVal(),
-                                      cli.netsim.RoundRobin(), (), ())
-        monkeypatch.setattr(cli.nicheck, "ni_check", lambda *a, **k: cli.nicheck.Verdict(
-            "InterferenceFound", ("B",), ("A",), 2, witness))
+        fake_interference(monkeypatch)
         assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
                      "--values", "B.(inl ()),B.(inr ())", "--trials", "3"] + flags) == 3
         assert capsys.readouterr().err.splitlines() == [
@@ -419,6 +432,51 @@ class TestNi:
         path.write_text(SEALED)
         assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
                      "--values", "B.(inl ())"]) == 4
+
+
+class TestReplayQuoting:
+    """A replay line splits, as a shell splits it, into the arguments of the
+    run it replays, also when the file or the topology file has a space in
+    its name."""
+
+    @pytest.fixture
+    def spaced(self, tmp_path):
+        program, topology = tmp_path / "my p4.corps", tmp_path / "my choreo.topo"
+        program.write_text(P4)
+        topology.write_text("cansend: A => B\n")
+        return str(program), str(topology)
+
+    @staticmethod
+    def replays(err: str) -> list[list[str]]:
+        return [shlex.split(line.split("replay: ", 1)[1])
+                for line in err.splitlines() if "replay: " in line]
+
+    def test_deadlock(self, spaced, capsys, monkeypatch):
+        fake_deadlock(monkeypatch)
+        path, topo = spaced
+        args = ["simulate", path, "--schedule", "random", "--seed", "4", "--topology", topo]
+        assert main(args) == 3
+        assert self.replays(capsys.readouterr().err) == [["corps", *args]]
+
+    @pytest.mark.parametrize("schedule", [["rr"], ["random", "--seed", "2"]])
+    def test_disagree(self, spaced, capsys, monkeypatch, schedule):
+        fake_disagreement(monkeypatch)
+        path, topo = spaced
+        args = ["simulate", path, "--schedule", *schedule, "--topology", topo]
+        assert main(args) == 3
+        assert self.replays(capsys.readouterr().err) == [["corps", *args]]
+
+    def test_interference(self, tmp_path, capsys, monkeypatch):
+        fake_interference(monkeypatch)
+        path, topo = tmp_path / "my sealed.corps", tmp_path / "my doxastic.topo"
+        path.write_text(SEALED)
+        topo.write_text("cansend: B => A\n")
+        flags = ["--input", "b", "--observe", "[A]"]
+        assert main(["ni", str(path), *flags, "--values", "B.(inl ()),B.(inr ())",
+                     "--trials", "3", "--topology", str(topo)]) == 3
+        assert self.replays(capsys.readouterr().err) == [[
+            "corps", "ni", str(path), *flags, "--values", "(),()",
+            "--trials", "3", "--seed", "0", "--topology", str(topo)]]
 
 
 # `f` is used under a lock past its binding: `check_program` and

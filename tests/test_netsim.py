@@ -712,6 +712,32 @@ class TestPinnedTraces:
                 assert [e.to_json_dict() for e in result.trace] == json_records(rows)
 
 
+def busy(steps: int) -> S.Node:
+    """A local process that takes exactly `steps` steps, none of them a wait."""
+    e = S.UnitVal()
+    for _ in range(steps):
+        e = S.Fst(S.Pair(e, S.UnitVal()))
+    return e
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    def test_each_pick_is_a_randrange_draw(self, seed):
+        # 37 processes that never wait, so each tick is one draw over the
+        # ready list, whose length runs from 37 down to 1.
+        steps = {(f"P{i:02}",): 1 + (i * 7) % 5 for i in range(37)}
+        network = Network({addr: busy(n) for addr, n in steps.items()}, ("P00",), False)
+        rng, ready, left, expected = random.Random(seed), sorted(steps), dict(steps), []
+        while ready:
+            addr = ready[rng.randrange(len(ready))]
+            expected.append(addr)
+            left[addr] -= 1
+            if not left[addr]:
+                ready.remove(addr)
+        trace = run(network, RandomPolicy(seed)).trace
+        assert [e.address for e in trace if e.action == "LocalStep"] == expected
+
+
 class TestLazyTraces:
     def test_run_result_renders_its_trace_when_read(self):
         result = run(p4_network(), RoundRobin())

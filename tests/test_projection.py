@@ -8,8 +8,8 @@ from corps import syntax as S
 from corps.parser import parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq,
-    local_str, merge, project, project_expr,
-    project_network,
+    _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, local_str, merge, project,
+    project_expr, project_network,
 )
 from corps.topology import load_preset
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
@@ -88,6 +88,26 @@ class TestMerge:
         assert merge(a, b) == a
 
 
+class TestSmartConstructors:
+    def test_all_skip_parts_give_skip(self):
+        # Any Skip is skip, whatever its span.
+        skip = S.Skip(span=S.Span("f", 0, 4))
+        assert _mk_pair(S.Skip(), S.Skip()) is SKIP
+        assert _mk_pair(skip, SKIP) is SKIP
+        assert _mk_app(skip, skip) is SKIP
+        assert _mk_lam("x", skip) is SKIP
+        assert _mk_case(skip, "x", skip, "y", skip) is SKIP
+        assert _mk_seq(skip, S.Var("r")) == S.Var("r")
+
+    def test_a_part_that_is_not_skip_is_kept(self):
+        u = S.UnitVal()
+        assert _mk_pair(SKIP, u) == S.Pair(SKIP, u)
+        assert _mk_app(u, SKIP) == S.App(u, SKIP)
+        assert _mk_lam("x", u) == S.Lam("x", u)
+        assert _mk_case(SKIP, "x", SKIP, "y", u) == S.Case(SKIP, "x", SKIP, "y", u)
+        assert _mk_seq(u, SKIP) == S.Seq(u, SKIP)
+
+
 class TestCaseProjection:
     def test_identical_branches_project(self):
         src = ("topology doxastic; main : [A] unit = "
@@ -115,6 +135,32 @@ class TestCaseProjection:
             src = (f"topology doxastic; main : [A] {ty} = "
                    f"({self.DIVERGENT.format(v=first)}, "
                    f"{self.DIVERGENT.format(v=second)});")
+            program = parse_program(src)
+            for run in (lambda: project_network(program),
+                        lambda: project(program, ("A",))):
+                with pytest.raises(MergeConflict, match=f"'{re.escape(first)}' vs"):
+                    run()
+
+    def test_a_one_child_rule_keeps_its_childs_error(self):
+        # fst and inl fail at [A] with their payload; so does send_to, the
+        # sender's own rule at [A].
+        conflict = self.DIVERGENT.format(v="()")
+        for main in (f"[A] unit = fst (({conflict}), ())",
+                     f"[A] unit + unit = (inl ({conflict}) : [A] unit + unit)",
+                     f"[B] unit = send ({conflict}) to [B]"):
+            program = parse_program(f"topology choreo; main : {main};")
+            for run in (lambda: project_network(program),
+                        lambda: project(program, ("A",))):
+                with pytest.raises(MergeConflict, match=r"'\(\)' vs"):
+                    run()
+
+    def test_a_failing_scrutinee_outranks_a_failing_branch(self):
+        # The scrutinee and the left branch both fail at [A].
+        for first, second, first_ty, second_ty in (("()", "((), ())", "unit", "unit * unit"),
+                                                   ("((), ())", "()", "unit * unit", "unit")):
+            src = (f"topology doxastic; main : [A] ({second_ty}) = "
+                   f"case (inl ({self.DIVERGENT.format(v=first)}) : [A] ({first_ty}) + unit) "
+                   f"of inl x -> {self.DIVERGENT.format(v=second)} | inr y -> A.{second};")
             program = parse_program(src)
             for run in (lambda: project_network(program),
                         lambda: project(program, ("A",))):

@@ -3,6 +3,7 @@ import random
 import sys
 from typing import get_args
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corps import syntax as S
@@ -264,6 +265,31 @@ class TestSchema:
             (S.Case, "left_body"): "left_var",
             (S.Case, "right_body"): "right_var",
         }
+
+    def test_nodes_are_frozen_dataclasses(self):
+        classes = [cls for cls in vars(S).values()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+        assert len(classes) == 31
+        for cls in classes:
+            params = cls.__dataclass_params__
+            assert params.frozen and params.eq and params.repr, cls
+
+    def test_a_rebuilt_node_keeps_frozen_equality_hash_and_repr(self):
+        span = S.Span("f", 0, 3)
+        e = S.Pair(Var("x"), S.Lam("y", Var("x")), span=span)
+        out = substitute(e, "x", UnitVal())
+        plain = S.Pair(UnitVal(), S.Lam("y", UnitVal()))
+        assert out == plain and hash(out) == hash(plain)
+        assert repr(out) == ("Pair(span=Span(file='f', start=0, end=3), "
+                             "left=UnitVal(span=None), "
+                             "right=Lam(span=None, var='y', body=UnitVal(span=None)))")
+        for obj, name in ((out, "left"), (out, "span"), (out.right, "var"),
+                          (span, "start"), (Binding("x", S.UNIT, ()), "tag"),
+                          (S.Arrow(S.UNIT, S.VOID), "dom")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+        with pytest.raises(ValueError, match="span start after end"):
+            S.Span("f", 3, 1)
 
     def test_substitution_keeps_spans(self):
         span = S.Span("f", 0, 3)
