@@ -16,10 +16,7 @@ from .projection import (
     MergeConflict, Network, ProjectionError, local_str, merge, project,
     project_network,
 )
-from .netsim import (
-    DeadlockError, RandomPolicy, RoundRobin, check_deadlock_free,
-    epp_agreement, run,
-)
+from .netsim import DeadlockError, RandomPolicy, RoundRobin, epp_agreement, run
 from .nicheck import NIConfig, Verdict, ni_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

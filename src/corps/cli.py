@@ -4,7 +4,7 @@
     corps normalize FILE [--mode comm-free|positive] [--fuel N] [--trace FILE]
     corps project FILE (--agent PATH | --all)
     corps simulate FILE [--schedule rr|random] [--seed S] [--runs N] [--trace FILE]
-    corps ni FILE --input NAME --observe PATH --values V1,V2,... [--trials N] [--seed S]
+    corps ni FILE --input NAME --observe PATH --values V1,V2,... [--fuel N]
 
 Exit codes: 0 success, 1 type or projection error, 2 parse error
 (including input that nests deeper than `parser.MAX_NESTING`), 3 runtime
@@ -216,13 +216,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ni(args) -> int:
+    if args.fuel <= 0:
+        raise _Usage("--fuel must be positive")
     program = _load(args.file)
     topology = _topology(program, args)
     if _checked(program, topology):
         return TYPE_ERROR
     values = tuple(parse_expr(text) for text in _split_values(args.values))
-    cfg = nicheck.NIConfig(args.input, parse_path(args.observe), values,
-                           trials=args.trials, seed=args.seed)
+    cfg = nicheck.NIConfig(args.input, parse_path(args.observe), values)
     try:
         verdict = nicheck.ni_check(program, cfg, topology, fuel=args.fuel)
     except ValueError as err:
@@ -230,11 +231,10 @@ def cmd_ni(args) -> int:
     print(verdict)
     if verdict.kind == "InterferenceFound":
         witness = verdict.witness
+        pair = f"{expr_str(witness.value_a)},{expr_str(witness.value_b)}"
         print(f"replay: corps ni {shlex.quote(args.file)} --input {args.input} "
-              f"--observe {args.observe} "
-              f"--values '{expr_str(witness.value_a)},{expr_str(witness.value_b)}' "
-              f"--trials {args.trials} --seed {args.seed}{_topology_flag(args)}",
-              file=sys.stderr)
+              f"--observe {shlex.quote(args.observe)} --values {shlex.quote(pair)}"
+              f"{_topology_flag(args)}", file=sys.stderr)
         return FINDING
     return OK
 
@@ -283,8 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observe", required=True, help="observer address, e.g. [A]")
     p.add_argument("--values", required=True,
                    help="comma-separated closed values for the input")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fuel", type=int, default=100_000)
     p.set_defaults(fn=cmd_ni)
     return parser

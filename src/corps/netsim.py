@@ -540,18 +540,6 @@ class AgreementReport:
         return self.agree
 
 
-def _prepare(program: Program, topology: Optional[Topology]):
-    if topology is None:
-        topology = resolve_topology(program)
-    try:
-        network = project_network(program, topology)
-    except TypeCheckError:
-        # Checked again, to list every error and not only the first.
-        raise PreconditionError("program does not typecheck: " + "; ".join(
-            str(e) for e in check_program(program, topology))) from None
-    return topology, network
-
-
 def expected_result(program: Program, topology: Topology,
                     fuel: int = 100_000) -> LocalExpr:
     """The stripped positive-communication normal form, as a local value."""
@@ -578,7 +566,14 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
     passes that network, so it is not projected again.
     """
     if network is None:
-        topology, network = _prepare(program, topology)
+        if topology is None:
+            topology = resolve_topology(program)
+        try:
+            network = project_network(program, topology)
+        except TypeCheckError:
+            # Checked again, to list every error and not only the first.
+            raise PreconditionError("program does not typecheck: " + "; ".join(
+                str(e) for e in check_program(program, topology))) from None
     if network.lambda_wire:
         raise PreconditionError(
             "a communication payload mentions a function; excluded from agreement")
@@ -605,37 +600,3 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
     outcomes = [(policy_str(policy), seen[policy]) for policy in schedules]
     agree = all(outcome == "agree" for _, outcome in outcomes)
     return AgreementReport(agree, local_str(expected), outcomes, first)
-
-
-@dataclass
-class DeadlockReport:
-    trials: int
-    findings: list[dict]
-
-    @property
-    def clean(self) -> bool:
-        return not self.findings
-
-
-def check_deadlock_free(program: Program, trials: int, seed0: int = 0,
-                        topology: Optional[Topology] = None,
-                        fuel: int = 100_000) -> DeadlockReport:
-    """Run `trials` random schedules; deadlocks are findings, not errors."""
-    if trials <= 0:
-        return DeadlockReport(0, [])
-    topology, network = _prepare(program, topology)
-    findings: list[dict] = []
-    for i in range(trials):
-        policy = RandomPolicy(seed0 + i)
-        try:
-            run(network, policy, fuel)
-        except DeadlockError as err:
-            findings.append({
-                "seed": seed0 + i,
-                "waiting": {path_str(a): [path_str(s) for s in srcs]
-                            for a, srcs in err.waiting.items()},
-                "replay": f"--schedule random --seed {seed0 + i}",
-            })
-        except NetError as err:
-            findings.append({"seed": seed0 + i, "error": str(err)})
-    return DeadlockReport(trials, findings)

@@ -4,14 +4,14 @@ If the topology admits no flow path from the address holding a declared
 input to an observer address, varying the input's value must not change
 anything the observer can see.  The observation is the observer's final
 residual value together with the sends and receives it participates in,
-in order, with payloads; schedules are shared across input values so
-runs are comparable.  A projected network is a Kahn network (see
-`netsim`), so every schedule gives the observation round-robin gives:
-the `trials` random schedules re-confirm it rather than explore.
+in order, with payloads.  A projected network is a Kahn network (see
+`netsim`): each process's sends and receives, with their payloads, and
+its final value are the same under every schedule.  So one round-robin
+run per input value decides whether the observations differ.
 
 A reachable pair yields the verdict FlowPermitted and no claim is made.
 An InterferenceFound verdict always carries a replayable witness: two
-input values and the schedule under which their observations diverge.
+input values whose observations diverge.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .netsim import (
-    NetError, RandomPolicy, RoundRobin, RunResult, SchedulerPolicy,
-    policy_str, run,
-)
+from .netsim import NetError, RoundRobin, RunResult, run
 from .parser import Program
 from .printer import expr_str, path_str, type_str
 from .projection import SKIP, Network, local_str, project_network
@@ -40,21 +37,17 @@ class NIConfig:
     input_name: str
     observer: Path
     values: tuple[Expr, ...]
-    trials: int = 10
-    seed: int = 0
 
 
 @dataclass
 class Witness:
     value_a: Expr
     value_b: Expr
-    policy: SchedulerPolicy
     observation_a: tuple
     observation_b: tuple
 
     def describe(self) -> str:
-        return (f"inputs {expr_str(self.value_a)} vs {expr_str(self.value_b)} "
-                f"diverge under schedule {policy_str(self.policy)}")
+        return f"inputs {expr_str(self.value_a)} vs {expr_str(self.value_b)} diverge"
 
 
 @dataclass
@@ -146,10 +139,6 @@ def _validate(program: Program, cfg: NIConfig, topology: Topology) -> Type:
     return input_ty
 
 
-def shared_schedules(cfg: NIConfig) -> list[SchedulerPolicy]:
-    return [RoundRobin()] + [RandomPolicy(cfg.seed + i) for i in range(cfg.trials)]
-
-
 def _networks(program: Program, cfg: NIConfig,
               topology: Topology) -> list[tuple[Expr, Network]]:
     """Each input value with the network of the program it is substituted
@@ -164,7 +153,7 @@ def _networks(program: Program, cfg: NIConfig,
 def compare_observations(program: Program, cfg: NIConfig,
                          topology: Topology, fuel: int = 100_000,
                          ) -> tuple[Optional[Witness], int]:
-    """Run every input value under shared schedules; first divergence wins.
+    """Run every input value once; the first divergence wins.
 
     This is the detection core, independent of the reachability gate, so
     its positive behavior can be exercised directly.
@@ -174,22 +163,18 @@ def compare_observations(program: Program, cfg: NIConfig,
 
 def _compare(networks: list[tuple[Expr, Network]], cfg: NIConfig,
              fuel: int) -> tuple[Optional[Witness], int]:
-    runs = 0
-    for policy in shared_schedules(cfg):
-        baseline: Optional[tuple[Expr, tuple]] = None
-        for value, network in networks:
-            try:
-                result = run(network, policy, fuel)
-            except NetError as err:
-                raise ValueError(f"run failed under {policy_str(policy)} "
-                                 f"for input {expr_str(value)}: {err}") from None
-            runs += 1
-            obs = observation(result, cfg.observer)
-            if baseline is None:
-                baseline = (value, obs)
-            elif obs != baseline[1]:
-                return Witness(baseline[0], value, policy, baseline[1], obs), runs
-    return None, runs
+    baseline: Optional[tuple[Expr, tuple]] = None
+    for runs, (value, network) in enumerate(networks, 1):
+        try:
+            result = run(network, RoundRobin(), fuel)
+        except NetError as err:
+            raise ValueError(f"run failed for input {expr_str(value)}: {err}") from None
+        obs = observation(result, cfg.observer)
+        if baseline is None:
+            baseline = (value, obs)
+        elif obs != baseline[1]:
+            return Witness(baseline[0], value, baseline[1], obs), runs
+    return None, len(networks)
 
 
 def ni_check(program: Program, cfg: NIConfig,

@@ -193,7 +193,7 @@ def test_criterion_7_noninterference():
             topology, program = _ni_program(seed, topo_text, preset_name, ("B",))
             seed += 1
             assert seed < 600, "generator failed to reach 100 NI programs"
-            cfg = NIConfig("b", observer, values, trials=2, seed=seed)
+            cfg = NIConfig("b", observer, values)
             try:
                 verdict = ni_check(program, cfg, topology)
             except (ProjectionError, ValueError):
@@ -212,12 +212,11 @@ def test_criterion_7_noninterference():
     flow_program = parse_program(
         "input b : [B] (unit + unit); "
         "main : [A] (unit + unit) = send b to [A];")
-    cfg = NIConfig("b", ("A",), values, trials=3, seed=7)
+    cfg = NIConfig("b", ("A",), values)
     assert ni_check(flow_program, cfg, flow_topo).kind == "FlowPermitted"
     witness, _ = compare_observations(flow_program, cfg, flow_topo)
     assert witness is not None
-    replay_cfg = NIConfig("b", ("A",), (witness.value_a, witness.value_b),
-                          trials=3, seed=7)
+    replay_cfg = NIConfig("b", ("A",), (witness.value_a, witness.value_b))
     replayed, _ = compare_observations(flow_program, replay_cfg, flow_topo)
     assert replayed is not None
     assert replayed.observation_a == witness.observation_a

@@ -17,6 +17,8 @@ SEALED = ("topology doxastic;\n"
           "input b : [B] (unit + unit);\n"
           "main : [B] unit = let [] [B] y = b in "
           "B.(case y of inl u -> () | inr w -> ());\n")
+FLOW = ("input b : [B] (unit + unit);\n"
+        "main : [A] (unit + unit) = send b to [A];\n")
 
 
 @pytest.fixture
@@ -57,7 +59,7 @@ def fake_interference(monkeypatch):
     from corps import cli
     from corps.syntax import UnitVal
 
-    witness = cli.nicheck.Witness(UnitVal(), UnitVal(), cli.netsim.RoundRobin(), (), ())
+    witness = cli.nicheck.Witness(UnitVal(), UnitVal(), (), ())
     monkeypatch.setattr(cli.nicheck, "ni_check", lambda *a, **k: cli.nicheck.Verdict(
         "InterferenceFound", ("B",), ("A",), 2, witness))
 
@@ -400,15 +402,14 @@ class TestNi:
         path = tmp_path / "sealed.corps"
         path.write_text(SEALED)
         assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
-                     "--values", "B.(inl ()),B.(inr ())", "--trials", "3"]) == 0
+                     "--values", "B.(inl ()),B.(inr ())"]) == 0
         assert "Secure" in capsys.readouterr().out
 
     def test_flow_permitted(self, tmp_path, capsys):
         topo = tmp_path / "ba.topo"
         topo.write_text("cansend: B => A\n")
         path = tmp_path / "flow.corps"
-        path.write_text("input b : [B] (unit + unit);\n"
-                        "main : [A] (unit + unit) = send b to [A];\n")
+        path.write_text(FLOW)
         assert main(["ni", str(path), "--topology", str(topo),
                      "--input", "b", "--observe", "[A]",
                      "--values", "B.(inl ()),B.(inr ())"]) == 0
@@ -422,10 +423,29 @@ class TestNi:
         path.write_text(SEALED)
         fake_interference(monkeypatch)
         assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
-                     "--values", "B.(inl ()),B.(inr ())", "--trials", "3"] + flags) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"replay: corps ni {path} --input b --observe [A] --values '(),()' "
-            f"--trials 3 --seed 0{tail}"]
+                     "--values", "B.(inl ()),B.(inr ())"] + flags) == 3
+        line = f"corps ni {path} --input b --observe '[A]' --values '(),()'{tail}"
+        assert capsys.readouterr().err.splitlines() == [f"replay: {line}"]
+        assert shlex.split(line) == ["corps", "ni", str(path), "--input", "b",
+                                     "--observe", "[A]", "--values", "(),()", *flags]
+
+    @pytest.mark.parametrize("program, topology", [(FLOW, "cansend: B => A\n"),
+                                                   (SEALED, None)],
+                             ids=["flow-permitted", "secure"])
+    @pytest.mark.parametrize("fuel", ["0", "-3"])
+    def test_non_positive_fuel_usage_error(self, tmp_path, capsys, program, topology, fuel):
+        # Rejected before any check: a FlowPermitted verdict makes no run
+        # that could reject it later.
+        path = tmp_path / "p.corps"
+        path.write_text(program)
+        flags = []
+        if topology is not None:
+            (tmp_path / "ba.topo").write_text(topology)
+            flags = ["--topology", str(tmp_path / "ba.topo")]
+        assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
+                     "--values", "B.(inl ()),B.(inr ())", "--fuel", fuel] + flags) == 4
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "usage error: --fuel must be positive\n")
 
     def test_bad_values_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sealed.corps"
@@ -473,10 +493,11 @@ class TestReplayQuoting:
         topo.write_text("cansend: B => A\n")
         flags = ["--input", "b", "--observe", "[A]"]
         assert main(["ni", str(path), *flags, "--values", "B.(inl ()),B.(inr ())",
-                     "--trials", "3", "--topology", str(topo)]) == 3
-        assert self.replays(capsys.readouterr().err) == [[
-            "corps", "ni", str(path), *flags, "--values", "(),()",
-            "--trials", "3", "--seed", "0", "--topology", str(topo)]]
+                     "--topology", str(topo)]) == 3
+        err = capsys.readouterr().err
+        assert " --observe '[A]' " in err
+        assert self.replays(err) == [[
+            "corps", "ni", str(path), *flags, "--values", "(),()", "--topology", str(topo)]]
 
 
 # `f` is used under a lock past its binding: `check_program` and
@@ -508,7 +529,7 @@ FLAG_SETS = (
     ["project", "--agent", "[A]"],
     ["simulate", "--schedule", "random", "--runs", "2", "--fuel", "50"],
     ["ni", "--input", "x", "--observe", "[A]", "--values", "inl (),inr ()",
-     "--trials", "2", "--fuel", "500"],
+     "--fuel", "500"],
 )
 
 
@@ -558,8 +579,7 @@ TAKES = {
     "normalize": ("--topology", "--mode", "--fuel", "--trace"),
     "project": ("--topology", "--agent", "--all"),
     "simulate": ("--topology", "--schedule", "--seed", "--runs", "--fuel", "--trace"),
-    "ni": ("--topology", "--input", "--observe", "--values", "--trials", "--seed",
-           "--fuel"),
+    "ni": ("--topology", "--input", "--observe", "--values", "--fuel"),
 }
 REQUIRED = {"ni": ["--input", "--observe", "--values"]}
 CLI_TEXTS = st.one_of(st.sampled_from((P4, T_AXIOM, SEALED, ESCAPING_DEF)),

@@ -2,8 +2,7 @@ import pytest
 
 from corps import syntax as S
 from corps.nicheck import (
-    NIConfig, compare_observations, elaborate_value, ni_check,
-    observation, shared_schedules,
+    NIConfig, compare_observations, elaborate_value, ni_check, observation,
 )
 from corps.parser import parse_expr, parse_path, parse_program, parse_type
 from corps.topology import load_preset, parse_topology
@@ -23,8 +22,8 @@ CONSTANT_PROGRAM = ("topology doxastic; "
                     "main : [A] unit = A.();")
 
 
-def cfg(observer="[A]", trials=5, seed=0):
-    return NIConfig("b", parse_path(observer), BOOLISH, trials=trials, seed=seed)
+def cfg(observer="[A]"):
+    return NIConfig("b", parse_path(observer), BOOLISH)
 
 
 class TestElaborate:
@@ -48,7 +47,7 @@ class TestVerdicts:
     def test_sealed_program_secure(self):
         verdict = ni_check(parse_program(SEALED_PROGRAM), cfg())
         assert verdict.kind == "Secure"
-        assert verdict.runs == (1 + 5) * 2  # shared schedules x 2 values
+        assert verdict.runs == 2  # one run per value
 
     def test_constant_program_secure(self):
         verdict = ni_check(parse_program(CONSTANT_PROGRAM), cfg())
@@ -77,34 +76,27 @@ class TestDetector:
         # two input values produce different observations at [A].
         topo = parse_topology("cansend: B => A")
         witness, runs = compare_observations(
-            parse_program(FLOW_PROGRAM), cfg(trials=3), topo)
+            parse_program(FLOW_PROGRAM), cfg(), topo)
         assert witness is not None
         assert runs >= 2
         assert witness.observation_a != witness.observation_b
 
     def test_witness_replays(self):
         topo = parse_topology("cansend: B => A")
-        config = cfg(trials=3, seed=11)
+        config = cfg()
         first, _ = compare_observations(parse_program(FLOW_PROGRAM), config, topo)
         again, _ = compare_observations(parse_program(FLOW_PROGRAM), config, topo)
-        assert first.policy == again.policy
         assert (first.observation_a, first.observation_b) == \
             (again.observation_a, again.observation_b)
         # replaying with just the witness pair reproduces the divergence
-        narrowed = NIConfig("b", config.observer,
-                            (first.value_a, first.value_b),
-                            trials=config.trials, seed=config.seed)
+        narrowed = NIConfig("b", config.observer, (first.value_a, first.value_b))
         rerun, _ = compare_observations(parse_program(FLOW_PROGRAM), narrowed, topo)
         assert rerun is not None
 
     def test_secure_case_has_no_witness(self):
         witness, _ = compare_observations(
-            parse_program(SEALED_PROGRAM), cfg(trials=3), load_preset("doxastic"))
+            parse_program(SEALED_PROGRAM), cfg(), load_preset("doxastic"))
         assert witness is None
-
-    def test_shared_schedules_deterministic(self):
-        config = cfg(trials=4, seed=2)
-        assert shared_schedules(config) == shared_schedules(config)
 
 
 class TestObservation:
