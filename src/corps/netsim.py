@@ -8,35 +8,36 @@ a run is reproducible bit-for-bit from (network, policy, fuel).
 Each process evaluates call by value, left to right: its only action is
 the one at its leftmost position that holds no value.
 `_step_local` defines that: it searches the process from the root
-through its evaluation positions (`_HOLES`: every position of a node
-that is not under a binder, except a sequence's rest) and acts at the
-first node that is no value and whose positions all hold values, by
-`_contract`.  `_contract` is the one copy of the local redex rules, and
-`run` shares it.  A receive on an empty queue at that position blocks
-the whole process on its one source, and nothing right of it runs;
-concurrency comes only from interleaving processes.  `_step_local` is
-the reference semantics, the role `normalize.step` plays for the
-normalizer: `run` does not call it, and the tests replay runs through it.
+through its evaluation positions (`_HOLES`, from `syntax.eval_holes`:
+every position of a node that is not under a binder, except a
+sequence's rest) and acts at the first node that is no value and whose
+positions all hold values, by `_contract`.  `_contract` is the one copy
+of the local redex rules, and `run` shares it.  A receive on an empty
+queue at that position blocks the whole process on its one source, and
+nothing right of it runs; concurrency comes only from interleaving
+processes.  `_step_local` is the reference semantics, the role
+`normalize.step` plays for the normalizer: `run` does not call it, and
+the tests replay runs through it.
 
-`run` is event-driven.  Each process is a machine focused at its
-leftmost position that holds no value, with the evaluation context as a
-stack of frames (refocusing, as in the normalizer).  A step resumes at
-the focus.  A process whose focus waits is parked under the channel it
-waits on, and it rejoins the ready list, kept in address order, when a
-message arrives on that channel.  Each tick makes one pick from the
-ready list: round-robin takes the first ready address at or after the
-one after the last to act, and the random policy takes
-`ready[rng.randrange(len(ready))]`, uniform over the ready processes.  A
-pick that turns out to wait is parked and the tick picks again.  A
-`Blocked` trace event is written each time a process is parked, not on
-every poll.
+`run` is event-driven.  Each process is a state of the refocusing
+machine that the normalizer shares (`syntax.Machine`, over `_HOLES` and
+the local value forms), focused at its leftmost position that holds no
+value.  A step resumes at the focus.  A process whose focus waits is
+parked under the channel it waits on, and it rejoins the ready list,
+kept in address order, when a message arrives on that channel.  Each
+tick makes one pick from the ready list: round-robin takes the first
+ready address at or after the one after the last to act, and the random
+policy takes `ready[rng.randrange(len(ready))]`, uniform over the ready
+processes.  A pick that turns out to wait is parked and the tick picks
+again.  A `Blocked` trace event is written each time a process is
+parked, not on every poll.
 
 The runs of one network walk one graph of machine states, kept on the
 network by its first run, so the graph lives as long as its `Network`
 and a network that never runs builds none.  A state is one process's
-machine at one point; it holds its evaluation context as a linked stack
-of frames shared with the state it came from, so a step builds only the
-frames it changes.  A process is deterministic: the step at its focus
+machine at one point; its evaluation context, the machine's linked stack
+of frames, is shared with the state it came from, so a step builds only
+the frames it changes.  A process is deterministic: the step at its focus
 depends on its state alone, and for a receive on the message taken.  So
 the first time any run takes the step at a state's focus, the state it
 reaches is stored, and later runs replay it: a send enqueues its payload
@@ -72,14 +73,14 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union, get_args
 
-from .normalize import EvalMode, NormalFormClass, normalize
+from .normalize import EvalMode, NormalFormClass, is_positive_value, normalize
 from .parser import Program
 from .printer import path_str
 from .projection import Network, local_str, project_expr, project_network
 from .syntax import (
-    SCHEMA, SKIP, Absurd, App, Case, Fst, Hole, Inl, Inr, Lam, LocalExpr,
-    Pair, Path, RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, expr_equal,
-    hole, match_located, split_stack, substitute,
+    SKIP, Absurd, App, Case, Fst, Inl, Inr, Lam, LocalExpr, Machine, Pair,
+    Path, RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, eval_holes, expr_equal,
+    match_located, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
@@ -191,19 +192,6 @@ def is_local_value(e: LocalExpr) -> bool:
             return False
 
 
-def _wire_ok(v: LocalExpr) -> bool:
-    """Wire values are closed positive local values: no functions, no holes."""
-    match v:
-        case UnitVal():
-            return True
-        case Pair(left, right):
-            return _wire_ok(left) and _wire_ok(right)
-        case Inl(inner) | Inr(inner):
-            return _wire_ok(inner)
-        case _:
-            return False
-
-
 def _step_local(e: LocalExpr, addr: Path,
                 chans: dict[tuple[Path, Path], deque]):
     """One action of a single process.
@@ -234,18 +222,13 @@ class RunResult:
     steps: int
 
 
-# The evaluation positions, for `_step_local` and the focused engine:
-# every subterm no binder scopes, except a sequence's rest, which runs
-# only once its head is a value.
-_HOLES: dict[type, tuple[Hole, ...]] = {
-    cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms if binder is None)
-    for cls in get_args(LocalExpr)
-}
-_HOLES[Seq] = _HOLES[Seq][:1]
+# The evaluation positions, for `_step_local` and the focused engine.  A
+# choreographic node has none and is no value form, so the engine stops
+# at it and `_contract` rejects it.
+_HOLES = eval_holes(get_args(LocalExpr))
+_VALUE_FORMS = frozenset((UnitVal, Lam, Skip, Pair, Inl, Inr))
+_MACHINE = Machine(_HOLES, _VALUE_FORMS)
 
-_LEAF_VALUES = frozenset((UnitVal, Lam, Skip))
-_CONSTRUCTORS = frozenset((Pair, Inl, Inr))  # values once all their positions are
-_VALUE_FORMS = _LEAF_VALUES | _CONSTRUCTORS
 
 def _contract(e: LocalExpr, addr: Path,
               chans: dict[tuple[Path, Path], deque]) -> Optional[tuple]:
@@ -264,7 +247,7 @@ def _contract(e: LocalExpr, addr: Path,
         return value, "Recv", e.src, value
     if kind is SendTo:
         payload = e.payload
-        if not _wire_ok(payload):
+        if not is_positive_value(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
         chans.setdefault((addr, e.dest), deque()).append(payload)
@@ -326,14 +309,12 @@ class _State:
     state stays as it is but for the step `_pick` stores on it, so the
     runs of one network share every state that any of them reaches.
 
-    `frames` is the evaluation context of `focus` as a linked stack,
-    innermost first: each frame is (node, index of the position that holds
-    the hole, the next frame out).  Every position left of a hole holds a
-    value.  A step builds only the frames it changes, and shares the rest
-    with the state it came from.  `focus` is a leaf that is no value, or a
-    node whose positions all hold values; with no frames left it may be
-    the value the process ended with.  The focus is the process's only
-    enabled position: a receive there on an empty queue blocks it.
+    `focus` and `frames` are a stop of `_MACHINE.refocus` and its
+    evaluation context, whose frames the state shares with the one it came
+    from: a leaf that is no value, or a node whose positions all hold
+    values; with no frames left it may be the value the process ended
+    with.  The focus is the process's only enabled position: a receive
+    there on an empty queue blocks it.
 
     `action`, `peer` and `payload` (a value) are for the trace of the step
     that reached the state; an initial state has none.  `next` is the
@@ -346,12 +327,7 @@ class _State:
         return self.frames is None and type(self.focus) in _VALUE_FORMS
 
     def term(self) -> LocalExpr:
-        e, frame = self.focus, self.frames
-        while frame is not None:
-            node, i, frame = frame
-            get, plug = _HOLES[type(node)][i]
-            e = node if get(node) is e else plug(node, e)
-        return e
+        return _MACHINE.plug(self.frames, self.focus)
 
 
 _new_state = object.__new__  # builds a _State faster than an __init__ would
@@ -363,34 +339,7 @@ def _refocus(frames: Optional[tuple], e: LocalExpr, action: Optional[str] = None
     searching from `e`, the new subterm in the hole of the innermost of
     `frames` (the whole term if there are none), reached by a step with
     the given `action`, `peer` and `payload`."""
-    while True:
-        holes = _HOLES.get(type(e))
-        while holes:
-            frames = (e, 0, frames)
-            e = holes[0][0](e)
-            holes = _HOLES.get(type(e))
-        if type(e) not in _LEAF_VALUES:
-            break
-        # Climb with the value `e`: plug it into its frame, then move right
-        # to the next position, or stop at a node that is no value.
-        while frames is not None:
-            node, i, outer = frames
-            holes = _HOLES[type(node)]
-            get, plug = holes[i]
-            if get(node) is not e:
-                node = plug(node, e)
-            i += 1
-            if i < len(holes):
-                frames = (node, i, outer)
-                e = holes[i][0](node)
-                break
-            frames, e = outer, node
-            if type(node) not in _CONSTRUCTORS:
-                break
-        else:
-            break
-        if e is node:  # the climb stopped at `node`, not at one of its positions
-            break
+    frames, e = _MACHINE.refocus(frames, e)
     s = _new_state(_State)
     s.focus, s.frames, s.action, s.peer, s.payload = e, frames, action, peer, payload
     s.next = None

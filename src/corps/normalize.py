@@ -26,14 +26,14 @@ copy of the redex rules (`_contract`):
   it costs time quadratic in the number of steps along a deep context.
   It is the reference semantics: the type preservation suite re-types
   every term it produces, and the tests check `normalize` against it.
-* `normalize` is a refocused abstract machine (Danvy and Nielsen,
-  "Refocusing in reduction semantics", 2004).  It keeps the evaluation
-  context as an explicit stack of frames, one per node on the path to
-  the hole, and walks down to the leftmost redex.  After a contraction
-  it resumes the search at the reduct, in the same stack, rather than at
-  the root: every position left of the hole is already normal.  When a
-  subterm turns out normal it pops one frame and rebuilds only that
-  node.  The loop is iterative, so context depth costs no Python stack.
+* `normalize` runs the refocusing machine of `syntax.Machine`, which the
+  simulator shares (Danvy and Nielsen, "Refocusing in reduction
+  semantics", 2004).  The machine stops at each node that is no value
+  form and whose positions are normal; `normalize` contracts it and
+  refocuses on the reduct in the same context rather than at the root,
+  since every position left of the hole is already normal, or, if the
+  node is normal too, climbs on past it.  Context depth costs no Python
+  stack.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ import enum
 from typing import Callable, Optional, get_args
 
 from .syntax import (
-    SCHEMA, Absurd, App, Case, Down, Expr, Fst, Hole, Inl, Inr, Lam, Located,
-    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children, hole,
+    Absurd, Annot, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located, Machine,
+    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children, eval_holes,
     match_located, peel_located, substitute, unannot, wrap_located,
 )
 
@@ -105,20 +105,8 @@ def is_positive_value(e: Expr) -> bool:
 
 Step = tuple[Expr, str, Optional[Span]]
 
-# The evaluation positions of each node form, left to right: every
-# subterm that no binder scopes.  A plugged node keeps its span, so
-# redexes under it still report theirs.
-_HOLES: dict[type, tuple[Hole, ...]] = {
-    cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms if binder is None)
-    for cls in get_args(Expr)
-}
-
-
-def _holes(e: Expr) -> tuple[Hole, ...]:
-    try:
-        return _HOLES[type(e)]
-    except KeyError:
-        raise TypeError(f"not an expression: {e!r}") from None
+_HOLES = eval_holes(get_args(Expr))
+_MACHINE = Machine(_HOLES, frozenset((UnitVal, Lam, Located, Pair, Inl, Inr, Annot)))
 
 
 def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
@@ -160,6 +148,8 @@ def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
             core = match_located(e.body, e.path)
             if core is not None and is_positive_value(core):
                 return core, "down"
+    elif kind not in _HOLES:
+        raise TypeError(f"not an expression: {e!r}")
     return None
 
 
@@ -173,7 +163,7 @@ def step(mode: EvalMode, e: Expr) -> Optional[Step]:
     positive = mode is EvalMode.POSITIVE_COMM
 
     def go(e: Expr) -> Optional[Step]:
-        for get, plug in _holes(e):
+        for get, plug in _HOLES.get(type(e), ()):
             r = go(get(e))
             if r:
                 return plug(e, r[0]), r[1], r[2]
@@ -237,49 +227,20 @@ def normalize(mode: EvalMode, e: Expr, fuel: int,
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     positive = mode is EvalMode.POSITIVE_COMM
+    refocus, values = _MACHINE.refocus, _MACHINE.values
     steps = 0
-    # The evaluation context of `focus`, outermost frame first: a node and
-    # the index of the evaluation position that holds the hole.  Every
-    # position left of a hole already holds a normal form.
-    frames: list[tuple[Expr, int]] = []
-    focus = e
-    while True:
-        # Descend through first positions to a leaf, which is normal.
-        holes = _holes(focus)
-        while holes:
-            frames.append((focus, 0))
-            focus = holes[0][0](focus)
-            holes = _holes(focus)
-        # Climb with the normal form `focus`: plug it into its frame, then
-        # move right to the next position, contract the node and refocus
-        # on the reduct, or, if the node is normal too, climb on.
-        while frames:
-            node, i = frames.pop()
-            holes = _HOLES[type(node)]
-            get, plug = holes[i]
-            if get(node) is not focus:
-                node = plug(node, focus)
-            i += 1
-            if i < len(holes):
-                frames.append((node, i))
-                focus = holes[i][0](node)
+    frames, focus = refocus(None, e)
+    while frames is not None or type(focus) not in values:
+        r = _contract(positive, focus)
+        if r is None:  # a normal form that is no value
+            if frames is None:
                 break
-            r = _contract(positive, node)
-            if r is None:
-                focus = node
-                continue
-            if steps >= fuel:
-                raise FuelExhausted(_plug_frames(frames, node), steps)
-            focus = r[0]
-            if on_step is not None:
-                on_step(steps, r[1], node.span)
-            steps += 1
-            break
-        else:
-            return focus, classify(mode, focus), steps
-
-
-def _plug_frames(frames: list[tuple[Expr, int]], e: Expr) -> Expr:
-    for node, i in reversed(frames):
-        e = _HOLES[type(node)][i][1](node, e)
-    return e
+            frames, focus = refocus(frames, focus, climb=True)
+            continue
+        if steps >= fuel:
+            raise FuelExhausted(_MACHINE.plug(frames, focus), steps)
+        if on_step is not None:
+            on_step(steps, r[1], focus.span)
+        steps += 1
+        frames, focus = refocus(frames, r[0])
+    return focus, classify(mode, focus), steps

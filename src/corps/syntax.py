@@ -15,8 +15,8 @@ empty locks, no two adjacent locks.
 Choreographic expressions and the local processes that endpoint
 projection produces share one term schema (`SCHEMA`): per node class,
 its fields, its subterms and the binder scoping each subterm.  Children,
-free variables, substitution and alpha-equality are each written once
-over it.
+free variables, substitution, alpha-equality and the refocusing machine
+that both languages' fast evaluators run are each written once over it.
 """
 
 from __future__ import annotations
@@ -374,6 +374,83 @@ def hole(cls: type, i: int) -> Hole:
         return cls(*parts, span=e.span)
 
     return attrgetter(names[i]), plug
+
+
+def eval_holes(classes) -> dict[type, tuple[Hole, ...]]:
+    """The evaluation positions of each of `classes`, left to right: every
+    subterm that no binder scopes, except a sequence's rest, which runs
+    only once its head is a value.  A plugged node keeps its span."""
+    return {cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms
+                       if binder is None and (cls, i) != (Seq, 1))
+            for cls in classes}
+
+
+class Machine:
+    """A call-by-value refocusing machine (Danvy and Nielsen, "Refocusing
+    in reduction semantics", 2004) over a table of evaluation positions
+    (`holes`, from `eval_holes`) and the classes of value forms (`values`).
+
+    The evaluation context of the focus is a linked stack of frames,
+    innermost first: each frame is (node, index of the position that holds
+    the hole, the next frame out), or None for the empty context.  Every
+    position left of a hole holds a value, or a term the caller had the
+    search climb past as one.  Rebuilding a node shares the
+    frames outside it, and the loops are iterative, so context depth costs
+    no Python stack.
+    """
+    __slots__ = ("holes", "values")
+
+    def __init__(self, holes: dict[type, tuple[Hole, ...]], values: frozenset[type]):
+        self.holes, self.values = holes, values
+
+    def refocus(self, frames: Optional[tuple], e: Node,
+                climb: bool = False) -> tuple[Optional[tuple], Node]:
+        """The next stop at or right of `e`, the subterm in the hole of the
+        innermost of `frames`, and its context: a leaf that is no value
+        form (a class with no positions in the table counts as a leaf), or
+        a node that is none, whose positions all hold values.  With no stop left, the
+        whole term, a value, and no frames.  With `climb`, `e` counts as a
+        value and the search starts right of it.
+        """
+        holes, values = self.holes, self.values
+        while True:
+            if climb:
+                climb = False
+            else:
+                positions = holes.get(type(e))
+                while positions:
+                    frames = (e, 0, frames)
+                    e = positions[0][0](e)
+                    positions = holes.get(type(e))
+                if type(e) not in values:
+                    return frames, e
+            # Climb with the value `e`: plug it into its frame, then move
+            # right to the next position, or stop at a node that is no value.
+            while frames is not None:
+                node, i, outer = frames
+                positions = holes[type(node)]
+                get, plug = positions[i]
+                if get(node) is not e:
+                    node = plug(node, e)
+                i += 1
+                if i < len(positions):
+                    frames = (node, i, outer)
+                    e = positions[i][0](node)
+                    break
+                frames, e = outer, node
+                if type(node) not in values:
+                    return frames, e
+            else:
+                return None, e
+
+    def plug(self, frames: Optional[tuple], e: Node) -> Node:
+        """The whole term: `e` plugged into the context `frames`."""
+        holes = self.holes
+        while frames is not None:
+            node, i, frames = frames
+            get, plug = holes[type(node)][i]
+            e = node if get(node) is e else plug(node, e)
+        return e
 
 
 def children(e: Node) -> list[Node]:

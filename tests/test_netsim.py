@@ -471,7 +471,7 @@ class TestEngine:
                 visits += 1
                 return dict.__getitem__(self, key)
 
-        monkeypatch.setattr(netsim, "_HOLES", Counted(netsim._HOLES))
+        monkeypatch.setattr(netsim._MACHINE, "holes", Counted(netsim._HOLES))
         nodes = sum(node_count(p) for p in network.processes.values())
         for policy in (RoundRobin(), RandomPolicy(3)):
             # A first run: later runs replay the steps it stored.

@@ -4,8 +4,8 @@ import pytest
 
 from corps import syntax as S
 from corps.normalize import (
-    EvalMode, FuelExhausted, NormalFormClass, StuckUnexpected, classify,
-    is_positive_value, is_value, normalize, step,
+    _HOLES, _MACHINE, EvalMode, FuelExhausted, NormalFormClass, StuckUnexpected,
+    classify, is_positive_value, is_value, normalize, step,
 )
 from corps.parser import parse_expr
 from corps.printer import expr_str
@@ -124,6 +124,19 @@ class TestNormalize:
     def test_stuck_on_ill_typed_garbage(self):
         with pytest.raises(StuckUnexpected):
             normalize(POS, S.App(S.UnitVal(), S.UnitVal()), 10)
+
+    @pytest.mark.parametrize("node", [
+        S.SKIP, S.Seq(S.UnitVal(), S.UnitVal()), S.SendTo(("B",), S.UnitVal()),
+        S.RecvFrom(("B",))], ids=["skip", "sequence", "send to", "receive from"])
+    def test_local_only_node_is_not_an_expression(self, node):
+        # The simulator rejects a choreographic node the same way.
+        redex = S.App(S.Lam("x", S.Var("x")), S.UnitVal())
+        for e in (node, S.Pair(S.UnitVal(), node), S.Pair(redex, node)):
+            for mode in (CF, POS):
+                with pytest.raises(TypeError, match="^not an expression"):
+                    normalize(mode, e, 10)
+                with pytest.raises(TypeError, match="^not an expression"):
+                    _iterate_step(mode, e)
 
     def test_determinism(self):
         e = parse_expr("let [] [A] x = A.(up [A] ()) in A.(down [A] x)")
@@ -247,6 +260,29 @@ class TestRefocusedMachine:
         e, cls, steps = normalize(POS, _send_chain(5_000), 100_000)
         assert (e, cls, steps) == (S.Located("A", S.UnitVal()),
                                    NormalFormClass.VALUE, 5_000)
+
+    @pytest.mark.parametrize("n", [500, 2_000])
+    def test_machine_visits_each_node_a_bounded_number_of_times(self, monkeypatch, n):
+        # A visit is a lookup of a node's evaluation positions.  A chain of
+        # n sends has n + 2 nodes and takes n steps: each node and each
+        # reduct is entered once and left once.
+        visits = 0
+
+        class Counted(dict):
+            def get(self, key, default=None):
+                nonlocal visits
+                visits += 1
+                return dict.get(self, key, default)
+
+            def __getitem__(self, key):
+                nonlocal visits
+                visits += 1
+                return dict.__getitem__(self, key)
+
+        monkeypatch.setattr(_MACHINE, "holes", Counted(_HOLES))
+        _, _, steps = normalize(POS, _send_chain(n), 100_000)
+        assert steps == n
+        assert 0 < visits <= 3 * ((n + 2) + steps)
 
     def test_deep_value_needs_no_python_stack(self):
         # A.A.(...A.(())...) is a value already, so the classifier walks all
