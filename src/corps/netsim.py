@@ -19,35 +19,39 @@ processes.  `_step_local` is the reference semantics, the role
 `normalize.step` plays for the normalizer: `run` does not call it, and
 the tests replay runs through it.
 
-`run` is event-driven.  Each process is a state of the refocusing
-machine that the normalizer shares (`syntax.Machine`, over `_HOLES` and
-the local value forms), focused at its leftmost position that holds no
-value.  A step resumes at the focus.  A process whose focus waits is
-parked under the channel it waits on, and it rejoins the ready list,
-kept in address order, when a message arrives on that channel.  Each
-tick makes one pick from the ready list: round-robin takes the first
-ready address at or after the one after the last to act, and the random
-policy takes `ready[rng.randrange(len(ready))]`, uniform over the ready
-processes.  A pick that turns out to wait is parked and the tick picks
-again.  A `Blocked` trace event is written each time a process is
-parked, not on every poll.
+`run` is event-driven.  Each process runs on the refocusing machine that
+the normalizer shares (`syntax.Machine`, over `_HOLES` and the local
+value forms), focused at its leftmost position that holds no value.  A
+step resumes at the focus.  A process whose focus waits is parked under
+the channel it waits on, and it rejoins the ready list, kept in address
+order, when a message arrives on that channel.  Each tick makes one pick
+from the ready list: round-robin takes the first ready address at or
+after the one after the last to act, and the random policy takes
+`ready[rng.randrange(len(ready))]`, uniform over the ready processes.  A
+pick that turns out to wait is parked and the tick picks again.  A
+`Blocked` trace event is written each time a process is parked, not on
+every poll.
 
-The runs of one network walk one graph of machine states, kept on the
-network by its first run, so the graph lives as long as its `Network`
-and a network that never runs builds none.  A state is one process's
-machine at one point; its evaluation context, the machine's linked stack
-of frames, is shared with the state it came from, so a step builds only
-the frames it changes.  A process is deterministic: the step at its focus
-depends on its state alone, and for a receive on the message taken.  So
-the first time any run takes the step at a state's focus, the state it
-reaches is stored, and later runs replay it: a send enqueues its payload
-again, and a receive takes the head of its queue whenever the queue is
-not empty.  That head equals the message the stored step took: with one
-order per process and each receive naming one source, a network is a
-Kahn process network (Kahn, 1974), so the n-th message on a channel is
-the same in every run.  A pick whose focus waits stores nothing, since
-testing the one channel it waits on is all a replay would do; a step
-that raises reaches no state.  Both are computed every time.
+With one order per process and each receive naming one source, a
+network is a Kahn process network (Kahn, 1974): each process takes the
+same steps in the same order in every run, and the n-th message on a
+channel is the same in every run.  So the runs of one network share one
+log per process, kept on the network by its first run: the logs live
+as long as their `Network`, and a network that never runs builds none.  A
+log holds the action, peer and payload of each step that any run has
+taken, and the machine's stop after the last one.  A run keeps one index
+into each log.  Below the log's end it replays the step: a send enqueues
+its payload again, and a receive takes the head of its queue, or blocks
+while the queue is empty.  At the log's end it acts at the focus,
+refocuses and appends the step.  A pick that waits there appends
+nothing, and a step that raises appends nothing either.
+
+The same determinism puts every process at its log's end when a run
+completes or deadlocks.  Such a run goes as far as any run can: every
+run sends on each channel a prefix of what it sends, so no run has
+taken the step that a process blocked in it waits to take.  So the
+values and a deadlock's residuals are read from the stop at each log's
+end, and no machine state before it is kept.
 
 A run records its trace as raw events that hold payload values.
 `RunResult.trace` and `DeadlockError.trace` build the `TraceEvent`s,
@@ -69,7 +73,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional, Union, get_args
 
@@ -291,109 +295,91 @@ def _contract(e: LocalExpr, addr: Path,
     else:
         # No local form gets here: `e` is no value, and all its positions
         # hold values.
-        raise TypeError(f"not a local expression: {e!r}")
+        raise TypeError(f"not a local expression: {type(e).__name__}")
     return reduct, "LocalStep", None, None
 
 
-def _fire(s: _State, addr: Path,
-          chans: dict[tuple[Path, Path], deque]) -> Optional[_State]:
-    """Act at the focus of `s`: the state `_contract` reaches, or None
-    for a receive on an empty channel."""
-    r = _contract(s.focus, addr, chans)
-    return None if r is None else _refocus(s.frames, *r)
+class _Log:
+    """One process's steps, in the one order every run takes them, as far
+    as any run has taken them.
 
-
-class _State:
-    """One state of a process's machine, focused at its leftmost position
-    that holds no value, with the step that reached it.  Once built, a
-    state stays as it is but for the step `_pick` stores on it, so the
-    runs of one network share every state that any of them reaches.
-
-    `focus` and `frames` are a stop of `_MACHINE.refocus` and its
-    evaluation context, whose frames the state shares with the one it came
-    from: a leaf that is no value, or a node whose positions all hold
+    `steps` holds the (action, peer, payload) of each step, for the trace,
+    and then None in place of the step no run has taken yet; a payload is
+    a value, and a receive's peer is its source.  `focus` and `frames` are
+    the stop of `_MACHINE.refocus` after the last step and its evaluation
+    context: a leaf that is no value, or a node whose positions all hold
     values; with no frames left it may be the value the process ended
-    with.  The focus is the process's only enabled position: a receive
-    there on an empty queue blocks it.
-
-    `action`, `peer` and `payload` (a value) are for the trace of the step
-    that reached the state; an initial state has none.  `next` is the
-    state the step at the focus reached from here, stored by `_pick` the
-    first time.
+    with.  The focus is the process's only enabled position.  `done_at`
+    is the number of steps after which the process is a value, or -1
+    while it is none.
     """
-    __slots__ = ("focus", "frames", "action", "peer", "payload", "next")
+    __slots__ = ("steps", "frames", "focus", "done_at")
+
+    def __init__(self, e: LocalExpr):
+        self.steps: list[Optional[tuple]] = [None]
+        self.frames, self.focus = _MACHINE.refocus(None, e)
+        self.done_at = 0 if self.done() else -1
 
     def done(self) -> bool:
+        """Whether the process is a value after the last step."""
         return self.frames is None and type(self.focus) in _VALUE_FORMS
 
-    def term(self) -> LocalExpr:
-        return _MACHINE.plug(self.frames, self.focus)
 
+def _step(log: _Log, i: int, addr: Path,
+          chans: defaultdict[tuple[Path, Path], deque]) -> tuple:
+    """Take step `i` of the process at `addr`, whose log is `log`, as
+    `_step_local` would: its (action, peer, payload), or ("Blocked",
+    source, None) for a receive on an empty queue.
 
-_new_state = object.__new__  # builds a _State faster than an __init__ would
-
-
-def _refocus(frames: Optional[tuple], e: LocalExpr, action: Optional[str] = None,
-             peer: Optional[Path] = None, payload: Optional[LocalExpr] = None) -> _State:
-    """The state focused on the leftmost position that holds no value,
-    searching from `e`, the new subterm in the hole of the innermost of
-    `frames` (the whole term if there are none), reached by a step with
-    the given `action`, `peer` and `payload`."""
-    frames, e = _MACHINE.refocus(frames, e)
-    s = _new_state(_State)
-    s.focus, s.frames, s.action, s.peer, s.payload = e, frames, action, peer, payload
-    s.next = None
-    return s
-
-
-def _pick(s: _State, addr: Path,
-          chans: dict[tuple[Path, Path], deque]) -> Optional[_State]:
-    """Take the action at the focus of the process in state `s`, as
-    `_step_local` would, and return the state it reaches, or None if the
-    focus is a receive on an empty queue.
-
-    A step stored on `s` is replayed, a send enqueuing its payload again
-    and a receive taking the head of its queue if there is one.  Otherwise
-    the step is computed, and stored if it reaches a state.
+    A step in the log is replayed, a send enqueuing its payload again and a
+    receive taking the head of its queue.  At the log's end the step is
+    computed at the focus and logged.
     """
-    t = s.next
-    if t is None:
-        s.next = t = _fire(s, addr, chans)
-        return t
-    action = t.action
-    if action == "Send":
-        chans.setdefault((addr, t.peer), deque()).append(t.payload)
-    elif action == "Recv":
-        queue = chans.get((t.peer, addr))
-        if not queue:
-            return None
-        queue.popleft()
-    return t
+    step = log.steps[i]
+    if step is not None:
+        action = step[0]
+        if action == "Send":
+            chans[addr, step[1]].append(step[2])
+        elif action == "Recv":
+            queue = chans.get((step[1], addr))
+            if not queue:
+                return "Blocked", step[1], None
+            queue.popleft()
+        return step
+    r = _contract(log.focus, addr, chans)
+    if r is None:
+        return "Blocked", log.focus.src, None
+    log.frames, log.focus = _MACHINE.refocus(log.frames, r[0])
+    log.steps[i] = step = r[1:]
+    log.steps.append(None)
+    if log.done():
+        log.done_at = i + 1
+    return step
 
 
 class _Start:
     """What every run of one network starts from, built by its first run
     and kept on the network.
 
-    `processes` holds the (address, term) pairs it was built from.
-    `states` holds each process's initial state in address order; from
-    there the runs share every state they reach (see `_pick`).  `ready`
-    indexes those that are no value, and `events` holds a Done event for
-    each of the others.  `slots` pairs each address, in the network's
-    order, with its index.
+    `processes` holds the (address, term) pairs it was built from.  `logs`
+    holds each process's log in address order, which the runs replay and
+    extend (see `_step`), each run with its own index into each log.
+    `ready` indexes the processes that are no value, and `events` holds a
+    Done event for each of the others.  `slots` pairs each address, in the
+    network's order, with its index.
     """
-    __slots__ = ("processes", "order", "index", "slots", "states", "ready", "events")
+    __slots__ = ("processes", "order", "index", "slots", "logs", "ready", "events")
 
     def __init__(self, processes: dict[Path, LocalExpr]):
         self.processes = tuple(processes.items())
         self.order = sorted(processes)
         self.index = {addr: n for n, addr in enumerate(self.order)}
         self.slots = [(addr, self.index[addr]) for addr in processes]
-        self.states = [_refocus(None, processes[addr]) for addr in self.order]
-        self.ready = [n for n, s in enumerate(self.states) if not s.done()]
+        self.logs = [_Log(processes[addr]) for addr in self.order]
+        self.ready = [n for n, log in enumerate(self.logs) if not log.done()]
         self.events = _Events()
-        for addr, s in zip(self.order, self.states):
-            if s.done():
+        for addr, log in zip(self.order, self.logs):
+            if log.done():
                 self.events += (0, addr, "Done", None, None)
 
     def fits(self, processes: dict[Path, LocalExpr]) -> bool:
@@ -413,9 +399,9 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     start = _start_of(network)
-    order, index = start.order, start.index
-    states = start.states.copy()  # each process's state, in address order
-    chans: dict[tuple[Path, Path], deque] = {}
+    order, index, logs = start.order, start.index, start.logs
+    at = [0] * len(order)  # each process's next step, an index into its log
+    chans: defaultdict[tuple[Path, Path], deque] = defaultdict(deque)
     trace = _Events(start.events)
     ready = start.ready.copy()  # indexes into order, ascending
     waiting: dict[int, Path] = {}  # parked index -> the source it waits on
@@ -437,38 +423,40 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             while k >= size:
                 k = getrandbits(width)
         n = ready[k]
-        addr, s = order[n], states[n]
-        t = _pick(s, addr, chans)
-        if t is None:
+        addr, log, i = order[n], logs[n], at[n]
+        action, peer, payload = _step(log, i, addr, chans)
+        if action == "Blocked":
             del ready[k]
-            src = waiting[n] = s.focus.src
-            trace += (steps, addr, "Blocked", src, None)
+            waiting[n] = peer
+            trace += (steps, addr, action, peer, None)
             continue
         if steps >= fuel:
             raise NetFuelExhausted(steps)
-        states[n] = t
-        action = t.action
-        trace += (steps, addr, action, t.peer, t.payload)
+        at[n] = i = i + 1
+        trace += (steps, addr, action, peer, payload)
         steps += 1
-        if t.frames is None and type(t.focus) in _VALUE_FORMS:  # t.done(), inlined
+        if i == log.done_at:
             del ready[k]
             trace += (steps, addr, "Done", None, None)
         if action == "Send":
-            m = index.get(t.peer)
+            m = index.get(peer)
             if waiting.get(m) == addr:
                 del waiting[m]
                 insort(ready, m)
         turn = n + 1
 
+    # A run that completes or deadlocks leaves every process at its log's
+    # end (see the module's docstring), so the logs hold its outcome.
     if waiting:
         raise DeadlockError({order[n]: (src,) for n, src in waiting.items()}, trace,
-                            {addr: states[n].term() for addr, n in start.slots})
+                            {addr: _MACHINE.plug(logs[n].frames, logs[n].focus)
+                             for addr, n in start.slots})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:
         raise NetStuck(f"run completed with undelivered messages: "
                        + ", ".join(f"{path_str(s)}->{path_str(d)}"
                                    for s, d in sorted(leftovers)))
-    return RunResult({addr: states[n].focus for addr, n in start.slots}, trace, steps)
+    return RunResult({addr: logs[n].focus for addr, n in start.slots}, trace, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
             if core is not None and is_positive_value(core):
                 return core, "down"
     elif kind not in _HOLES:
-        raise TypeError(f"not an expression: {e!r}")
+        raise TypeError(f"not an expression: {type(e).__name__}")
     return None
 
 

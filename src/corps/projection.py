@@ -142,8 +142,8 @@ class Network:
     result_address: Path
     lambda_wire: bool
     universe: frozenset[Path] = field(default_factory=frozenset)
-    # The start of the simulator's graph of machine states (`netsim._Start`):
-    # built by the first run of the network, walked by every run.
+    # The simulator's start with one step log per process (`netsim._Start`):
+    # built by the first run of the network, replayed and extended by every run.
     _start: Optional[object] = field(default=None, init=False, repr=False,
                                      compare=False)
 

@@ -356,7 +356,7 @@ def _shape_of(e: Node) -> Shape:
     try:
         return SCHEMA[type(e)]
     except KeyError:
-        raise TypeError(f"not an expression: {e!r}") from None
+        raise TypeError(f"not an expression: {type(e).__name__}") from None
 
 
 Hole = tuple[Callable[[Node], Node], Callable[[Node, Node], Node]]

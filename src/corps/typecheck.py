@@ -222,7 +222,7 @@ class Checker:
                 raise TypeCheckError(
                     "Infer", f"cannot infer the type of {_UNINFERABLE[type(e)]}", e.span)
             case _:
-                raise TypeError(f"not an expression: {e!r}")
+                raise TypeError(f"not an expression: {type(e).__name__}")
         if out is not None:
             out.append(self.hook(rule, e, locks_of(ctx), ty, kids, comm))
         return ty

@@ -258,10 +258,10 @@ def reference_replay(network: Network, polls: list, fuel: int, round_robin: bool
 def assert_replays(network: Network, policy, fuel: int = 100_000) -> None:
     """`run` must give what the reference gives on the addresses it polled."""
     polls: list = []
-    pick = netsim._pick
+    step = netsim._step
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(netsim, "_pick", lambda s, addr, *rest: polls.append(addr) or
-                  pick(s, addr, *rest))
+        m.setattr(netsim, "_step", lambda log, i, addr, *rest: polls.append(addr) or
+                  step(log, i, addr, *rest))
         try:
             got = run(network, policy, fuel)
         except Exception as err:  # the reference must raise the same
@@ -452,6 +452,18 @@ class TestEngine:
             assert not any(e.action == "Send" for e in exc.value.trace)
             assert exc.value.residuals[Z] is network.processes[Z]
 
+    def test_deep_choreographic_node_is_not_a_local_expression(self):
+        # The error names the node's class: a dataclass repr of 3,000
+        # nested nodes would overflow the stack.
+        n = 3_000
+        assert sys.getrecursionlimit() < n
+        e = U
+        for _ in range(n):
+            e = S.Located("A", e)
+        for policy in (RoundRobin(), RandomPolicy(3)):
+            with pytest.raises(TypeError, match="^not a local expression: Located$"):
+                run(Network({A: e}, A, False), policy)
+
     @pytest.mark.parametrize("network", [chain(2_000), project_network(
         parse_program(fanout(64, 21)))], ids=["chain", "fanout"])
     def test_machine_visits_each_node_a_bounded_number_of_times(self, monkeypatch, network):
@@ -474,7 +486,7 @@ class TestEngine:
         monkeypatch.setattr(netsim._MACHINE, "holes", Counted(netsim._HOLES))
         nodes = sum(node_count(p) for p in network.processes.values())
         for policy in (RoundRobin(), RandomPolicy(3)):
-            # A first run: later runs replay the steps it stored.
+            # A first run: later runs replay the steps it logged.
             network._start = None
             visits = 0
             result = run(network, policy)
@@ -485,7 +497,7 @@ class TestEngine:
 
 
 # ---------------------------------------------------------------------------
-# Runs that replay what earlier runs of their network stored, against
+# Runs that replay what earlier runs of their network logged, against
 # runs from a cold start
 
 def outcome(network: Network, policy, fuel: int):
@@ -517,13 +529,13 @@ class TestWarmRuns:
         # replay most of theirs.
         fired = {"warm": 0, "cold": 0}
         side = "warm"
-        fire = netsim._fire
+        contract = netsim._contract
 
         def counted(*args):
             fired[side] += 1
-            return fire(*args)
+            return contract(*args)
 
-        monkeypatch.setattr(netsim, "_fire", counted)
+        monkeypatch.setattr(netsim, "_contract", counted)
         rng = random.Random(10)
         networks = list(generated_networks()) + [
             Network(processes, A, False) for processes, _ in HAND_BUILT.values()]
@@ -538,6 +550,26 @@ class TestWarmRuns:
                 assert warm == cold_outcome(cold, policy, fuel), (network, policy, fuel)
         assert len(networks) > 200
         assert fired["warm"] < fired["cold"] / 5
+
+    @pytest.mark.parametrize("name", [name for name, (_, ends) in HAND_BUILT.items()
+                                      if ends and ends[0] is DeadlockError])
+    def test_deadlocks_end_each_process_at_its_logs_end(self, name):
+        # A run that deadlocks leaves each process at the end of its log,
+        # so its residuals are read from there.  After a run cut short by
+        # fuel and after full runs, they, the waiting graph and the trace
+        # are what a cold start gives.
+        network = Network(HAND_BUILT[name][0], A, False)
+        with pytest.raises(NetError):
+            run(network, RoundRobin(), 2)
+        start = network._start
+        for policy in [RoundRobin(), RandomPolicy(3)] + POLICIES[1:]:
+            ends = []
+            for net in (network, fresh(network)):
+                with pytest.raises(DeadlockError) as exc:
+                    run(net, policy)
+                ends.append((exc.value.waiting, exc.value.trace, exc.value.residuals))
+            assert ends[0] == ends[1]
+        assert network._start is start
 
     def test_ni_verdicts_match_cold_starts(self):
         def checks():
@@ -567,7 +599,7 @@ def test_outcomes_are_schedule_independent():
     # receives with the same payloads in the same order.  The one exception
     # is the error text when two or more processes get stuck: it names the
     # first one the schedule meets, so this holds only for networks with
-    # at most one stuck process.  `_pick`'s replay of a receive rests on
+    # at most one stuck process.  The step logs that runs replay rest on
     # this, so each run here starts cold and replays nothing; and so does
     # `nicheck`'s one run per input value, since an address's own sends and
     # receives are what it observes.
@@ -603,9 +635,11 @@ def test_outcomes_are_schedule_independent():
 
 
 def test_a_first_run_holds_memory_linear_in_nodes_and_steps():
-    # The states a run stores share their frames: a step builds only the
-    # frames it changes.  A copy of the frame stack per state would hold
-    # O(steps x depth) on a chain.
+    # A first run keeps one log entry per step and each process's last
+    # machine state, whose frames a step rebuilds only where it changes
+    # them.  A copy of the frame stack per step would hold O(steps x depth)
+    # on a chain, and a machine state kept per step about 150 bytes per node
+    # and step.
     network = chain(2_000)
     nodes = sum(node_count(p) for p in network.processes.values())
     tracing = tracemalloc.is_tracing()
@@ -618,7 +652,7 @@ def test_a_first_run_holds_memory_linear_in_nodes_and_steps():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert held <= 400 * (nodes + result.steps)
+    assert held <= 120 * (nodes + result.steps)
 
 
 # What each seed names.  A change to the scheduler that changes these

@@ -138,6 +138,21 @@ class TestNormalize:
                 with pytest.raises(TypeError, match="^not an expression"):
                     _iterate_step(mode, e)
 
+    def test_deep_local_only_node_is_not_an_expression(self):
+        # The error names the node's class: a dataclass repr of 3,000
+        # nested nodes would overflow the stack.  The checker rejects it
+        # the same way.
+        n = 3_000
+        assert sys.getrecursionlimit() < n
+        e = S.UnitVal()
+        for _ in range(n):
+            e = S.Seq(e, S.UnitVal())
+        for mode in (CF, POS):
+            with pytest.raises(TypeError, match="^not an expression: Seq$"):
+                normalize(mode, e, 10)
+        with pytest.raises(TypeError, match="^not an expression: Seq$"):
+            Checker(load_preset("choreo")).infer((), e)
+
     def test_determinism(self):
         e = parse_expr("let [] [A] x = A.(up [A] ()) in A.(down [A] x)")
         first = normalize(POS, e, 100)
