@@ -36,8 +36,11 @@ With one order per process and each receive naming one source, a
 network is a Kahn process network (Kahn, 1974): each process takes the
 same steps in the same order in every run, and the n-th message on a
 channel is the same in every run.  So the runs of one network share one
-log per process, kept on the network by its first run: the logs live
-as long as their `Network`, and a network that never runs builds none.  A
+log per process, kept on the network by its first run, and the logs are
+all that runs share: each run builds its ready list and opening `Done`
+events from them.  The logs live as long as their `Network`, a network that
+never runs builds none, and a run builds new ones when the network's
+processes are no longer the ones the logs were built from.  A
 log holds the action, peer and payload of each step that any run has
 taken, and the machine's stop after the last one.  A run keeps one index
 into each log.  Below the log's end it replays the step: a send enqueues
@@ -197,7 +200,7 @@ def is_local_value(e: LocalExpr) -> bool:
 
 
 def _step_local(e: LocalExpr, addr: Path,
-                chans: dict[tuple[Path, Path], deque]):
+                chans: defaultdict[tuple[Path, Path], deque]):
     """One action of a single process.
 
     Returns ("act", e', action, peer, payload) after performing any
@@ -235,7 +238,7 @@ _MACHINE = Machine(_HOLES, _VALUE_FORMS)
 
 
 def _contract(e: LocalExpr, addr: Path,
-              chans: dict[tuple[Path, Path], deque]) -> Optional[tuple]:
+              chans: defaultdict[tuple[Path, Path], deque]) -> Optional[tuple]:
     """Act on `e`, which is no value and whose positions all hold values.
 
     Returns (reduct, action, peer, payload) after performing any channel
@@ -254,7 +257,7 @@ def _contract(e: LocalExpr, addr: Path,
         if not is_positive_value(payload):
             raise NetStuck(f"non-positive value on the wire from {path_str(addr)}: "
                            f"{local_str(payload)}")
-        chans.setdefault((addr, e.dest), deque()).append(payload)
+        chans[addr, e.dest].append(payload)
         return payload, "Send", e.dest, payload
     if kind is Seq:
         reduct = e.rest
@@ -303,19 +306,21 @@ class _Log:
     """One process's steps, in the one order every run takes them, as far
     as any run has taken them.
 
-    `steps` holds the (action, peer, payload) of each step, for the trace,
-    and then None in place of the step no run has taken yet; a payload is
-    a value, and a receive's peer is its source.  `focus` and `frames` are
-    the stop of `_MACHINE.refocus` after the last step and its evaluation
-    context: a leaf that is no value, or a node whose positions all hold
-    values; with no frames left it may be the value the process ended
-    with.  The focus is the process's only enabled position.  `done_at`
-    is the number of steps after which the process is a value, or -1
-    while it is none.
+    `term` is the process the log was built from.  `steps` holds the
+    (action, peer, payload) of each step, for the trace, and then None in
+    place of the step no run has taken yet; a payload is a value, and a
+    receive's peer is its source.  `focus` and `frames` are the stop of
+    `_MACHINE.refocus` after the last step and its evaluation context: a
+    leaf that is no value, or a node whose positions all hold values;
+    with no frames left it may be the value the process ended with.  The
+    focus is the process's only enabled position.  `done_at` is the
+    number of steps after which the process is a value, or -1 while it
+    is none.
     """
-    __slots__ = ("steps", "frames", "focus", "done_at")
+    __slots__ = ("term", "steps", "frames", "focus", "done_at")
 
     def __init__(self, e: LocalExpr):
+        self.term = e
         self.steps: list[Optional[tuple]] = [None]
         self.frames, self.focus = _MACHINE.refocus(None, e)
         self.done_at = 0 if self.done() else -1
@@ -357,54 +362,32 @@ def _step(log: _Log, i: int, addr: Path,
     return step
 
 
-class _Start:
-    """What every run of one network starts from, built by its first run
-    and kept on the network.
-
-    `processes` holds the (address, term) pairs it was built from.  `logs`
-    holds each process's log in address order, which the runs replay and
-    extend (see `_step`), each run with its own index into each log.
-    `ready` indexes the processes that are no value, and `events` holds a
-    Done event for each of the others.  `slots` pairs each address, in the
-    network's order, with its index.
-    """
-    __slots__ = ("processes", "order", "index", "slots", "logs", "ready", "events")
-
-    def __init__(self, processes: dict[Path, LocalExpr]):
-        self.processes = tuple(processes.items())
-        self.order = sorted(processes)
-        self.index = {addr: n for n, addr in enumerate(self.order)}
-        self.slots = [(addr, self.index[addr]) for addr in processes]
-        self.logs = [_Log(processes[addr]) for addr in self.order]
-        self.ready = [n for n, log in enumerate(self.logs) if not log.done()]
-        self.events = _Events()
-        for addr, log in zip(self.order, self.logs):
-            if log.done():
-                self.events += (0, addr, "Done", None, None)
-
-    def fits(self, processes: dict[Path, LocalExpr]) -> bool:
-        """Whether the start was built from these processes."""
-        return (len(processes) == len(self.processes)
-                and all(processes.get(addr) is e for addr, e in self.processes))
-
-
-def _start_of(network: Network) -> _Start:
-    start = network._start
-    if start is None or not start.fits(network.processes):
-        start = network._start = _Start(network.processes)
-    return start
+def _logs_of(network: Network) -> dict[Path, _Log]:
+    """The step logs of the network's processes, in address order: the
+    ones its earlier runs extended, or new ones if it has none or its
+    processes changed since they were built."""
+    logs, processes = network._logs, network.processes
+    if (logs is None or len(logs) != len(processes)
+            or any(processes.get(addr) is not log.term for addr, log in logs.items())):
+        logs = network._logs = {addr: _Log(processes[addr]) for addr in sorted(processes)}
+    return logs
 
 
 def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunResult:
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    start = _start_of(network)
-    order, index, logs = start.order, start.index, start.logs
+    by_addr = _logs_of(network)
+    order, logs = list(by_addr), list(by_addr.values())
     at = [0] * len(order)  # each process's next step, an index into its log
     chans: defaultdict[tuple[Path, Path], deque] = defaultdict(deque)
-    trace = _Events(start.events)
-    ready = start.ready.copy()  # indexes into order, ascending
-    waiting: dict[int, Path] = {}  # parked index -> the source it waits on
+    trace = _Events()
+    ready = []  # indexes into order, ascending
+    for n, log in enumerate(logs):
+        if log.done_at == 0:
+            trace += (0, order[n], "Done", None, None)
+        else:
+            ready.append(n)
+    waiting: dict[Path, tuple[int, Path]] = {}  # parked address -> (index, source)
     # The random policy's draw is `randrange(len(ready))`, inlined: the same
     # bits from the same generator, so every seed keeps its interleaving.
     getrandbits = (random.Random(policy.seed).getrandbits
@@ -427,7 +410,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
         action, peer, payload = _step(log, i, addr, chans)
         if action == "Blocked":
             del ready[k]
-            waiting[n] = peer
+            waiting[addr] = n, peer
             trace += (steps, addr, action, peer, None)
             continue
         if steps >= fuel:
@@ -439,24 +422,25 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             del ready[k]
             trace += (steps, addr, "Done", None, None)
         if action == "Send":
-            m = index.get(peer)
-            if waiting.get(m) == addr:
-                del waiting[m]
-                insort(ready, m)
+            parked = waiting.get(peer)
+            if parked is not None and parked[1] == addr:
+                del waiting[peer]
+                insort(ready, parked[0])
         turn = n + 1
 
     # A run that completes or deadlocks leaves every process at its log's
     # end (see the module's docstring), so the logs hold its outcome.
     if waiting:
-        raise DeadlockError({order[n]: (src,) for n, src in waiting.items()}, trace,
-                            {addr: _MACHINE.plug(logs[n].frames, logs[n].focus)
-                             for addr, n in start.slots})
+        raise DeadlockError({addr: (src,) for addr, (_, src) in waiting.items()}, trace,
+                            {addr: _MACHINE.plug(by_addr[addr].frames, by_addr[addr].focus)
+                             for addr in network.processes})
     leftovers = {pair: list(q) for pair, q in chans.items() if q}
     if leftovers:
         raise NetStuck(f"run completed with undelivered messages: "
                        + ", ".join(f"{path_str(s)}->{path_str(d)}"
                                    for s, d in sorted(leftovers)))
-    return RunResult({addr: logs[n].focus for addr, n in start.slots}, trace, steps)
+    return RunResult({addr: by_addr[addr].focus for addr in network.processes},
+                     trace, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +456,6 @@ class AgreementReport:
     expected: str
     outcomes: list[tuple[str, str]]  # (schedule, "agree" | failure description)
     first: Union[RunResult, NetError, None] = None  # what the first schedule gave
-
-    def __bool__(self) -> bool:
-        return self.agree
 
 
 def expected_result(program: Program, topology: Topology,

@@ -57,7 +57,6 @@ class Verdict:
     observer: Path
     runs: int = 0
     witness: Optional[Witness] = None
-    detail: str = ""
 
     def __str__(self) -> str:
         if self.kind == "FlowPermitted":

@@ -47,7 +47,7 @@ def type_str(ty: Type, prec: int = 0) -> str:
             stack, core = split_stack(ty)
             s = f"{path_str(stack)} {type_str(core, 3)}"
             return f"({s})" if prec > 3 else s
-    raise TypeError(f"not a type: {ty!r}")
+    raise TypeError(f"not a type: {type(ty).__name__}")
 
 
 def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
@@ -101,7 +101,7 @@ def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
         case Absurd(inner):
             s, level = f"absurd {expr_str(inner, _UNARY)}", _UNARY
         case _:
-            raise TypeError(f"not an expression: {e!r}")
+            raise TypeError(f"not an expression: {type(e).__name__}")
     return f"({s})" if level < prec else s
 
 

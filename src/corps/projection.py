@@ -142,10 +142,10 @@ class Network:
     result_address: Path
     lambda_wire: bool
     universe: frozenset[Path] = field(default_factory=frozenset)
-    # The simulator's start with one step log per process (`netsim._Start`):
+    # The simulator's step logs, one per process by address (`netsim._Log`):
     # built by the first run of the network, replayed and extended by every run.
-    _start: Optional[object] = field(default=None, init=False, repr=False,
-                                     compare=False)
+    _logs: Optional[dict] = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 # ---------------------------------------------------------------------------

@@ -68,12 +68,6 @@ class PathPattern:
                     return None
         return binding
 
-    def __str__(self) -> str:
-        parts = (["*"] if self.prefix_wildcard else []) + [
-            name if kind == "lit" else "$" + name for kind, name in self.atoms
-        ]
-        return ".".join(parts)
-
 
 @dataclass(frozen=True)
 class TopoRule:
@@ -82,19 +76,11 @@ class TopoRule:
     lhs: Optional[PathPattern] = None
     rhs: Optional[PathPattern] = None
 
-    def __str__(self) -> str:
-        if self.const is not None:
-            return f"{self.kind}: {'true' if self.const else 'false'}"
-        return f"{self.kind}: {self.lhs} => {self.rhs}"
-
 
 @dataclass(frozen=True)
 class Topology:
     rules: tuple[TopoRule, ...]
     name: Optional[str] = None
-
-    def __str__(self) -> str:
-        return self.name or "; ".join(str(r) for r in self.rules)
 
 
 def relation_holds(topology: Topology, kind: str, a: Path, b: Path) -> bool:

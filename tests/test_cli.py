@@ -447,6 +447,15 @@ class TestNi:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "usage error: --fuel must be positive\n")
 
+    def test_run_out_of_fuel_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sealed.corps"
+        path.write_text(SEALED)
+        assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
+                     "--values", "B.(inl ()),B.(inr ())", "--fuel", "1"]) == 4
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "usage error: run failed for input B.(inl ()): "
+                                  "network made no progress to completion within 1 steps\n")
+
     def test_bad_values_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sealed.corps"
         path.write_text(SEALED)

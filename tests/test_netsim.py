@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,12 @@ class TestRun:
         assert len(sends) == 1 and len(recvs) == 1
         assert sends[0].address == ("A",) and sends[0].peer == ("B",)
         assert recvs[0].address == ("B",) and recvs[0].peer == ("A",)
+
+    def test_non_positive_fuel_is_rejected(self):
+        network = p4_network()
+        with pytest.raises(ValueError, match="^fuel must be positive$"):
+            run(network, RoundRobin(), 0)
+        assert network._logs is None
 
     def test_all_skip_network_completes_immediately(self):
         net = Network({(): SKIP, ("A",): SKIP}, (), False)
@@ -219,7 +226,7 @@ def reference_replay(network: Network, polls: list, fuel: int, round_robin: bool
     """
     procs = dict(network.processes)
     order = sorted(procs)
-    chans: dict = {}
+    chans: defaultdict = defaultdict(deque)
     events = [TraceEvent(0, addr, "Done") for addr in order if is_local_value(procs[addr])]
     steps, turn = 0, 0
     for addr in polls:
@@ -383,12 +390,12 @@ class TestEngine:
         # built.
         for network in generated_networks():
             assert_replays(network, POLICIES[0])
-            start = network._start
+            start = network._logs
             for policy in POLICIES[1:]:
                 assert_replays(network, policy)
             assert_replays(network, RoundRobin(), fuel=3)
             assert_replays(network, RandomPolicy(3), fuel=3)
-            assert network._start is start
+            assert network._logs is start
 
     def test_changed_processes_get_a_new_start(self):
         network = p4_network()
@@ -396,6 +403,23 @@ class TestEngine:
         network.processes[("B",)] = SKIP
         with pytest.raises(NetStuck, match="undelivered messages"):
             run(network, RoundRobin())
+        # An added or a removed address gets new logs too, and a run of the
+        # same processes keeps them.
+        logs = network._logs
+        network.processes[("C",)] = RecvFrom(("C",))
+        with pytest.raises(DeadlockError) as exc:
+            run(network, RoundRobin())
+        assert exc.value.waiting == {("C",): (("C",),)}
+        assert network._logs is not logs and list(network._logs) == sorted(network.processes)
+        logs = network._logs
+        del network.processes[("C",)]
+        with pytest.raises(NetStuck, match="undelivered messages"):
+            run(network, RoundRobin())
+        assert network._logs is not logs and ("C",) not in network._logs
+        logs = network._logs
+        with pytest.raises(NetStuck, match="undelivered messages"):
+            run(network, RandomPolicy(3))
+        assert network._logs is logs
 
     @pytest.mark.parametrize("name", HAND_BUILT)
     def test_hand_built_networks_replay(self, name):
@@ -487,7 +511,7 @@ class TestEngine:
         nodes = sum(node_count(p) for p in network.processes.values())
         for policy in (RoundRobin(), RandomPolicy(3)):
             # A first run: later runs replay the steps it logged.
-            network._start = None
+            network._logs = None
             visits = 0
             result = run(network, policy)
             assert 0 < visits <= 2 * nodes + 2 * result.steps
@@ -513,7 +537,7 @@ def outcome(network: Network, policy, fuel: int):
 
 
 def cold_outcome(network: Network, policy, fuel: int):
-    network._start = None
+    network._logs = None
     return outcome(network, policy, fuel)
 
 
@@ -561,7 +585,7 @@ class TestWarmRuns:
         network = Network(HAND_BUILT[name][0], A, False)
         with pytest.raises(NetError):
             run(network, RoundRobin(), 2)
-        start = network._start
+        start = network._logs
         for policy in [RoundRobin(), RandomPolicy(3)] + POLICIES[1:]:
             ends = []
             for net in (network, fresh(network)):
@@ -569,7 +593,7 @@ class TestWarmRuns:
                     run(net, policy)
                 ends.append((exc.value.waiting, exc.value.trace, exc.value.residuals))
             assert ends[0] == ends[1]
-        assert network._start is start
+        assert network._logs is start
 
     def test_ni_verdicts_match_cold_starts(self):
         def checks():
@@ -580,7 +604,7 @@ class TestWarmRuns:
         warm = checks()
         with pytest.MonkeyPatch.context() as m:
             def cold_run(network, *rest):
-                network._start = None
+                network._logs = None
                 return run(network, *rest)
 
             m.setattr(netsim, "run", cold_run)
@@ -611,7 +635,7 @@ def test_outcomes_are_schedule_independent():
         return events
 
     def ending(network: Network, policy):
-        network._start = None
+        network._logs = None
         try:
             result = run(network, policy)
         except DeadlockError as err:

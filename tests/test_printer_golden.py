@@ -18,9 +18,12 @@ intended) with
 
 import json
 import os
+import sys
+
+import pytest
 
 from corps import syntax as S
-from corps.printer import expr_str
+from corps.printer import expr_str, type_str
 from corps.projection import local_str
 
 HERE = os.path.dirname(__file__)
@@ -122,6 +125,22 @@ def test_printers_match_golden_snapshot():
     assert got.keys() == expected.keys()
     diffs = [key for key in expected if got[key] != expected[key]]
     assert not diffs, (len(diffs), diffs[:3], [got[k] for k in diffs[:3]])
+
+
+
+def test_a_deep_node_of_the_wrong_kind_is_named_by_its_class():
+    # A type where an expression belongs, and an expression where a type
+    # belongs: the error names the node's class, since a dataclass repr of
+    # 3,000 nested nodes would overflow the stack.
+    n = 3_000
+    assert sys.getrecursionlimit() < n
+    ty, e = S.Unit(), U
+    for _ in range(n):
+        ty, e = S.Arrow(ty, S.Unit()), S.Pair(e, U)
+    with pytest.raises(TypeError, match="^not an expression: Arrow$"):
+        expr_str(ty)
+    with pytest.raises(TypeError, match="^not a type: Pair$"):
+        type_str(e)
 
 
 if __name__ == "__main__":
