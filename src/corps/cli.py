@@ -134,7 +134,7 @@ def cmd_project(args) -> int:
     if args.agent is None and not args.all:
         raise _Usage("give --agent PATH or --all")
     if args.agent is not None:
-        address = parse_path(args.agent)
+        address = parse_path(args.agent, file="--agent")
         print(local_str(project(program, address, topology)))
         return OK
     network = project_network(program, topology)
@@ -222,8 +222,8 @@ def cmd_ni(args) -> int:
     topology = _topology(program, args)
     if _checked(program, topology):
         return TYPE_ERROR
-    values = tuple(parse_expr(text) for text in _split_values(args.values))
-    cfg = nicheck.NIConfig(args.input, parse_path(args.observe), values)
+    values = tuple(parse_expr(text, file="--values") for text in _split_values(args.values))
+    cfg = nicheck.NIConfig(args.input, parse_path(args.observe, file="--observe"), values)
     try:
         verdict = nicheck.ni_check(program, cfg, topology, fuel=args.fuel)
     except ValueError as err:

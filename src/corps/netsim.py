@@ -95,11 +95,12 @@ from .typecheck import TypeCheckError, check_program, inline_main, resolve_topol
 
 @dataclass(frozen=True)
 class RoundRobin:
-    pass
+    """Schedule the ready processes in turn, in address order."""
 
 
 @dataclass(frozen=True)
 class RandomPolicy:
+    """Schedule a ready process drawn by a generator seeded with `seed`."""
     seed: int
 
 
@@ -114,6 +115,8 @@ def policy_str(policy: SchedulerPolicy) -> str:
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One event of a run: at `step`, the process at `address` took
+    `action`, with its peer and the printed payload if it has them."""
     step: int
     address: Path
     action: str  # LocalStep | Send | Recv | Blocked | Done
@@ -224,6 +227,7 @@ def _step_local(e: LocalExpr, addr: Path,
 
 @dataclass
 class RunResult:
+    """A completed run: each process's value, the trace, the step count."""
     values: dict[Path, LocalExpr]
     trace: list[TraceEvent] = _Trace()
     steps: int
@@ -452,6 +456,8 @@ class PreconditionError(Exception):
 
 @dataclass
 class AgreementReport:
+    """Whether every schedule gave the choreography's normal form
+    (`expected`), each schedule's outcome, and what the first gave."""
     agree: bool
     expected: str
     outcomes: list[tuple[str, str]]  # (schedule, "agree" | failure description)

@@ -34,6 +34,7 @@ from .normalize import is_positive_value
 
 @dataclass(frozen=True)
 class NIConfig:
+    """The input to vary, the observer's address and the values to try."""
     input_name: str
     observer: Path
     values: tuple[Expr, ...]
@@ -41,6 +42,7 @@ class NIConfig:
 
 @dataclass
 class Witness:
+    """Two input values whose runs the observer sees differently."""
     value_a: Expr
     value_b: Expr
     observation_a: tuple
@@ -52,6 +54,7 @@ class Witness:
 
 @dataclass
 class Verdict:
+    """The outcome of `ni_check`, printed by `str`."""
     kind: str  # Secure | InterferenceFound | FlowPermitted
     source: Path
     observer: Path

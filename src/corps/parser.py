@@ -140,6 +140,8 @@ _TYPE_OP = {"->": Arrow, "+": Sum, "*": Product}
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed program: its topology reference, inputs, definitions and
+    the type and expression of `main`."""
     topology_ref: str | None
     inputs: tuple[tuple[str, Type], ...]
     defs: tuple[tuple[str, Type, Expr], ...]

@@ -138,6 +138,8 @@ def _mentions(ty: Type, cls) -> bool:
 
 @dataclass
 class Network:
+    """A projected program: one local process per address, and where and
+    how its result is read."""
     processes: dict[Path, LocalExpr]
     result_address: Path
     lambda_wire: bool

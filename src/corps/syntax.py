@@ -17,41 +17,85 @@ projection produces share one term schema (`SCHEMA`): per node class,
 its fields, its subterms and the binder scoping each subterm.  Children,
 free variables, substitution, alpha-equality and the refocusing machine
 that both languages' fast evaluators run are each written once over it.
+
+Spans, types, nodes and context entries are records (`_frozen`):
+immutable values that refuse assignment, compare and hash by their fields
+without the source `span`, print as `Cls(field=value, ...)` as a frozen
+dataclass would, and take part in `match` through `__match_args__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 
 def _frozen(cls: type) -> type:
-    """`dataclass(frozen=True)` with a faster `__init__`.
+    """Make `cls` a record: an immutable value with the fields it annotates.
 
-    The generated `__init__` of a frozen dataclass calls
-    `object.__setattr__` once per field; this one writes the fields into
-    the instance's `__dict__`, in field order, then runs `__post_init__`
-    if the class has one.  Its parameters are the dataclass's.  Only
-    `__init__` changes: assignment still raises `FrozenInstanceError`,
-    and `==`, `hash` and `repr` are the dataclass's own.
+    The fields are the annotated names of the class and its bases, base
+    fields first (`cls._fields`).  A field named `span` is the source
+    position: keyword-only, None by default and left out of `==` and
+    `hash`; every other field is a positional parameter, in order.  The
+    record contract, which `dataclass(frozen=True)` would also give:
+
+    - `__init__` writes the fields into the instance's `__dict__`, then
+      runs `__post_init__` if the class has one;
+    - assigning or deleting an attribute raises `FrozenInstanceError`;
+    - `a == b` holds when both are of the same class and their fields
+      other than `span` are equal, and `hash` is the hash of the tuple of
+      those fields;
+    - `repr` is `Cls(field=value, ...)` over all fields, `span` included;
+    - `__match_args__` names the positional fields, for `match`.
+
+    Compiling is most of what a record class costs at import, so only
+    `__init__`, `__eq__` and `__hash__` are compiled per class, from one
+    source, with the expressions dataclasses generates (the same cost per
+    call, the same hash values); `repr`, `__setattr__` and `__delattr__`
+    are shared by all records.
     """
-    cls = dataclass(frozen=True, init=False)(cls)
-    positional, keyword, body, env = [], [], [], {}
-    for f in fields(cls):
-        param = f.name
-        if f.default is not MISSING:
-            env[f"_default_{f.name}"] = f.default
-            param += f"=_default_{f.name}"
-        (keyword if f.kw_only else positional).append(param)
-        body.append(f"    d[{f.name!r}] = {f.name}\n")
-    params = ["self", *positional] + (["*", *keyword] if keyword else [])
+    base = getattr(cls, "_fields", ())
+    names = base + tuple(name for name in cls.__dict__.get("__annotations__", ())
+                         if name not in base)
+    compared = tuple(name for name in names if name != "span")
+    params = ["self", *compared]
+    if "span" in names:
+        params += ["*", "span=None"]
+    stores = "".join(f"    d[{name!r}] = {name}\n" for name in names)
     if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()\n")
-    exec(f"def __init__({', '.join(params)}):\n    d = self.__dict__\n" + "".join(body), env)
-    cls.__init__ = env["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        stores += "    self.__post_init__()\n"
+    mine = "".join(f"self.{name}," for name in compared)
+    theirs = "".join(f"other.{name}," for name in compared)
+    env: dict = {}
+    exec(f"def __init__({', '.join(params)}):\n    d = self.__dict__\n{stores}"
+         "def __eq__(self, other):\n"
+         "    if other.__class__ is self.__class__:\n"
+         f"        return ({mine})==({theirs})\n"
+         "    return NotImplemented\n"
+         f"def __hash__(self):\n    return hash(({mine}))\n", env)
+    for method in ("__init__", "__eq__", "__hash__"):
+        env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, env[method])
+    cls._fields = names
+    cls.__match_args__ = compared
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
     return cls
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def _record_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +205,7 @@ def peel_stack(ty: Type, g: Path) -> Optional[Type]:
 
 @_frozen
 class Node:
-    span: Optional[Span] = field(default=None, compare=False, kw_only=True)
+    span: Optional[Span] = None
 
 
 @_frozen
@@ -338,7 +382,7 @@ _SUBTERMS = {
 
 
 def _build_shape(cls: type, subterms) -> Shape:
-    names = tuple(f.name for f in fields(cls) if f.name != "span")
+    names = tuple(name for name in cls._fields if name != "span")
     pairs = [s if isinstance(s, tuple) else (s, None) for s in subterms]
     named = {name for pair in pairs for name in pair}
     return Shape(

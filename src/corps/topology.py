@@ -37,6 +37,8 @@ class TopologyError(Exception):
 
 @dataclass(frozen=True)
 class PathPattern:
+    """A path pattern of a topology rule: literal names and variables,
+    optionally after a wildcard prefix."""
     prefix_wildcard: bool
     atoms: tuple[tuple[str, str], ...]  # ("lit", Name) or ("var", name)
 
@@ -71,6 +73,8 @@ class PathPattern:
 
 @dataclass(frozen=True)
 class TopoRule:
+    """One rule of a topology: a relation kind and either a constant or a
+    pair of path patterns."""
     kind: str
     const: Optional[bool] = None
     lhs: Optional[PathPattern] = None
@@ -79,6 +83,7 @@ class TopoRule:
 
 @dataclass(frozen=True)
 class Topology:
+    """The rules of a topology, and the name it was loaded by, if any."""
     rules: tuple[TopoRule, ...]
     name: Optional[str] = None
 

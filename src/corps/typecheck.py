@@ -68,6 +68,8 @@ class TypeCheckError(Exception):
 
 @dataclass
 class Derivation:
+    """One node of a typing derivation: rule, viewpoint, subject, type and
+    the derivations of its premises."""
     rule: str
     viewpoint: Path
     subject: str

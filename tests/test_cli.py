@@ -463,6 +463,22 @@ class TestNi:
                      "--values", "B.(inl ())"]) == 4
 
 
+# A flag that fails to parse is named where a program file would be.
+@pytest.mark.parametrize("flags, line", [
+    (["project", "--agent", "[a]"], "--agent:1-2: found 'a' (expected agent name)"),
+    (["ni", "--input", "b", "--observe", "[a]", "--values", "B.(inl ()),B.(inr ())"],
+     "--observe:1-2: found 'a' (expected agent name)"),
+    (["ni", "--input", "b", "--observe", "[A]", "--values", "B.(inl ()),inr ("],
+     "--values:5-6: found 'end of input' where an expression was expected "
+     "(expected (, (), agent, identifier)"),
+], ids=["agent", "observe", "values"])
+def test_a_flag_that_fails_to_parse_is_named(tmp_path, capsys, flags, line):
+    path = tmp_path / "sealed.corps"
+    path.write_text(SEALED)
+    assert main([flags[0], str(path), *flags[1:]]) == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 class TestReplayQuoting:
     """A replay line splits, as a shell splits it, into the arguments of the
     run it replays, also when the file or the topology file has a space in

@@ -477,7 +477,7 @@ class TestEngine:
             assert exc.value.residuals[Z] is network.processes[Z]
 
     def test_deep_choreographic_node_is_not_a_local_expression(self):
-        # The error names the node's class: a dataclass repr of 3,000
+        # The error names the node's class: a record repr of 3,000
         # nested nodes would overflow the stack.
         n = 3_000
         assert sys.getrecursionlimit() < n

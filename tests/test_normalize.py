@@ -139,7 +139,7 @@ class TestNormalize:
                     _iterate_step(mode, e)
 
     def test_deep_local_only_node_is_not_an_expression(self):
-        # The error names the node's class: a dataclass repr of 3,000
+        # The error names the node's class: a record repr of 3,000
         # nested nodes would overflow the stack.  The checker rejects it
         # the same way.
         n = 3_000
@@ -270,7 +270,7 @@ class TestRefocusedMachine:
 
     def test_deep_context_needs_no_python_stack(self):
         # Far past the default recursion limit; never compare or print the
-        # input itself, since dataclass == and repr recurse.
+        # input itself, since record == and repr recurse.
         assert sys.getrecursionlimit() < 5_000
         e, cls, steps = normalize(POS, _send_chain(5_000), 100_000)
         assert (e, cls, steps) == (S.Located("A", S.UnitVal()),

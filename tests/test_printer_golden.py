@@ -130,7 +130,7 @@ def test_printers_match_golden_snapshot():
 
 def test_a_deep_node_of_the_wrong_kind_is_named_by_its_class():
     # A type where an expression belongs, and an expression where a type
-    # belongs: the error names the node's class, since a dataclass repr of
+    # belongs: the error names the node's class, since a record repr of
     # 3,000 nested nodes would overflow the stack.
     n = 3_000
     assert sys.getrecursionlimit() < n

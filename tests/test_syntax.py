@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import sys
 from typing import get_args
@@ -181,7 +183,7 @@ class TestAlphaEquivalence:
 class TestDeepTerms:
     """free_vars, substitute and expr_equal walk without the Python stack.
     The terms nest far past the default recursion limit, so they are never
-    compared with == or printed: dataclass == and repr recurse."""
+    compared with == or printed: record == and repr recurse."""
     DEPTH = 5_000
 
     def tower(self, leaf):
@@ -240,20 +242,120 @@ class TestStacks:
         assert core == inner  # the core keeps its own annotation
 
 
+def declared(cls) -> dict:
+    """The annotations of `cls` and its bases, base classes first."""
+    out = {}
+    for klass in reversed(cls.__mro__):
+        out.update(vars(klass).get("__annotations__", {}))
+    return out
+
+
+def compared(record) -> tuple:
+    """The fields of `record` that `==` and `hash` read: all but `span`."""
+    return tuple(getattr(record, name) for name in declared(type(record)) if name != "span")
+
+
+SPAN = S.Span("f.corps", 2, 9)
+SPAN_REPR = "Span(file='f.corps', start=2, end=9)"
+
+# One record of each class in `syntax`, and its repr as
+# `dataclass(frozen=True)` printed it.
+RECORDS = [
+    (S.Span("f.corps", 2, 9), SPAN_REPR),
+    (S.Unit(), "Unit()"),
+    (S.Void(), "Void()"),
+    (S.Believes("A", S.UNIT), "Believes(agent='A', body=Unit())"),
+    (S.Product(S.UNIT, S.VOID), "Product(left=Unit(), right=Void())"),
+    (S.Sum(S.UNIT, S.VOID), "Sum(left=Unit(), right=Void())"),
+    (S.Arrow(S.Believes("A", S.UNIT), S.UNIT),
+     "Arrow(dom=Believes(agent='A', body=Unit()), cod=Unit())"),
+    (S.Node(span=SPAN), f"Node(span={SPAN_REPR})"),
+    (Var("x", span=SPAN), f"Var(span={SPAN_REPR}, name='x')"),
+    (S.Located("A", UnitVal(), span=SPAN),
+     f"Located(span={SPAN_REPR}, agent='A', body=UnitVal(span=None))"),
+    (S.ModalLet(("A",), ("B",), "x", Var("y"), Var("x"), span=SPAN),
+     f"ModalLet(span={SPAN_REPR}, open_path=('A',), stack_path=('B',), var='x', "
+     "bound=Var(span=None, name='y'), body=Var(span=None, name='x'))"),
+    (S.Send(UnitVal(), ("B",), span=SPAN),
+     f"Send(span={SPAN_REPR}, payload=UnitVal(span=None), dest=('B',))"),
+    (S.Up(("A",), UnitVal(), span=SPAN),
+     f"Up(span={SPAN_REPR}, path=('A',), body=UnitVal(span=None))"),
+    (S.Down(("A", "B"), UnitVal(), span=SPAN),
+     f"Down(span={SPAN_REPR}, path=('A', 'B'), body=UnitVal(span=None))"),
+    (S.Lam("x", Var("x"), span=SPAN),
+     f"Lam(span={SPAN_REPR}, var='x', body=Var(span=None, name='x'))"),
+    (S.App(Var("f"), UnitVal(), span=SPAN),
+     f"App(span={SPAN_REPR}, fn=Var(span=None, name='f'), arg=UnitVal(span=None))"),
+    (S.Pair(UnitVal(), Var("y", span=SPAN), span=SPAN),
+     f"Pair(span={SPAN_REPR}, left=UnitVal(span=None), "
+     f"right=Var(span={SPAN_REPR}, name='y'))"),
+    (S.Fst(Var("p"), span=SPAN), f"Fst(span={SPAN_REPR}, inner=Var(span=None, name='p'))"),
+    (S.Snd(Var("p"), span=SPAN), f"Snd(span={SPAN_REPR}, inner=Var(span=None, name='p'))"),
+    (S.Inl(UnitVal(), span=SPAN), f"Inl(span={SPAN_REPR}, inner=UnitVal(span=None))"),
+    (S.Inr(UnitVal(), span=SPAN), f"Inr(span={SPAN_REPR}, inner=UnitVal(span=None))"),
+    (S.Case(Var("s"), "l", Var("l"), "r", UnitVal(), span=SPAN),
+     f"Case(span={SPAN_REPR}, scrutinee=Var(span=None, name='s'), left_var='l', "
+     "left_body=Var(span=None, name='l'), right_var='r', right_body=UnitVal(span=None))"),
+    (UnitVal(span=SPAN), f"UnitVal(span={SPAN_REPR})"),
+    (S.Absurd(Var("v"), span=SPAN), f"Absurd(span={SPAN_REPR}, inner=Var(span=None, name='v'))"),
+    (S.Annot(UnitVal(), S.Sum(S.UNIT, S.UNIT), span=SPAN),
+     f"Annot(span={SPAN_REPR}, inner=UnitVal(span=None), ty=Sum(left=Unit(), right=Unit()))"),
+    (S.Skip(span=SPAN), f"Skip(span={SPAN_REPR})"),
+    (S.SendTo(("B",), UnitVal(), span=SPAN),
+     f"SendTo(span={SPAN_REPR}, dest=('B',), payload=UnitVal(span=None))"),
+    (S.RecvFrom(("A",), span=SPAN), f"RecvFrom(span={SPAN_REPR}, src=('A',))"),
+    (S.Seq(S.Skip(), S.RecvFrom(("A",)), span=SPAN),
+     f"Seq(span={SPAN_REPR}, first=Skip(span=None), rest=RecvFrom(span=None, src=('A',)))"),
+    (Binding("x", S.UNIT, ("A",)), "Binding(name='x', ty=Unit(), tag=('A',))"),
+    (Lock(("A", "B")), "Lock(path=('A', 'B'))"),
+]
+EXAMPLES = [record for record, _ in RECORDS]
+
+
+def _class_name(record) -> str:
+    return type(record).__name__
+
+
+class TestRecords:
+    """Each record class pinned by one example: the `repr`, `hash` and
+    `==` that `dataclass(frozen=True)` gave it, and copies."""
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=[_class_name(r) for r in EXAMPLES])
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record", EXAMPLES, ids=_class_name)
+    def test_hash_is_the_hash_of_the_compared_fields(self, record):
+        assert hash(record) == hash(compared(record))
+
+    @pytest.mark.parametrize("record", EXAMPLES, ids=_class_name)
+    def test_equality_ignores_the_span(self, record):
+        cls = type(record)
+        plain = cls(*compared(record), **({"span": None} if "span" in declared(cls) else {}))
+        assert plain == record and not plain != record and hash(plain) == hash(record)
+        assert record != compared(record)
+
+    @pytest.mark.parametrize("record", EXAMPLES, ids=_class_name)
+    def test_deepcopy_and_pickle_give_an_equal_record(self, record):
+        for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin == record
+            assert repr(twin) == repr(record)  # the span too
+
+
 class TestSchema:
     def test_every_node_class_has_an_entry(self):
         classes = set(get_args(S.Expr)) | set(get_args(S.LocalExpr))
         assert len(classes) == 21 and set(S.SCHEMA) == classes
         for cls in classes:
             shape = S.SCHEMA[cls]
-            declared = [f for f in dataclasses.fields(cls) if f.name != "span"]
-            assert shape.fields == tuple(f.name for f in declared)
+            fields = {name: ty for name, ty in declared(cls).items() if name != "span"}
+            assert shape.fields == tuple(fields)
             # subterms are exactly the fields typed as terms, binders are
             # names, and everything else is data
             subterms = {shape.fields[i] for i, _ in shape.subterms}
-            assert subterms == {f.name for f in declared if "Expr" in f.type}
+            assert subterms == {name for name, ty in fields.items() if "Expr" in ty}
             binders = {shape.fields[b] for _, b in shape.subterms if b is not None}
-            assert all(f.type == "str" for f in declared if f.name in binders)
+            assert all(fields[name] == "str" for name in binders)
             assert set(shape.data) == set(shape.fields) - subterms - binders
 
     def test_binder_scopes(self):
@@ -266,13 +368,29 @@ class TestSchema:
             (S.Case, "right_body"): "right_var",
         }
 
-    def test_nodes_are_frozen_dataclasses(self):
-        classes = [cls for cls in vars(S).values()
-                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
-        assert len(classes) == 31
-        for cls in classes:
-            params = cls.__dataclass_params__
-            assert params.frozen and params.eq and params.repr, cls
+    def test_nodes_are_frozen_records(self):
+        # Every class of the module but the schema's two is a record.
+        classes = {cls for cls in vars(S).values()
+                   if isinstance(cls, type) and cls.__module__ == S.__name__}
+        assert {type(record) for record in EXAMPLES} == classes - {S.Shape, S.Machine}
+        assert len(EXAMPLES) == 31
+        for record in EXAMPLES:
+            cls = type(record)
+            fields = tuple(declared(cls))
+            assert cls._fields == fields
+            assert cls.__match_args__ == tuple(name for name in fields if name != "span")
+            for name in (*fields, "span", "other"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+            # == and hash ignore the span; repr shows every field
+            if "span" in fields:
+                moved = cls(*compared(record), span=S.Span("g", 0, 0))
+                assert moved == record and hash(moved) == hash(record)
+                assert repr(moved) != repr(record)
+            assert repr(record).startswith(f"{cls.__name__}(")
+            assert all(f"{name}=" in repr(record) for name in fields)
 
     def test_a_rebuilt_node_keeps_frozen_equality_hash_and_repr(self):
         span = S.Span("f", 0, 3)
