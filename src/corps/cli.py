@@ -63,20 +63,20 @@ def _checked(program, topology, deriv=None):
 
 
 def _split_values(text: str) -> list[str]:
-    # Split on commas at parenthesis depth zero.
-    parts, depth, current = [], 0, []
-    for char in text:
+    """The values of `text`, split on commas at parenthesis depth zero.
+    Each is padded on the left with blanks to where it starts in `text`,
+    so the positions the parser reports count from the start of `text`."""
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(text):
         if char == "(":
             depth += 1
         elif char == ")":
             depth -= 1
-        if char == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+        elif char == "," and depth == 0:
+            parts.append(" " * start + text[start:i])
+            start = i + 1
+    parts.append(" " * start + text[start:])
+    return [p for p in parts if p.strip()]
 
 
 def cmd_check(args) -> int:

@@ -77,7 +77,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Optional, Union, get_args
 
 from .normalize import EvalMode, NormalFormClass, is_positive_value, normalize
@@ -87,18 +86,18 @@ from .projection import Network, local_str, project_expr, project_network
 from .syntax import (
     SKIP, Absurd, App, Case, Fst, Inl, Inr, Lam, LocalExpr, Machine, Pair,
     Path, RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, eval_holes, expr_equal,
-    match_located, split_stack, substitute,
+    _frozen, match_located, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
 
 
-@dataclass(frozen=True)
+@_frozen
 class RoundRobin:
     """Schedule the ready processes in turn, in address order."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class RandomPolicy:
     """Schedule a ready process drawn by a generator seeded with `seed`."""
     seed: int
@@ -113,7 +112,7 @@ def policy_str(policy: SchedulerPolicy) -> str:
     return f"random:{policy.seed}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class TraceEvent:
     """One event of a run: at `step`, the process at `address` took
     `action`, with its peer and the printed payload if it has them."""
@@ -151,8 +150,8 @@ class _Trace:
     it is first read."""
 
     def __get__(self, obj, owner=None) -> list[TraceEvent]:
-        if obj is None:  # no class-level value, so no dataclass default
-            raise AttributeError("trace")
+        if obj is None:
+            return self
         trace = obj.__dict__["trace"]
         if type(trace) is _Events:
             trace = obj.__dict__["trace"] = trace.render()
@@ -225,12 +224,22 @@ def _step_local(e: LocalExpr, addr: Path,
     return "act", reduct, action, peer, None if payload is None else local_str(payload)
 
 
-@dataclass
 class RunResult:
     """A completed run: each process's value, the trace, the step count."""
-    values: dict[Path, LocalExpr]
-    trace: list[TraceEvent] = _Trace()
-    steps: int
+    trace = _Trace()
+
+    def __init__(self, values: dict[Path, LocalExpr], trace: list[TraceEvent],
+                 steps: int):
+        self.values, self.trace, self.steps = values, trace, steps
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.trace, self.steps) == (other.values, other.trace,
+                                                             other.steps)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RunResult(values={self.values!r}, trace={self.trace!r}, steps={self.steps!r})"
 
 
 # The evaluation positions, for `_step_local` and the focused engine.  A
@@ -454,7 +463,7 @@ class PreconditionError(Exception):
     """The program falls outside what the harness can compare."""
 
 
-@dataclass
+@_frozen
 class AgreementReport:
     """Whether every schedule gave the choreography's normal form
     (`expected`), each schedule's outcome, and what the first gave."""

@@ -16,7 +16,6 @@ input values whose observations diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .netsim import NetError, RoundRobin, RunResult, run
@@ -25,14 +24,14 @@ from .printer import expr_str, path_str, type_str
 from .projection import SKIP, Network, local_str, project_network
 from .syntax import (
     Annot, Arrow, Believes, Expr, Inl, Inr, Lam, Located, Pair, Path,
-    Product, Sum, Type, Unit, UnitVal, split_stack, substitute,
+    Product, Sum, Type, Unit, UnitVal, _frozen, split_stack, substitute,
 )
 from .topology import Topology, flow_reachable
 from .typecheck import Checker, TypeCheckError, check_program, resolve_topology
 from .normalize import is_positive_value
 
 
-@dataclass(frozen=True)
+@_frozen
 class NIConfig:
     """The input to vary, the observer's address and the values to try."""
     input_name: str
@@ -40,7 +39,7 @@ class NIConfig:
     values: tuple[Expr, ...]
 
 
-@dataclass
+@_frozen
 class Witness:
     """Two input values whose runs the observer sees differently."""
     value_a: Expr
@@ -52,7 +51,7 @@ class Witness:
         return f"inputs {expr_str(self.value_a)} vs {expr_str(self.value_b)} diverge"
 
 
-@dataclass
+@_frozen
 class Verdict:
     """The outcome of `ni_check`, printed by `str`."""
     kind: str  # Secure | InterferenceFound | FlowPermitted
@@ -110,8 +109,8 @@ def elaborate_value(value: Expr, ty: Type) -> Expr:
 def _substituted(program: Program, name: str, value: Expr) -> Program:
     inputs = tuple((n, t) for n, t in program.inputs if n != name)
     defs = tuple((n, t, substitute(b, name, value)) for n, t, b in program.defs)
-    return replace(program, inputs=inputs, defs=defs,
-                   main_expr=substitute(program.main_expr, name, value))
+    return Program(program.topology_ref, inputs, defs, program.main_type,
+                   substitute(program.main_expr, name, value))
 
 
 def _validate(program: Program, cfg: NIConfig, topology: Topology) -> Type:

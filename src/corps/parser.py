@@ -49,12 +49,11 @@ where the chain ends.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
-    Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst, Inl, Inr,
-    Lam, Located, ModalLet, Pair, Path, Product, Send, Snd, Span, Sum, Type,
-    Unit, UnitVal, Up, Var, Void,
+    UNIT, VOID, Absurd, Annot, App, Arrow, Believes, Case, Down, Expr, Fst,
+    Inl, Inr, Lam, Located, ModalLet, Pair, Path, Product, Send, Snd, Span,
+    Sum, Type, UnitVal, Up, Var, _frozen,
 )
 
 KEYWORDS = frozenset({
@@ -138,7 +137,7 @@ _TYPE_PREC = {"->": 1, "+": 2, "*": 3}
 _TYPE_OP = {"->": Arrow, "+": Sum, "*": Product}
 
 
-@dataclass(frozen=True)
+@_frozen
 class Program:
     """A parsed program: its topology reference, inputs, definitions and
     the type and expression of `main`."""
@@ -215,10 +214,10 @@ class _Parser:
             kind = kinds[self.pos]
             if kind == "unit":
                 self.pos += 1
-                ty = Unit()
+                ty = UNIT
             elif kind == "void":
                 self.pos += 1
-                ty = Void()
+                ty = VOID
             elif kind == "(":
                 self.nest(self.pos)
                 self.pos += 1

@@ -59,7 +59,6 @@ that has one; `project(g)` raises g's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .parser import Program
@@ -136,18 +135,29 @@ def _mentions(ty: Type, cls) -> bool:
     return False
 
 
-@dataclass
 class Network:
     """A projected program: one local process per address, and where and
     how its result is read."""
-    processes: dict[Path, LocalExpr]
-    result_address: Path
-    lambda_wire: bool
-    universe: frozenset[Path] = field(default_factory=frozenset)
-    # The simulator's step logs, one per process by address (`netsim._Log`):
-    # built by the first run of the network, replayed and extended by every run.
-    _logs: Optional[dict] = field(default=None, init=False, repr=False,
-                                  compare=False)
+
+    def __init__(self, processes: dict[Path, LocalExpr], result_address: Path,
+                 lambda_wire: bool, universe: frozenset[Path] = frozenset()):
+        self.processes, self.result_address = processes, result_address
+        self.lambda_wire, self.universe = lambda_wire, universe
+        # The simulator's step logs, one per process by address (`netsim._Log`):
+        # built by the first run of the network, replayed and extended by every run.
+        self._logs: Optional[dict] = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.processes, self.result_address, self.lambda_wire, self.universe)
+                    == (other.processes, other.result_address, other.lambda_wire,
+                        other.universe))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"Network(processes={self.processes!r}, result_address="
+                f"{self.result_address!r}, lambda_wire={self.lambda_wire!r}, "
+                f"universe={self.universe!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +169,7 @@ Local = Union[LocalExpr, ProjectionError]
 Sparse = tuple[Local, dict[Path, Local]]
 
 _NOWHERE: dict[Path, Local] = {}  # shared; no sparse map is ever mutated
+_UNIT_VAL = UnitVal()  # shared, as every record is immutable
 
 
 def _apply(rule, parts: list[Local]) -> Local:
@@ -236,7 +247,7 @@ class _Projection:
             case "Check" | "Annot":
                 return kids[0]
             case "Unit":
-                return SKIP, {L: UnitVal()}
+                return SKIP, {L: _UNIT_VAL}
             case "BelievesI":
                 self.participants.add(path_concat(L, (e.agent,)))
                 return kids[0]
@@ -326,11 +337,14 @@ def _unary(ctor):
     return lambda inner: SKIP if type(inner) is Skip else ctor(inner)
 
 
-def _prefix_closure(paths: set[Path]) -> frozenset[Path]:
+def _prefix_closure(paths: set[Path]) -> set[Path]:
+    """Every prefix of every path in `paths`.  The set stays closed under
+    prefixes, so each path is walked up only until it meets one in it."""
     out: set[Path] = set()
     for p in paths:
-        for i in range(len(p) + 1):
-            out.add(p[:i])
+        while p not in out:
+            out.add(p)
+            p = p[:-1]
     return out
 
 

@@ -18,57 +18,83 @@ its fields, its subterms and the binder scoping each subterm.  Children,
 free variables, substitution, alpha-equality and the refocusing machine
 that both languages' fast evaluators run are each written once over it.
 
-Spans, types, nodes and context entries are records (`_frozen`):
-immutable values that refuse assignment, compare and hash by their fields
-without the source `span`, print as `Cls(field=value, ...)` as a frozen
-dataclass would, and take part in `match` through `__match_args__`.
+Spans, types, nodes and context entries are records (`_frozen`), as are
+the other value classes of the package: slotted, immutable values that
+refuse assignment, compare and hash by their fields without the source
+`span`, print as `Cls(field=value, ...)` as a frozen dataclass would, and
+take part in `match` through `__match_args__`.  Assigning to one raises
+`dataclasses.FrozenInstanceError`, the error a frozen dataclass raises;
+`dataclasses` is imported only when that happens.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
 
 def _frozen(cls: type) -> type:
-    """Make `cls` a record: an immutable value with the fields it annotates.
+    """Make `cls` a record: a slotted, immutable value with the fields it
+    annotates.
 
     The fields are the annotated names of the class and its bases, base
     fields first (`cls._fields`).  A field named `span` is the source
     position: keyword-only, None by default and left out of `==` and
-    `hash`; every other field is a positional parameter, in order.  The
-    record contract, which `dataclass(frozen=True)` would also give:
+    `hash`; every other field is a positional parameter, in order, and
+    takes the value the class body gives it, if any, as its default (a
+    subclass inherits no default but the span's).  The record contract,
+    which `dataclass(frozen=True, slots=True)` would also give:
 
-    - `__init__` writes the fields into the instance's `__dict__`, then
-      runs `__post_init__` if the class has one;
-    - assigning or deleting an attribute raises `FrozenInstanceError`;
+    - the class is rebuilt with `__slots__` of its own fields, so its
+      instances have no `__dict__`, and `__init__` stores each field
+      through its slot, then runs `__post_init__` if the class has one;
+    - assigning or deleting an attribute raises
+      `dataclasses.FrozenInstanceError`, imported when it is raised;
     - `a == b` holds when both are of the same class and their fields
       other than `span` are equal, and `hash` is the hash of the tuple of
       those fields;
     - `repr` is `Cls(field=value, ...)` over all fields, `span` included;
-    - `__match_args__` names the positional fields, for `match`.
+    - `__match_args__` names the positional fields, for `match`;
+    - `pickle` and `copy` go through `__getstate__`, the tuple of the
+      fields, and `__setstate__`, which stores it past the frozen
+      `__setattr__`.
 
     Compiling is most of what a record class costs at import, so only
     `__init__`, `__eq__` and `__hash__` are compiled per class, from one
     source, with the expressions dataclasses generates (the same cost per
-    call, the same hash values); `repr`, `__setattr__` and `__delattr__`
-    are shared by all records.
+    call, the same hash values); the other methods are shared by all
+    records.
     """
     base = getattr(cls, "_fields", ())
-    names = base + tuple(name for name in cls.__dict__.get("__annotations__", ())
-                         if name not in base)
+    own = tuple(name for name in cls.__dict__.get("__annotations__", ())
+                if name not in base)
+    names = base + own
     compared = tuple(name for name in names if name != "span")
-    params = ["self", *compared]
+    namespace = dict(cls.__dict__)
+    # A class-level value would shadow the slot of the same name.
+    defaults = {name: namespace.pop(name) for name in own if name in namespace}
+    namespace.pop("__dict__", None)
+    namespace.pop("__weakref__", None)
+    cls = type(cls)(cls.__name__, cls.__bases__, {
+        **namespace, "__slots__": own, "__qualname__": cls.__qualname__,
+        "_fields": names, "__match_args__": compared, "__repr__": _record_repr,
+        "__setattr__": _record_setattr, "__delattr__": _record_delattr,
+        "__getstate__": _record_getstate, "__setstate__": _record_setstate})
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    params = ["self"]
+    for name in compared:
+        if name in defaults:
+            env[f"_default_{name}"] = defaults[name]
+            name += f"=_default_{name}"
+        params.append(name)
     if "span" in names:
         params += ["*", "span=None"]
-    stores = "".join(f"    d[{name!r}] = {name}\n" for name in names)
+    stores = "".join(f"    _set_{name}(self, {name})\n" for name in names)
     if hasattr(cls, "__post_init__"):
         stores += "    self.__post_init__()\n"
     mine = "".join(f"self.{name}," for name in compared)
     theirs = "".join(f"other.{name}," for name in compared)
-    env: dict = {}
-    exec(f"def __init__({', '.join(params)}):\n    d = self.__dict__\n{stores}"
+    exec(f"def __init__({', '.join(params)}):\n{stores or '    pass'}\n"
          "def __eq__(self, other):\n"
          "    if other.__class__ is self.__class__:\n"
          f"        return ({mine})==({theirs})\n"
@@ -77,11 +103,6 @@ def _frozen(cls: type) -> type:
     for method in ("__init__", "__eq__", "__hash__"):
         env[method].__qualname__ = f"{cls.__qualname__}.{method}"
         setattr(cls, method, env[method])
-    cls._fields = names
-    cls.__match_args__ = compared
-    cls.__repr__ = _record_repr
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
     return cls
 
 
@@ -91,11 +112,22 @@ def _record_repr(self) -> str:
 
 
 def _record_setattr(self, name: str, value) -> None:
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _record_delattr(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
     raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_getstate(self) -> tuple:
+    return tuple(getattr(self, name) for name in self._fields)
+
+
+def _record_setstate(self, state: tuple) -> None:
+    for name, value in zip(self._fields, state):
+        object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ Shipped presets:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import Path, is_agent_name
+from .syntax import Path, _frozen, is_agent_name
 
 KINDS = ("candown", "canup", "cansend")
 
@@ -35,7 +34,7 @@ class TopologyError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
+@_frozen
 class PathPattern:
     """A path pattern of a topology rule: literal names and variables,
     optionally after a wildcard prefix."""
@@ -71,7 +70,7 @@ class PathPattern:
         return binding
 
 
-@dataclass(frozen=True)
+@_frozen
 class TopoRule:
     """One rule of a topology: a relation kind and either a constant or a
     pair of path patterns."""
@@ -81,7 +80,7 @@ class TopoRule:
     rhs: Optional[PathPattern] = None
 
 
-@dataclass(frozen=True)
+@_frozen
 class Topology:
     """The rules of a topology, and the name it was loaded by, if any."""
     rules: tuple[TopoRule, ...]

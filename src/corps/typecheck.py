@@ -35,15 +35,14 @@ and `project_network` accept the same programs, definitions included.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .parser import Program
 from .printer import expr_str, path_str, type_str
 from .syntax import (
-    Absurd, Annot, App, Arrow, Believes, Binding, Case, Context, Down, Expr,
-    Fst, Inl, Inr, Lam, Located, ModalLet, Pair, Path, Product, Send,
-    Snd, Span, Sum, Type, Unit, UnitVal, Up, Var, Void, belief_stack,
+    UNIT, VOID, Absurd, Annot, App, Arrow, Believes, Binding, Case, Context,
+    Down, Expr, Fst, Inl, Inr, Lam, Located, ModalLet, Pair, Path, Product,
+    Send, Snd, Span, Sum, Type, UnitVal, Up, Var, _frozen, belief_stack,
     ctx_bind, ctx_lock, locks_of, path_concat, peel_stack, split_stack,
     substitute,
 )
@@ -66,7 +65,7 @@ class TypeCheckError(Exception):
         return f"{where}[{self.rule}] {self.message}"
 
 
-@dataclass
+@_frozen
 class Derivation:
     """One node of a typing derivation: rule, viewpoint, subject, type and
     the derivations of its premises."""
@@ -74,7 +73,7 @@ class Derivation:
     viewpoint: Path
     subject: str
     ty: Type
-    children: list["Derivation"] = field(default_factory=list)
+    children: list["Derivation"]
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -151,7 +150,7 @@ class Checker:
             case Var():
                 rule, (ty, comm) = "Axiom", self._axiom(ctx, e)
             case UnitVal():
-                rule, ty = "Unit", Unit()
+                rule, ty = "Unit", UNIT
             case Located(agent, body):
                 rule, ty = "BelievesI", Believes(
                     agent, self.infer(ctx_lock(ctx, (agent,)), body, kids))
@@ -257,7 +256,7 @@ class Checker:
                         e.span)
                 self.check(ctx, inner, ty.left if rule == "Inl" else ty.right, kids)
             case Absurd(inner):
-                self.check(ctx, inner, Void(), kids)
+                self.check(ctx, inner, VOID, kids)
                 rule = "Absurd"
             case Case():
                 left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))

@@ -41,16 +41,14 @@ def fake_deadlock(monkeypatch):
 
 def fake_disagreement(monkeypatch):
     """Report each outcome of the real agreement check as a disagreement."""
-    from dataclasses import replace
-
     from corps import cli
 
     agreement = cli.netsim.epp_agreement
 
     def disagreeing(*args, **kwargs):
         report = agreement(*args, **kwargs)
-        return replace(report, agree=False, outcomes=[
-            (label, "disagree: got skip") for label, _ in report.outcomes])
+        return cli.netsim.AgreementReport(False, report.expected, [
+            (label, "disagree: got skip") for label, _ in report.outcomes], report.first)
 
     monkeypatch.setattr(cli.netsim, "epp_agreement", disagreeing)
 
@@ -469,9 +467,13 @@ class TestNi:
     (["ni", "--input", "b", "--observe", "[a]", "--values", "B.(inl ()),B.(inr ())"],
      "--observe:1-2: found 'a' (expected agent name)"),
     (["ni", "--input", "b", "--observe", "[A]", "--values", "B.(inl ()),inr ("],
-     "--values:5-6: found 'end of input' where an expression was expected "
+     "--values:16-17: found 'end of input' where an expression was expected "
      "(expected (, (), agent, identifier)"),
-], ids=["agent", "observe", "values"])
+    # the position counts the blanks before a value too
+    (["ni", "--input", "b", "--observe", "[A]", "--values", "B.(inl ()),  inr ( "],
+     "--values:19-20: found 'end of input' where an expression was expected "
+     "(expected (, (), agent, identifier)"),
+], ids=["agent", "observe", "values", "values-with-blanks"])
 def test_a_flag_that_fails_to_parse_is_named(tmp_path, capsys, flags, line):
     path = tmp_path / "sealed.corps"
     path.write_text(SEALED)

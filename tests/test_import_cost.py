@@ -1,10 +1,10 @@
 """What `import corps` does, seen from a fresh interpreter.
 
-`dataclass()` calls `inspect.signature` to invent a docstring for a class
-that has none; the records of `corps.syntax` are not dataclasses, and every
-dataclass under `src/corps` has a docstring, so the import makes no such
-call.  The import still loads every module of the package, so no import
-work is deferred to a first call.
+The package builds its records itself (`syntax._frozen`) and has no
+dataclasses, so the import loads neither `dataclasses` nor `inspect`
+(with `ast`, `dis` and `tokenize` behind it), and makes no
+`inspect.signature` call.  The import still loads every module of the
+package, so no import work is deferred to a first call.
 """
 
 import json
@@ -36,15 +36,37 @@ print(json.dumps({
 }))
 """
 
+# The modules `import corps` loads, in an interpreter that has loaded
+# nothing else yet.
+NEW_MODULES = """
+import sys
+
+before = set(sys.modules)
+import corps
+new = sorted(set(sys.modules) - before)
+import json
+print(json.dumps(new))
+"""
+
+
+def fresh(script: str):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=SRC.parent, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
 
 def test_import_calls_no_signature_and_loads_every_module():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=SRC.parent, env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    seen = json.loads(proc.stdout)
+    seen = fresh(SCRIPT)
     assert seen["signature_calls"] == []
     assert seen["modules"] == [
         "corps", "corps.netsim", "corps.nicheck", "corps.normalize", "corps.parser",
         "corps.printer", "corps.projection", "corps.syntax", "corps.topology",
         "corps.typecheck",
     ]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    new = fresh(NEW_MODULES)
+    assert "corps.syntax" in new
+    assert "dataclasses" not in new and "inspect" not in new

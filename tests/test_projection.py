@@ -1,15 +1,15 @@
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corps import syntax as S
-from corps.parser import parse_program
+from corps.parser import Program, parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq,
-    _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, local_str, merge, project,
-    project_expr, project_network,
+    _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, _prefix_closure, local_str, merge,
+    project, project_expr, project_network,
 )
 from corps.topology import load_preset
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
@@ -353,7 +353,8 @@ class TestSinglePass:
         (_, _, body), = program.defs
         assert sum(projected.values()) == len(projected)
         assert len(projected) == node_count(body) + node_count(program.main_expr)
-        inlined = replace(program, defs=(), main_expr=inline_main(program)[0])
+        inlined = Program(program.topology_ref, program.inputs, (), program.main_type,
+                          inline_main(program)[0])
         assert project_network(program, topo) == project_network(inlined, topo)
 
     @pytest.mark.parametrize("definition", [
@@ -366,7 +367,8 @@ class TestSinglePass:
         program = parse_program(f"topology choreo; {definition} {P4.split('; ', 1)[1]}")
         assert not check_program(program)
         got = project_network(program)
-        want = project_network(replace(program, defs=()))
+        want = project_network(Program(program.topology_ref, program.inputs, (),
+                                       program.main_type, program.main_expr))
         assert ((got.processes, got.universe, got.lambda_wire)
                 == (want.processes, want.universe, want.lambda_wire))
 
@@ -470,6 +472,15 @@ def def_mutants(program):
         if j:
             bodies.append(S.Fst(S.Pair(body, S.Located("A", S.Var(defs[j - 1][0])))))
         for mutated in bodies:
-            yield replace(program, defs=(*defs[:j], (name, ty, mutated), *defs[j + 1:]))
+            yield Program(program.topology_ref, program.inputs,
+                          (*defs[:j], (name, ty, mutated), *defs[j + 1:]),
+                          program.main_type, program.main_expr)
     under_lock = S.Located("A", S.Var(defs[-1][0]))
-    yield replace(program, main_expr=S.Fst(S.Pair(program.main_expr, under_lock)))
+    yield Program(program.topology_ref, program.inputs, program.defs, program.main_type,
+                  S.Fst(S.Pair(program.main_expr, under_lock)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sets(st.lists(st.sampled_from("ABC"), max_size=6).map(tuple), max_size=12))
+def test_prefix_closure_is_every_prefix_of_every_path(paths):
+    assert _prefix_closure(paths) == {p[:i] for p in paths for i in range(len(p) + 1)}
