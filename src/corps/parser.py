@@ -172,6 +172,11 @@ class _Parser:
         return ParseError(message, Span(self.file, start, max(self.ends[self.pos], start + 1)),
                           expected)
 
+    def duplicate(self, name: str) -> ParseError:
+        """A repeated input or definition name, reported at its closing `;`."""
+        return ParseError(f"duplicate definition of {name!r}",
+                          Span(self.file, self.starts[self.pos - 1], self.ends[self.pos - 1]))
+
     def span_from(self, start: int) -> Span:
         return Span(self.file, start, self.ends[self.pos - 1])
 
@@ -371,6 +376,8 @@ class _Parser:
             self.expect(":")
             ty = self.type_()
             self.expect(";")
+            if any(name == seen for seen, _ in inputs):
+                raise self.duplicate(name)
             inputs.append((name, ty))
         defs: list[tuple[str, Type, Expr]] = []
         while kinds[self.pos] == "def":
@@ -382,8 +389,7 @@ class _Parser:
             body = self.expr()
             self.expect(";")
             if any(name == seen for seen, _, _ in defs) or any(name == seen for seen, _ in inputs):
-                raise ParseError(f"duplicate definition of {name!r}",
-                                 Span(self.file, self.starts[self.pos - 1], self.ends[self.pos - 1]))
+                raise self.duplicate(name)
             defs.append((name, ty, body))
         self.expect("main")
         self.expect(":")

@@ -1,328 +1,52 @@
-"""Seeded generation of well-typed programs for the property suites.
+"""Seeded well-typed programs for the property suites.
 
-Generation mirrors the typechecker's inference mode and produces only
-inferable expressions: checking-only heads (functions, injections)
-always carry a type annotation.  This keeps every reduct of a generated
-program re-checkable, which the type-preservation suite relies on.
+The programs are `bench/progen`'s source text, parsed.  That generator
+mirrors the typechecker's inference mode and produces only inferable
+expressions: heads that can only be checked (functions, injections)
+always carry a type annotation, so every reduct of a generated program
+can be checked again, which the type-preservation suite relies on.
 Every communication is generated under a relation query against the
-actual topology, so the result typechecks by construction; the test
-suites still assert that.
-
-`projectable=True` additionally keeps moved values first-order (no
-modalities, no functions in wire types) and makes case branches copies
-of each other, so the program survives equality-merge.
+topology, so the result typechecks by construction; the suites still
+assert that.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 
-from corps import syntax as S
-from corps.nicheck import elaborate_value
-from corps.parser import Program
-from corps.topology import Topology, load_preset, relation_holds
-
-AGENTS = ("A", "B", "C")
+import progen
+from corps.parser import Program, parse_program
+from corps.topology import Topology, relation_holds
 
 
-def _contains_believes(ty):
-    match ty:
-        case S.Believes():
-            return True
-        case S.Product(l, r) | S.Sum(l, r) | S.Arrow(l, r):
-            return _contains_believes(l) or _contains_believes(r)
-        case _:
-            return False
+@functools.cache
+def program(seed: int, preset: str, *, projectable: bool = False,
+            depth: int = 7) -> Program:
+    """Program `seed` of `preset`; shared between callers, as records are
+    immutable."""
+    text, _ = progen.ProgramGen(seed, preset, depth=depth,
+                                projectable=projectable).gen_program()
+    return parse_program(text)
 
 
-def _contains_arrow(ty):
-    match ty:
-        case S.Arrow():
-            return True
-        case S.Product(l, r) | S.Sum(l, r):
-            return _contains_arrow(l) or _contains_arrow(r)
-        case S.Believes(_, b):
-            return _contains_arrow(b)
-        case _:
-            return False
+class NIProgramGen(progen.ProgramGen):
+    """Noninterference programs: one secret input `b : [B] (unit + unit)`
+    and `main`, generated under the relations of any `topology`."""
 
+    INPUT = ("bel", "B", ("sum", progen.UNIT, progen.UNIT))
 
-def _is_first_order(ty):
-    return not _contains_believes(ty) and not _contains_arrow(ty)
+    def __init__(self, seed: int, topology: Topology, **options):
+        super().__init__(seed, topology.name, **options)
+        self.topology = topology
 
+    def _holds(self, kind, a, b) -> bool:
+        return relation_holds(self.topology, kind, a, b)
 
-class ProgramGen:
-    def __init__(self, seed: int, topology: Topology, agents=AGENTS,
-                 depth: int = 7, budget: int = 60, projectable: bool = False):
-        self.rng = random.Random(seed)
-        self.topo = topology
-        self.agents = agents
-        self.max_depth = depth
-        self.budget = budget
-        self.projectable = projectable
-        self.counter = 0
-
-    # -- helpers -------------------------------------------------------------
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"x{self.counter}"
-
-    def agent(self) -> str:
-        return self.rng.choice(self.agents)
-
-    def _spend(self) -> bool:
-        if self.budget <= 0:
-            return False
-        self.budget -= 1
-        return True
-
-    def _paths(self, max_len: int = 2, include_empty: bool = False):
-        out = [()] if include_empty else []
-        out += [(a,) for a in self.agents]
-        if max_len >= 2:
-            out += [(a, b) for a in self.agents for b in self.agents]
-        return out
-
-    # -- types ---------------------------------------------------------------
-
-    def gen_type(self, depth: int, first_order: bool = False):
-        if depth <= 0 or not self._spend():
-            return S.Unit()
-        r = self.rng.random()
-        if r < 0.34:
-            return S.Unit()
-        if r < 0.52 and not first_order:
-            return S.Believes(self.agent(), self.gen_type(depth - 1, first_order))
-        if r < 0.68:
-            return S.Product(self.gen_type(depth - 1, first_order),
-                             self.gen_type(depth - 1, first_order))
-        if r < 0.86:
-            left = self.gen_type(depth - 1, first_order)
-            if self.rng.random() < 0.12:
-                return S.Sum(left, S.Void())
-            return S.Sum(left, self.gen_type(depth - 1, first_order))
-        if not first_order:
-            return S.Arrow(self.gen_type(depth - 2, first_order),
-                           self.gen_type(depth - 1, first_order))
-        return S.Unit()
-
-    # -- canonical values ------------------------------------------------------
-
-    def base_value(self, ty) -> S.Expr:
-        match ty:
-            case S.Unit():
-                return S.UnitVal()
-            case S.Believes(agent, body):
-                return S.Located(agent, self.base_value(body))
-            case S.Product(left, right):
-                return S.Pair(self.base_value(left), self.base_value(right))
-            case S.Sum(left, right):
-                if isinstance(left, S.Void):
-                    return S.Inr(self.base_value(right))
-                if isinstance(right, S.Void) or self.rng.random() < 0.5:
-                    return S.Inl(self.base_value(left))
-                return S.Inr(self.base_value(right))
-            case S.Arrow(_, cod):
-                return S.Lam(self.fresh(), self.base_value(cod))
-        raise ValueError(f"no canonical value of type {ty!r}")
-
-    def infer_base(self, ty) -> S.Expr:
-        return elaborate_value(self.base_value(ty), ty)
-
-    # -- expressions ------------------------------------------------------------
-    # env: list of (name, type, absolute viewpoint where usable); rightmost wins.
-
-    def _usable(self, env, viewpoint, ty):
-        rightmost: dict[str, tuple] = {}
-        for name, var_ty, abs_tag in env:
-            rightmost[name] = (var_ty, abs_tag)
-        return [name for name, (var_ty, abs_tag) in rightmost.items()
-                if abs_tag == viewpoint and var_ty == ty]
-
-    def _moved_ok(self, ty) -> bool:
-        return not self.projectable or _is_first_order(ty)
-
-    def _gen_case(self, ty, viewpoint, env, depth: int) -> S.Expr:
-        if self.projectable:
-            # Equal branch copies survive merging only when the binders
-            # also agree in type, so use a same-sided sum.
-            side = self.gen_type(1)
-            scrut_ty = S.Sum(side, side)
-        else:
-            scrut_ty = S.Sum(self.gen_type(1), self.gen_type(1))
-        scrutinee = self.gen_infer(scrut_ty, viewpoint, env, depth - 1)
-        lv, rv = self.fresh(), self.fresh()
-        left_env = env + [(lv, scrut_ty.left, viewpoint)]
-        lb = self.gen_infer(ty, viewpoint, left_env, depth - 1)
-        if self.projectable:
-            rb = S.substitute(lb, lv, S.Var(rv))
-        else:
-            right_env = env + [(rv, scrut_ty.right, viewpoint)]
-            rb = self.gen_infer(ty, viewpoint, right_env, depth - 1)
-        return S.Case(scrutinee, lv, lb, rv, rb)
-
-    def gen_infer(self, ty, viewpoint, env, depth: int) -> S.Expr:
-        if depth <= 0 or not self._spend():
-            return self.infer_base(ty)
-        choices = []
-        usable = self._usable(env, viewpoint, ty)
-        if usable:
-            choices += ["var"] * 3
-        if isinstance(ty, S.Unit):
-            choices += ["unit"]
-        if isinstance(ty, S.Believes):
-            choices += ["located"] * 4
-        if isinstance(ty, S.Arrow):
-            choices += ["lam"] * 4
-        if isinstance(ty, S.Sum):
-            choices += ["inj"] * 3
-        if isinstance(ty, S.Product):
-            choices += ["pair"] * 3
-        stack, core = S.split_stack(ty)
-        up_splits = [k for k in range(1, len(stack) + 1)
-                     if relation_holds(self.topo, "canup", viewpoint,
-                                       viewpoint + stack[:k])
-                     and self._moved_ok(S.belief_stack(stack[k:], core))]
-        if up_splits:
-            choices += ["up"] * 3
-        send_sources = [g1 for g1 in self._paths(2, include_empty=True)
-                        if relation_holds(self.topo, "cansend", viewpoint + g1,
-                                          viewpoint + stack)]
-        if send_sources and self._moved_ok(core):
-            choices += ["send"] * 3
-        down_paths = [g for g in self._paths(2)
-                      if relation_holds(self.topo, "candown", viewpoint,
-                                        viewpoint + g)]
-        if down_paths and self._moved_ok(ty):
-            choices += ["down"] * 3
-        if depth >= 2:
-            choices += ["let"] * 4
-            choices += ["pairproj"] * 2 + ["app"] * 2 + ["case"] * 2
-        if not choices:
-            choices = ["base"]
-        kind = self.rng.choice(choices)
-        match kind:
-            case "base":
-                return self.infer_base(ty)
-            case "var":
-                return S.Var(self.rng.choice(usable))
-            case "unit":
-                return S.UnitVal()
-            case "lam":
-                var = self.fresh()
-                body = self.gen_infer(ty.cod, viewpoint,
-                                      env + [(var, ty.dom, viewpoint)], depth - 1)
-                return S.Annot(S.Lam(var, body), ty)
-            case "inj":
-                if isinstance(ty.left, S.Void):
-                    side = "r"
-                elif isinstance(ty.right, S.Void):
-                    side = "l"
-                else:
-                    side = "l" if self.rng.random() < 0.5 else "r"
-                if side == "l":
-                    return S.Annot(
-                        S.Inl(self.gen_infer(ty.left, viewpoint, env, depth - 1)),
-                        ty)
-                return S.Annot(
-                    S.Inr(self.gen_infer(ty.right, viewpoint, env, depth - 1)),
-                    ty)
-            case "located":
-                inner = self.gen_infer(ty.body, viewpoint + (ty.agent,), env,
-                                       depth - 1)
-                return S.Located(ty.agent, inner)
-            case "pair":
-                return S.Pair(self.gen_infer(ty.left, viewpoint, env, depth - 1),
-                              self.gen_infer(ty.right, viewpoint, env, depth - 1))
-            case "up":
-                k = self.rng.choice(up_splits)
-                payload_ty = S.belief_stack(stack[k:], core)
-                payload = self.gen_infer(payload_ty, viewpoint, env, depth - 1)
-                return S.Up(stack[:k], payload)
-            case "send":
-                g1 = self.rng.choice(send_sources)
-                payload_ty = S.belief_stack(g1, core)
-                payload = self.gen_infer(payload_ty, viewpoint, env, depth - 1)
-                return S.Send(payload, stack)
-            case "down":
-                g = self.rng.choice(down_paths)
-                payload = self.gen_infer(S.belief_stack(g, ty), viewpoint, env,
-                                         depth - 1)
-                return S.Down(g, payload)
-            case "let":
-                return self._gen_let(ty, viewpoint, env, depth)
-            case "pairproj":
-                other = self.gen_type(1)
-                if self.rng.random() < 0.5:
-                    inner = self.gen_infer(S.Product(ty, other), viewpoint, env,
-                                           depth - 1)
-                    return S.Fst(inner)
-                inner = self.gen_infer(S.Product(other, ty), viewpoint, env,
-                                       depth - 1)
-                return S.Snd(inner)
-            case "app":
-                dom = self.gen_type(1)
-                fn = self.gen_infer(S.Arrow(dom, ty), viewpoint, env, depth - 1)
-                arg = self.gen_infer(dom, viewpoint, env, depth - 1)
-                return S.App(fn, arg)
-            case "case":
-                return self._gen_case(ty, viewpoint, env, depth)
-        raise AssertionError(kind)
-
-    def _gen_let(self, ty, viewpoint, env, depth: int) -> S.Expr:
-        g1 = self.rng.choice(self._paths(1, include_empty=True) + [()])
-        g2 = self.rng.choice(self._paths(2, include_empty=True) + [()])
-        core = self.gen_type(1)
-        bound = self.gen_infer(S.belief_stack(g2, core), viewpoint + g1, env,
-                               depth - 1)
-        var = self.fresh()
-        inner_env = env + [(var, core, viewpoint + g1 + g2)]
-        body = self.gen_infer(ty, viewpoint, inner_env, depth - 1)
-        return S.ModalLet(g1, g2, var, bound, body)
-
-    # -- programs ------------------------------------------------------------
-
-    def gen_program(self, ni_input=None) -> Program:
+    def gen_program(self) -> Program:
         depth = self.rng.randint(3, self.max_depth)
-        env: list = []
-        inputs: tuple = ()
-        if ni_input is not None:
-            name, in_ty = ni_input
-            inputs = ((name, in_ty),)
-            env.append((name, in_ty, ()))
-        defs = []
-        if ni_input is None and self.rng.random() < 0.25:
-            for _ in range(self.rng.randint(1, 2)):
-                def_name = f"d{self.counter}"
-                self.counter += 1
-                def_ty = self.gen_type(2)
-                body = self.gen_infer(def_ty, (), env, min(depth, 3))
-                defs.append((def_name, def_ty, body))
-                env.append((def_name, def_ty, ()))
         main_ty = self.gen_type(3)
-        main = self.gen_infer(main_ty, (), env, depth)
-        name = self.topo.name if self.topo.name else None
-        return Program(name, inputs, tuple(defs), main_ty, main)
-
-
-def well_typed_program(seed: int, preset: str = "choreo",
-                       projectable: bool = False, depth: int = 7) -> Program:
-    topo = load_preset(preset)
-    gen = ProgramGen(seed, topo, depth=depth, projectable=projectable)
-    return gen.gen_program()
-
-
-def random_path(rng: random.Random, max_len: int = 6, agents=AGENTS) -> S.Path:
-    return tuple(rng.choice(agents) for _ in range(rng.randint(0, max_len)))
-
-
-def random_context(rng: random.Random, agents=AGENTS) -> S.Context:
-    entries = []
-    for _ in range(rng.randint(0, 6)):
-        if rng.random() < 0.5:
-            entries.append(S.Lock(random_path(rng, 3, agents)))
-        else:
-            entries.append(S.Binding(f"v{rng.randint(0, 9)}", S.Unit(),
-                                     random_path(rng, 2, agents)))
-    return tuple(entries)
+        main = self.gen_infer(main_ty, (), [("b", self.INPUT, ())], depth)
+        head = f"topology {self.preset};\n" if self.preset else ""
+        return parse_program(
+            f"{head}input b : {progen.type_text(self.INPUT)};\n"
+            f"main : {progen.type_text(main_ty)} = {progen.expr_text(main)};\n")

@@ -26,11 +26,11 @@ from corps.syntax import (
 )
 from corps.topology import load_preset, parse_topology
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
-from genprog import ProgramGen
+from progen import AGENTS
+import genprog
 
 GOLDEN = Path(__file__).parent / "golden_logic_suite.json"
 CF, POS = EvalMode.COMM_FREE, EvalMode.POSITIVE_COMM
-AGENTS = ("A", "B", "C")
 
 
 def _suite(count, presets=("doxastic", "choreo"), projectable=False, depth=7):
@@ -39,10 +39,9 @@ def _suite(count, presets=("doxastic", "choreo"), projectable=False, depth=7):
     seed = 0
     while len(out) < count:
         for preset in presets:
-            topo = load_preset(preset)
-            program = ProgramGen(seed, topo, depth=depth,
-                                 projectable=projectable).gen_program()
-            out.append((preset, topo, program))
+            program = genprog.program(seed, preset, depth=depth,
+                                      projectable=projectable)
+            out.append((preset, load_preset(preset), program))
         seed += 1
     return out[:count]
 
@@ -135,7 +134,7 @@ def test_criterion_5_epp_agreement():
     while collected < 200:
         for preset in ("choreo", "siblings", "doxastic"):
             topo = load_preset(preset)
-            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            program = genprog.program(seed, preset, projectable=True)
             try:
                 report = epp_agreement(program, schedules, topo)
             except (ProjectionError, PreconditionError):
@@ -165,32 +164,22 @@ def test_criterion_6_deadlock_detector_positive_control():
           "(cyclic fixture reported with the 2-cycle waiting graph)")
 
 
-def _ni_program(seed, topo_text, preset_name, source_stack):
-    if preset_name is not None:
-        topology = load_preset(preset_name)
-    else:
-        topology = parse_topology(topo_text)
-    gen = ProgramGen(seed, topology, projectable=True, depth=5)
-    input_ty = S.belief_stack(source_stack, S.Sum(S.Unit(), S.Unit()))
-    program = gen.gen_program(ni_input=("b", input_ty))
-    return topology, program
-
-
 def test_criterion_7_noninterference():
     started = time.time()
     values = (parse_expr("B.(inl ())"), parse_expr("B.(inr ())"))
     setups = [
-        ("doxastic", None, ("A",)),
-        (None, "cansend: A => B", ("A",)),
-        ("siblings", None, ()),
+        ("doxastic", load_preset("doxastic"), ("A",)),
+        ("cansend: A => B", parse_topology("cansend: A => B"), ("A",)),
+        ("siblings", load_preset("siblings"), ()),
     ]
     totals = []
     violations = []
-    for preset_name, topo_text, observer in setups:
+    for label, topology, observer in setups:
         secure = 0
         seed = 0
         while secure < 100:
-            topology, program = _ni_program(seed, topo_text, preset_name, ("B",))
+            program = genprog.NIProgramGen(seed, topology, projectable=True,
+                                           depth=5).gen_program()
             seed += 1
             assert seed < 600, "generator failed to reach 100 NI programs"
             cfg = NIConfig("b", observer, values)
@@ -198,11 +187,11 @@ def test_criterion_7_noninterference():
                 verdict = ni_check(program, cfg, topology)
             except (ProjectionError, ValueError):
                 continue
-            assert verdict.kind != "FlowPermitted", (preset_name, topo_text)
+            assert verdict.kind != "FlowPermitted", label
             if verdict.kind == "Secure":
                 secure += 1
             else:
-                violations.append((preset_name or topo_text, seed - 1,
+                violations.append((label, seed - 1,
                                    verdict.witness.describe()))
         totals.append(secure)
 
@@ -234,7 +223,7 @@ def test_criterion_8_parser_round_trip():
     failures = 0
     for seed in range(334):
         for preset in ("doxastic", "choreo", "siblings"):
-            program = ProgramGen(seed, load_preset(preset)).gen_program()
+            program = genprog.program(seed, preset)
             reparsed = parse_program(pretty_print(program))
             same = (reparsed.main_type == program.main_type
                     and expr_equal(reparsed.main_expr, program.main_expr)

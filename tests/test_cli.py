@@ -7,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from corps.cli import main
 from corps.printer import pretty_print
-from corps.topology import load_preset
-from genprog import ProgramGen
+import genprog
 from test_parse_golden import mutate
 
 P4 = "topology choreo;\nmain : [B] unit = send A.() to [B];\n"
@@ -566,10 +565,9 @@ def test_exit_codes_on_mutated_programs(tmp_path, capsys):
     path = tmp_path / "m.corps"
     codes = set()
     for preset in ("choreo", "siblings", "doxastic"):
-        topo = load_preset(preset)
         for seed in range(30):
             rng = random.Random(f"cli/{preset}/{seed}")
-            text = pretty_print(ProgramGen(seed, topo, depth=5).gen_program())
+            text = pretty_print(genprog.program(seed, preset, depth=5))
             path.write_text(mutate(text, rng) if seed % 4 else text)
             for flags in FLAG_SETS:
                 code = main([flags[0], str(path)] + flags[1:])

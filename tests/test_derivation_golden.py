@@ -22,8 +22,7 @@ import tempfile
 
 from corps.cli import main
 from corps.printer import pretty_print
-from corps.topology import load_preset
-from genprog import ProgramGen
+import genprog
 
 HERE = os.path.dirname(__file__)
 SNAPSHOT = os.path.join(HERE, "derivation_golden.json")
@@ -121,7 +120,7 @@ def snapshot() -> dict:
         path = os.path.join(tmp, FILE)
         for preset in PRESETS:
             for seed in SEEDS:
-                program = ProgramGen(seed, load_preset(preset), depth=4).gen_program()
+                program = genprog.program(seed, preset, depth=4)
                 source = pretty_print(program)
                 got[f"{preset}/{seed}"] = _run(source, path, preset)
                 got[f"{preset}/{seed} under {OTHER[preset]}"] = _run(

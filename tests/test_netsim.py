@@ -14,13 +14,15 @@ from corps.netsim import (
     PreconditionError, RandomPolicy, RoundRobin, RunResult, TraceEvent,
     _step_local, epp_agreement, expected_result, is_local_value, run,
 )
-from corps.parser import parse_program
+from corps.normalize import EvalMode, step
+from corps.parser import Program, parse_program
 from corps.printer import path_str
 from corps.projection import (
     SKIP, ProjectionError, RecvFrom, SendTo, Seq, local_str, project_network,
 )
 from corps.topology import load_preset
-from genprog import ProgramGen
+from corps.typecheck import inline_main
+import genprog
 from test_nicheck import FLOW_PROGRAM, SEALED_PROGRAM, cfg
 from test_projection import fanout, node_count
 
@@ -93,7 +95,7 @@ class TestRun:
     def test_conservation(self):
         for seed in range(30):
             topo = load_preset("choreo")
-            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            program = genprog.program(seed, "choreo", projectable=True)
             try:
                 net = project_network(program, topo)
             except Exception:
@@ -162,7 +164,7 @@ class TestAgreement:
     def test_schedule_confluence(self):
         for seed in (2, 7, 11):
             topo = load_preset("choreo")
-            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            program = genprog.program(seed, "choreo", projectable=True)
             try:
                 net = project_network(program, topo)
             except Exception:
@@ -298,7 +300,7 @@ def generated_networks():
     for preset in ("choreo", "doxastic", "siblings"):
         topo = load_preset(preset)
         for seed in range(100):
-            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            program = genprog.program(seed, preset, projectable=True)
             try:
                 yield project_network(program, topo)
             except ProjectionError:
@@ -842,7 +844,7 @@ def test_agreement_matches_fresh_unshared_runs():
     while programs < 200:
         preset = ("choreo", "doxastic", "siblings")[seed % 3]
         topo = load_preset(preset)
-        program = ProgramGen(seed, topo, projectable=True).gen_program()
+        program = genprog.program(seed, preset, projectable=True)
         seed += 1
         try:
             network = project_network(program, topo)
@@ -860,6 +862,24 @@ def test_agreement_matches_fresh_unshared_runs():
                                         agreement_outcome(result, expected, network))
             if policy is schedules[0]:
                 assert same_result(report.first, result)
+
+
+def test_every_reduct_of_a_generated_program_agrees():
+    # EPP per step: each positive-mode reduct of the choreography is itself
+    # a program whose projected network reaches the reduct's normal form,
+    # so a disagreement names the step (and its rule) that broke it.
+    reducts = 0
+    for seed in range(40):
+        for preset in ("choreo", "doxastic", "siblings"):
+            program = genprog.program(seed, preset, projectable=True)
+            main, ty = inline_main(program)
+            while (reduced := step(EvalMode.POSITIVE_COMM, main)) is not None:
+                main, rule, _ = reduced
+                reduct = Program(program.topology_ref, (), (), ty, main)
+                report = epp_agreement(reduct, [RoundRobin()])
+                assert report.agree, (seed, preset, rule, report.outcomes)
+                reducts += 1
+    assert reducts > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -891,6 +911,6 @@ def test_sweep_programs_agree_once_a_wait_blocks_its_process(entry):
 @pytest.mark.parametrize("seed, preset", [(569, "choreo"), (376, "doxastic")])
 def test_generated_programs_agree_once_a_wait_blocks_its_process(seed, preset):
     topology = load_preset(preset)
-    program = ProgramGen(seed, topology, projectable=True).gen_program()
+    program = genprog.program(seed, preset, projectable=True)
     schedules = [RoundRobin()] + [RandomPolicy(n) for n in range(20)]
     assert_agrees_and_replays(program, schedules, topology)

@@ -12,7 +12,7 @@ from corps.printer import expr_str
 from corps.syntax import expr_equal
 from corps.topology import load_preset
 from corps.typecheck import Checker, inline_main
-from genprog import ProgramGen
+import genprog
 
 CF, POS = EvalMode.COMM_FREE, EvalMode.POSITIVE_COMM
 
@@ -196,7 +196,7 @@ class TestSuiteProperties:
         for seed in range(120):
             for preset in ("doxastic", "choreo"):
                 topo = load_preset(preset)
-                program = ProgramGen(seed, topo).gen_program()
+                program = genprog.program(seed, preset)
                 main, ty = inline_main(program)
                 checker = Checker(topo)
                 for mode in (CF, POS):
@@ -248,8 +248,7 @@ class TestRefocusedMachine:
             topo = load_preset(preset)
             for projectable in (False, True):
                 for seed in range(40):
-                    program = ProgramGen(seed, topo,
-                                         projectable=projectable).gen_program()
+                    program = genprog.program(seed, preset, projectable=projectable)
                     main, _ = inline_main(program)
                     main = parse_expr(expr_str(main))  # every node has a span
                     for mode in (CF, POS):

@@ -25,8 +25,7 @@ import random
 from corps import syntax as S
 from corps.parser import parse_expr, parse_path, parse_program, parse_type
 from corps.printer import expr_str, path_str, pretty_print, type_str
-from corps.topology import load_preset
-from genprog import ProgramGen
+import genprog
 
 HERE = os.path.dirname(__file__)
 SNAPSHOT = os.path.join(HERE, "parse_golden.json")
@@ -139,9 +138,8 @@ def mutate(text: str, rng: random.Random) -> str:
 def sources() -> dict[str, str]:
     out = {}
     for preset in PRESETS:
-        topo = load_preset(preset)
         for seed in SEEDS:
-            text = pretty_print(ProgramGen(seed, topo).gen_program())
+            text = pretty_print(genprog.program(seed, preset))
             out[f"{preset}/{seed}"] = text
             rng = random.Random(f"{preset}/{seed}")
             for k in range(MUTANTS):

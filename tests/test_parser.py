@@ -4,8 +4,7 @@ from corps import syntax as S
 from corps.parser import ParseError, parse_expr, parse_path, parse_program, parse_type
 from corps.printer import expr_str, pretty_print, type_str
 from corps.syntax import expr_equal
-from corps.topology import load_preset
-from genprog import ProgramGen
+import genprog
 
 
 class TestPaths:
@@ -108,6 +107,8 @@ class TestPrograms:
     def test_duplicate_def_rejected(self):
         with pytest.raises(ParseError):
             parse_program("def f : unit = (); def f : unit = (); main : unit = ();")
+        with pytest.raises(ParseError, match="duplicate definition of 'b'"):
+            parse_program("input b : unit; input b : [A] unit; main : unit = ();")
 
     def test_error_has_span_inside_input(self):
         text = "main : unit = fst ;"
@@ -140,7 +141,7 @@ class TestRoundTrip:
         # parse . pretty_print is the identity up to alpha on generated trees
         for seed in range(300):
             for preset in ("doxastic", "choreo", "siblings"):
-                p = ProgramGen(seed, load_preset(preset)).gen_program()
+                p = genprog.program(seed, preset)
                 text = pretty_print(p)
                 again = parse_program(text)
                 assert again.main_type == p.main_type, text

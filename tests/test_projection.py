@@ -13,7 +13,7 @@ from corps.projection import (
 )
 from corps.topology import load_preset
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
-from genprog import ProgramGen
+import genprog
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
 P3 = ("topology doxastic; "
@@ -269,7 +269,7 @@ class TestGeneratedProjectability:
         projected = 0
         for seed in range(80):
             topo = load_preset("choreo")
-            program = ProgramGen(seed, topo, projectable=True).gen_program()
+            program = genprog.program(seed, "choreo", projectable=True)
             try:
                 net = project_network(program, topo)
             except ProjectionError:
@@ -283,7 +283,7 @@ class TestGeneratedProjectability:
 
     def test_projection_deterministic(self):
         topo = load_preset("choreo")
-        program = ProgramGen(3, topo, projectable=True).gen_program()
+        program = genprog.program(3, "choreo", projectable=True)
         n1 = project_network(program, topo)
         n2 = project_network(program, topo)
         assert n1.processes == n2.processes
@@ -406,7 +406,7 @@ class TestCheckerGradeErrors:
         # Projectable programs checked under a preset they were not made
         # for, which refuses some of their communications.
         for seed in range(60):
-            program = ProgramGen(seed, load_preset("choreo"), projectable=True).gen_program()
+            program = genprog.program(seed, "choreo", projectable=True)
             yield program, load_preset("siblings")
 
     def test_projection_raises_the_first_check_error(self):
@@ -426,7 +426,7 @@ class TestCheckerGradeErrors:
         for preset in ("choreo", "doxastic", "siblings"):
             topo = load_preset(preset)
             for seed in range(40):
-                program = ProgramGen(seed, topo, projectable=seed % 2 == 0).gen_program()
+                program = genprog.program(seed, preset, projectable=seed % 2 == 0)
                 if program.defs:
                     for variant in [program, *def_mutants(program)]:
                         programs += [(variant, topo), (variant, strict)]

@@ -26,7 +26,7 @@ from corps.projection import (
 )
 from corps.topology import load_preset
 from corps.typecheck import inline_main
-from genprog import ProgramGen
+import genprog
 
 HERE = os.path.dirname(__file__)
 SNAPSHOT = os.path.join(HERE, "projection_golden.json")
@@ -38,7 +38,7 @@ OUTSIDE = ("Z",)  # no preset has an agent Z
 
 def _project(seed: int, preset: str):
     topo = load_preset(preset)
-    program = ProgramGen(seed, topo, projectable=True).gen_program()
+    program = genprog.program(seed, preset, projectable=True)
     try:
         network = project_network(program, topo)
     except (MergeConflict, ProjectionError) as err:
@@ -76,7 +76,7 @@ def _error(err: Exception) -> list[str]:
 
 def _project_errors(seed: int, preset: str) -> dict:
     topo = load_preset(preset)
-    program = ProgramGen(seed, topo, projectable=False).gen_program()
+    program = genprog.program(seed, preset)
     assert not program.inputs
     try:
         network = project_network(program, topo)

@@ -18,9 +18,25 @@ from corps.syntax import (
     path_concat, substitute,
 )
 from corps.normalize import EvalMode, NormalFormClass, normalize
-from genprog import AGENTS, ProgramGen, random_context, random_path
-from corps.topology import PathPattern, TopoRule, Topology, load_preset
+from corps.topology import PathPattern, TopoRule, Topology
 from corps.typecheck import Derivation
+from progen import AGENTS
+import genprog
+
+
+def random_path(rng: random.Random, max_len: int = 6) -> S.Path:
+    return tuple(rng.choice(AGENTS) for _ in range(rng.randint(0, max_len)))
+
+
+def random_context(rng: random.Random) -> S.Context:
+    entries = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            entries.append(S.Lock(random_path(rng, 3)))
+        else:
+            entries.append(S.Binding(f"v{rng.randint(0, 9)}", S.Unit(),
+                                     random_path(rng, 2)))
+    return tuple(entries)
 
 
 def locks_oracle(ctx):
@@ -174,10 +190,8 @@ class TestAlphaEquivalence:
 
     def test_substitute_respects_alpha(self):
         rng = random.Random(3)
-        topo = load_preset("choreo")
         for seed in range(80):
-            gen = ProgramGen(seed, topo)
-            e1 = gen.gen_program().main_expr
+            e1 = genprog.program(seed, "choreo").main_expr
             e2 = _rename_bound(e1, rng)
             assert expr_equal(e1, e2)
             s1 = substitute(e1, "zfree", UnitVal())

@@ -3,15 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import progen
 from corps.topology import (
-    PRESETS, Topology, TopologyError, flow_reachable, load_preset, parse_topology,
-    relation_holds,
+    KINDS, PRESETS, Topology, TopologyError, flow_reachable, load_preset,
+    parse_topology, relation_holds,
 )
 
-AGENTS3 = ("A", "B", "C")
 
-
-def paths_up_to(n, agents=AGENTS3):
+def paths_up_to(n, agents=progen.AGENTS):
     out = [()]
     for k in range(1, n + 1):
         out.extend(itertools.product(agents, repeat=k))
@@ -75,6 +74,17 @@ class TestPresets:
                 expected = doxastic_down_oracle(a, b)
                 assert relation_holds(t, "candown", a, b) == expected, (a, b)
                 assert relation_holds(t, "canup", a, b) == expected, (a, b)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_the_generators_restated_presets_agree(self, name):
+        # The test suites generate programs through bench/progen's own
+        # statement of each preset, so it must decide what the library does.
+        t = load_preset(name)
+        assert set(progen.PRESETS) == set(PRESETS)
+        for kind in KINDS:
+            for a, b in itertools.product(paths_up_to(3), repeat=2):
+                assert progen.relation_holds(name, kind, a, b) == \
+                    relation_holds(t, kind, a, b), (kind, a, b)
 
 
 class TestParsing:

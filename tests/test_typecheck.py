@@ -9,7 +9,7 @@ from corps.parser import parse_expr, parse_program, parse_type
 from corps.syntax import Binding, Lock, locks_of
 from corps.topology import load_preset, parse_topology
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main, judgments
-from genprog import ProgramGen
+import genprog
 
 GOLDEN = Path(__file__).parent / "golden_logic_suite.json"
 
@@ -165,7 +165,7 @@ class TestWeakening:
         topo = load_preset("choreo")
         checker = Checker(topo)
         for seed in range(60):
-            program = ProgramGen(seed, topo).gen_program()
+            program = genprog.program(seed, "choreo")
             main, ty = inline_main(program)
             checker.check((), main, ty)
             extra = Binding("unused_w", S.Unit(), tuple(
@@ -197,7 +197,7 @@ class TestViewpointSoundness:
         monkeypatch.setattr(Checker, "infer", recording_infer)
         monkeypatch.setattr(Checker, "_require", recording_require)
         for seed in range(80):
-            program = ProgramGen(seed, topo).gen_program()
+            program = genprog.program(seed, "choreo")
             assert not check_program(program, topo)
         assert {kind for kind, *_ in queries} == {"cansend", "canup", "candown"}
         for kind, a, b, viewpoint in queries:
@@ -211,7 +211,7 @@ class TestViewpointSoundness:
 class TestHook:
     def test_a_given_list_collects_the_hooks_results(self):
         topo = load_preset("choreo")
-        program = ProgramGen(3, topo).gen_program()
+        program = genprog.program(3, "choreo")
         derived = []
         assert not check_program(program, topo, deriv=derived)
         # A checker without a hook of its own builds derivations too.
