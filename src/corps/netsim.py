@@ -190,15 +190,14 @@ class NetStuck(NetError):
 
 
 def is_local_value(e: LocalExpr) -> bool:
-    match e:
-        case UnitVal() | Lam() | Skip():
-            return True
-        case Pair(left, right):
-            return is_local_value(left) and is_local_value(right)
-        case Inl(inner) | Inr(inner):
-            return is_local_value(inner)
-        case _:
-            return False
+    kind = type(e)
+    if kind is UnitVal or kind is Lam or kind is Skip:
+        return True
+    if kind is Pair:
+        return is_local_value(e.left) and is_local_value(e.right)
+    if kind is Inl or kind is Inr:
+        return is_local_value(e.inner)
+    return False
 
 
 def _step_local(e: LocalExpr, addr: Path,
@@ -513,8 +512,11 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
     expected = expected_result(program, topology, fuel)
     first: Union[RunResult, NetError, None] = None
     # A run is a function of (network, policy, fuel): a repeated policy
-    # reuses the outcome of its first run.
+    # reuses the outcome of its first run.  Runs of one network return its
+    # logs' shared focus objects, so a value already compared is not
+    # compared again.
     seen: dict[SchedulerPolicy, str] = {}
+    last_got, verdict = None, ""
     for policy in schedules:
         if policy in seen:
             continue
@@ -528,8 +530,11 @@ def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
             seen[policy] = f"failed: {result}"
             continue
         got = result.values[network.result_address]
-        seen[policy] = ("agree" if expr_equal(got, expected)
-                        else f"disagree: got {local_str(got)}")
+        if got is not last_got:
+            last_got = got
+            verdict = ("agree" if expr_equal(got, expected)
+                       else f"disagree: got {local_str(got)}")
+        seen[policy] = verdict
     outcomes = [(policy_str(policy), seen[policy]) for policy in schedules]
     agree = all(outcome == "agree" for _, outcome in outcomes)
     return AgreementReport(agree, local_str(expected), outcomes, first)

@@ -89,19 +89,20 @@ def elaborate_value(value: Expr, ty: Type) -> Expr:
     case recurses into the body, so it applies only to values whose
     bodies are themselves canonical.
     """
-    match value, ty:
-        case UnitVal(), Unit():
-            return value
-        case Pair(left, right), Product(a, b):
-            return Pair(elaborate_value(left, a), elaborate_value(right, b))
-        case Inl(inner), Sum(a, _):
-            return Annot(Inl(elaborate_value(inner, a)), ty)
-        case Inr(inner), Sum(_, b):
-            return Annot(Inr(elaborate_value(inner, b)), ty)
-        case Located(agent, body), Believes(tyagent, inner_ty) if agent == tyagent:
-            return Located(agent, elaborate_value(body, inner_ty))
-        case Lam(var, body), Arrow(_, cod):
-            return Annot(Lam(var, elaborate_value(body, cod)), ty)
+    kind, ty_kind = type(value), type(ty)
+    if kind is UnitVal and ty_kind is Unit:
+        return value
+    if kind is Pair and ty_kind is Product:
+        return Pair(elaborate_value(value.left, ty.left),
+                    elaborate_value(value.right, ty.right))
+    if kind is Inl and ty_kind is Sum:
+        return Annot(Inl(elaborate_value(value.inner, ty.left)), ty)
+    if kind is Inr and ty_kind is Sum:
+        return Annot(Inr(elaborate_value(value.inner, ty.right)), ty)
+    if kind is Located and ty_kind is Believes and value.agent == ty.agent:
+        return Located(value.agent, elaborate_value(value.body, ty.body))
+    if kind is Lam and ty_kind is Arrow:
+        return Annot(Lam(value.var, elaborate_value(value.body, ty.cod)), ty)
     raise ValueError(f"{expr_str(value)} is not a canonical value of type "
                      f"{type_str(ty)}")
 

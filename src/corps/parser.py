@@ -172,10 +172,10 @@ class _Parser:
         return ParseError(message, Span(self.file, start, max(self.ends[self.pos], start + 1)),
                           expected)
 
-    def duplicate(self, name: str) -> ParseError:
-        """A repeated input or definition name, reported at its closing `;`."""
-        return ParseError(f"duplicate definition of {name!r}",
-                          Span(self.file, self.starts[self.pos - 1], self.ends[self.pos - 1]))
+    def duplicate(self, pos: int) -> ParseError:
+        """The repeated input or definition name at token `pos`."""
+        return ParseError(f"duplicate definition of {self.texts[pos]!r}",
+                          Span(self.file, self.starts[pos], self.ends[pos]))
 
     def span_from(self, start: int) -> Span:
         return Span(self.file, start, self.ends[self.pos - 1])
@@ -372,16 +372,18 @@ class _Parser:
         inputs: list[tuple[str, Type]] = []
         while kinds[self.pos] == "input":
             self.pos += 1
+            name_pos = self.pos
             name = self.expect("ident", "input name")
             self.expect(":")
             ty = self.type_()
             self.expect(";")
             if any(name == seen for seen, _ in inputs):
-                raise self.duplicate(name)
+                raise self.duplicate(name_pos)
             inputs.append((name, ty))
         defs: list[tuple[str, Type, Expr]] = []
         while kinds[self.pos] == "def":
             self.pos += 1
+            name_pos = self.pos
             name = self.expect("ident", "definition name")
             self.expect(":")
             ty = self.type_()
@@ -389,7 +391,7 @@ class _Parser:
             body = self.expr()
             self.expect(";")
             if any(name == seen for seen, _, _ in defs) or any(name == seen for seen, _ in inputs):
-                raise self.duplicate(name)
+                raise self.duplicate(name_pos)
             defs.append((name, ty, body))
         self.expect("main")
         self.expect(":")

@@ -9,6 +9,11 @@ requires.
 `expr_str` must stay one Python frame per nesting level: `test_nesting`
 prints operator chains about twice `MAX_NESTING` deep at the default
 recursion limit.
+
+Both walks branch on `type(e) is C`, most frequent form first, and read
+fields as attributes: on CPython 3.11 a `match` class pattern costs about
+0.08 us per case that fails and 0.35 us per positional field, several
+times an identity test.
 """
 
 from __future__ import annotations
@@ -29,79 +34,80 @@ def path_str(g: Path) -> str:
 
 def type_str(ty: Type, prec: int = 0) -> str:
     # Type precedence: arrow 0 (right-assoc), sum 1, product 2, modality 3.
-    match ty:
-        case Unit():
-            return "unit"
-        case Void():
-            return "void"
-        case Arrow(dom, cod):
-            s = f"{type_str(dom, 1)} -> {type_str(cod, 0)}"
-            return f"({s})" if prec > 0 else s
-        case Sum(left, right):
-            s = f"{type_str(left, 1)} + {type_str(right, 2)}"
-            return f"({s})" if prec > 1 else s
-        case Product(left, right):
-            s = f"{type_str(left, 2)} * {type_str(right, 3)}"
-            return f"({s})" if prec > 2 else s
-        case Believes():
-            stack, core = split_stack(ty)
-            s = f"{path_str(stack)} {type_str(core, 3)}"
-            return f"({s})" if prec > 3 else s
-    raise TypeError(f"not a type: {type(ty).__name__}")
+    kind = type(ty)
+    if kind is Unit:
+        return "unit"
+    if kind is Sum:
+        s = f"{type_str(ty.left, 1)} + {type_str(ty.right, 2)}"
+        return f"({s})" if prec > 1 else s
+    if kind is Believes:
+        stack, core = split_stack(ty)
+        s = f"{path_str(stack)} {type_str(core, 3)}"
+        return f"({s})" if prec > 3 else s
+    if kind is Product:
+        s = f"{type_str(ty.left, 2)} * {type_str(ty.right, 3)}"
+        return f"({s})" if prec > 2 else s
+    if kind is Arrow:
+        s = f"{type_str(ty.dom, 1)} -> {type_str(ty.cod, 0)}"
+        return f"({s})" if prec > 0 else s
+    if kind is Void:
+        return "void"
+    raise TypeError(f"not a type: {kind.__name__}")
 
 
 def expr_str(e: Expr | LocalExpr, prec: int = _SEQ) -> str:
     # The forms most frequent in networks first: they are most of what is
     # printed.  A form that can need parentheses sets its text and level.
-    match e:
-        case Skip():
-            return "skip"
-        case Pair(left, right):
-            return f"({expr_str(left)}, {expr_str(right)})"
-        case Seq(first, rest):
-            s, level = f"{expr_str(first, _KEYWORD)} ; {expr_str(rest)}", _SEQ
-        case SendTo(dest, payload):
-            s, level = f"send_to {path_str(dest)} {expr_str(payload, _APP)}", _KEYWORD
-        case RecvFrom(src):
-            return f"recv_from {path_str(src)}"
-        case Var(name):
-            return name
-        case UnitVal():
-            return "()"
-        case Annot(inner, ty):
-            return f"({expr_str(inner)} : {type_str(ty)})"
-        case Located(agent, body):
-            return f"{agent}.{expr_str(body, _ATOM)}"
-        case Lam(var, body):
-            s, level = f"fun {var} -> {expr_str(body, _KEYWORD)}", _KEYWORD
-        case ModalLet(g1, g2, var, bound, body):
-            s = (f"let {path_str(g1)} {path_str(g2)} {var} = "
-                 f"{expr_str(bound, _KEYWORD)} in {expr_str(body, _KEYWORD)}")
-            level = _KEYWORD
-        case Case(scrutinee, lv, lb, rv, rb):
-            s = (f"case {expr_str(scrutinee, _KEYWORD)} of inl {lv} -> "
-                 f"{expr_str(lb, _KEYWORD)} | inr {rv} -> {expr_str(rb, _KEYWORD)}")
-            level = _KEYWORD
-        case Send(payload, dest):
-            s, level = f"send {expr_str(payload, _APP)} to {path_str(dest)}", _KEYWORD
-        case Up(path, body):
-            s, level = f"up {path_str(path)} {expr_str(body, _APP)}", _KEYWORD
-        case Down(path, body):
-            s, level = f"down {path_str(path)} {expr_str(body, _APP)}", _KEYWORD
-        case App(fn, arg):
-            s, level = f"{expr_str(fn, _APP)} {expr_str(arg, _UNARY)}", _APP
-        case Inl(inner):
-            s, level = f"inl {expr_str(inner, _UNARY)}", _UNARY
-        case Inr(inner):
-            s, level = f"inr {expr_str(inner, _UNARY)}", _UNARY
-        case Fst(inner):
-            s, level = f"fst {expr_str(inner, _UNARY)}", _UNARY
-        case Snd(inner):
-            s, level = f"snd {expr_str(inner, _UNARY)}", _UNARY
-        case Absurd(inner):
-            s, level = f"absurd {expr_str(inner, _UNARY)}", _UNARY
-        case _:
-            raise TypeError(f"not an expression: {type(e).__name__}")
+    kind = type(e)
+    if kind is Skip:
+        return "skip"
+    elif kind is Pair:
+        return f"({expr_str(e.left)}, {expr_str(e.right)})"
+    elif kind is UnitVal:
+        return "()"
+    elif kind is RecvFrom:
+        return f"recv_from {path_str(e.src)}"
+    elif kind is SendTo:
+        s, level = f"send_to {path_str(e.dest)} {expr_str(e.payload, _APP)}", _KEYWORD
+    elif kind is Seq:
+        s, level = f"{expr_str(e.first, _KEYWORD)} ; {expr_str(e.rest)}", _SEQ
+    elif kind is Var:
+        return e.name
+    elif kind is Located:
+        return f"{e.agent}.{expr_str(e.body, _ATOM)}"
+    elif kind is Annot:
+        return f"({expr_str(e.inner)} : {type_str(e.ty)})"
+    elif kind is Lam:
+        s, level = f"fun {e.var} -> {expr_str(e.body, _KEYWORD)}", _KEYWORD
+    elif kind is Inl:
+        s, level = f"inl {expr_str(e.inner, _UNARY)}", _UNARY
+    elif kind is Inr:
+        s, level = f"inr {expr_str(e.inner, _UNARY)}", _UNARY
+    elif kind is App:
+        s, level = f"{expr_str(e.fn, _APP)} {expr_str(e.arg, _UNARY)}", _APP
+    elif kind is Case:
+        s = (f"case {expr_str(e.scrutinee, _KEYWORD)} of inl {e.left_var} -> "
+             f"{expr_str(e.left_body, _KEYWORD)} | inr {e.right_var} -> "
+             f"{expr_str(e.right_body, _KEYWORD)}")
+        level = _KEYWORD
+    elif kind is Fst:
+        s, level = f"fst {expr_str(e.inner, _UNARY)}", _UNARY
+    elif kind is Snd:
+        s, level = f"snd {expr_str(e.inner, _UNARY)}", _UNARY
+    elif kind is Send:
+        s, level = f"send {expr_str(e.payload, _APP)} to {path_str(e.dest)}", _KEYWORD
+    elif kind is ModalLet:
+        s = (f"let {path_str(e.open_path)} {path_str(e.stack_path)} {e.var} = "
+             f"{expr_str(e.bound, _KEYWORD)} in {expr_str(e.body, _KEYWORD)}")
+        level = _KEYWORD
+    elif kind is Up:
+        s, level = f"up {path_str(e.path)} {expr_str(e.body, _APP)}", _KEYWORD
+    elif kind is Down:
+        s, level = f"down {path_str(e.path)} {expr_str(e.body, _APP)}", _KEYWORD
+    elif kind is Absurd:
+        s, level = f"absurd {expr_str(e.inner, _UNARY)}", _UNARY
+    else:
+        raise TypeError(f"not an expression: {kind.__name__}")
     return f"({s})" if level < prec else s
 
 

@@ -125,13 +125,15 @@ def _mk_case(scrutinee: LocalExpr, lv: str, lb: LocalExpr,
 
 def _mentions(ty: Type, cls) -> bool:
     """Whether some part of `ty` is a `cls`."""
-    match ty:
-        case cls():
-            return True
-        case Product(left, right) | Sum(left, right) | Arrow(left, right):
-            return _mentions(left, cls) or _mentions(right, cls)
-        case Believes(_, body):
-            return _mentions(body, cls)
+    kind = type(ty)
+    if kind is cls:
+        return True
+    if kind is Product or kind is Sum:
+        return _mentions(ty.left, cls) or _mentions(ty.right, cls)
+    if kind is Arrow:
+        return _mentions(ty.dom, cls) or _mentions(ty.cod, cls)
+    if kind is Believes:
+        return _mentions(ty.body, cls)
     return False
 
 

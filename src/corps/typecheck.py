@@ -30,6 +30,12 @@ checking rules: a pair against a product and a located value against its
 own modality.  They are off everywhere else, and projection walks the
 `judgments` of a program as `check_program` does, so `check_program`
 and `project_network` accept the same programs, definitions included.
+
+`infer` and `check` branch on `type(e) is C`, most frequent form first,
+and read fields as attributes: on CPython 3.11 a `match` class pattern
+costs about 0.08 us per case that fails and 0.35 us per positional
+field, several times an identity test, and this walk runs once per node
+for checking and again for projection.
 """
 
 from __future__ import annotations
@@ -146,84 +152,86 @@ class Checker:
     def infer(self, ctx: Context, e: Expr, out: Optional[list] = None) -> Type:
         kids: Optional[list] = [] if out is not None else None
         comm = None  # the hook's `comm` (see the module docstring)
-        match e:
-            case Var():
-                rule, (ty, comm) = "Axiom", self._axiom(ctx, e)
-            case UnitVal():
-                rule, ty = "Unit", UNIT
-            case Located(agent, body):
-                rule, ty = "BelievesI", Believes(
-                    agent, self.infer(ctx_lock(ctx, (agent,)), body, kids))
-            case ModalLet(g1, g2, var, bound, body):
-                bound_ty = self.infer(ctx_lock(ctx, g1), bound, kids)
-                core = peel_stack(bound_ty, g2)
-                if core is None:
-                    raise TypeCheckError(
-                        "BelievesE",
-                        f"bound expression has type {type_str(bound_ty)}, which does not "
-                        f"carry the modality stack {path_str(g2)}",
-                        e.span)
-                rule, ty = "BelievesE", self.infer(
-                    ctx_bind(ctx, var, core, path_concat(g1, g2)), body, kids)
-            case Send(payload, dest):
-                g1, core = split_stack(self.infer(ctx, payload, kids))
-                viewpoint = locks_of(ctx)
-                comm = (path_concat(viewpoint, g1), path_concat(viewpoint, dest), core)
-                self._require("Send", "cansend", comm[0], comm[1], viewpoint, e, g1)
-                rule, ty = "Send", belief_stack(dest, core)
-            case Up(g, body):
-                core = self.infer(ctx, body, kids)
-                viewpoint = locks_of(ctx)
-                comm = (viewpoint, path_concat(viewpoint, g), core)
-                self._require("Up", "canup", viewpoint, comm[1], viewpoint, e)
-                rule, ty = "Up", belief_stack(g, core)
-            case Down(g, body):
-                ty = self.infer(ctx, body, kids)
-                core = peel_stack(ty, g)
-                if core is None:
-                    raise TypeCheckError(
-                        "Down",
-                        f"expected a type stacked with {path_str(g)}, got {type_str(ty)}",
-                        e.span)
-                viewpoint = locks_of(ctx)
-                comm = (path_concat(viewpoint, g), viewpoint, core)
-                self._require("Down", "candown", viewpoint, comm[0], viewpoint, e)
-                rule, ty = "Down", core
-            case App(fn, arg):
-                fn_ty = self.infer(ctx, fn, kids)
-                if not isinstance(fn_ty, Arrow):
-                    raise TypeCheckError(
-                        "App", f"applied expression has non-function type {type_str(fn_ty)}",
-                        e.span)
-                self.check(ctx, arg, fn_ty.dom, kids)
-                rule, ty = "App", fn_ty.cod
-            case Pair(left, right):
-                rule, ty = "Pair", Product(self.infer(ctx, left, kids),
-                                           self.infer(ctx, right, kids))
-            case Fst(inner) | Snd(inner):
-                rule = "Fst" if isinstance(e, Fst) else "Snd"
-                ty = self.infer(ctx, inner, kids)
-                if not isinstance(ty, Product):
-                    raise TypeCheckError(
-                        rule, f"{rule.lower()} of non-product type {type_str(ty)}", e.span)
-                ty = ty.left if rule == "Fst" else ty.right
-            case Case():
-                left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
-                ty = self.infer(left, e.left_body, kids)
-                rt = self.infer(right, e.right_body, kids)
-                if ty != rt:
-                    raise TypeCheckError(
-                        "Case", f"branch types differ: {type_str(ty)} vs {type_str(rt)}",
-                        e.span)
-                rule = "Case"
-            case Annot(inner, ty):
-                self.check(ctx, inner, ty, kids)
-                rule = "Annot"
-            case Lam() | Inl() | Inr() | Absurd():
+        kind = type(e)
+        if kind is UnitVal:
+            rule, ty = "Unit", UNIT
+        elif kind is Located:
+            rule, ty = "BelievesI", Believes(
+                e.agent, self.infer(ctx_lock(ctx, (e.agent,)), e.body, kids))
+        elif kind is Send:
+            g1, core = split_stack(self.infer(ctx, e.payload, kids))
+            viewpoint = locks_of(ctx)
+            comm = (path_concat(viewpoint, g1), path_concat(viewpoint, e.dest), core)
+            self._require("Send", "cansend", comm[0], comm[1], viewpoint, e, g1)
+            rule, ty = "Send", belief_stack(e.dest, core)
+        elif kind is Pair:
+            rule, ty = "Pair", Product(self.infer(ctx, e.left, kids),
+                                       self.infer(ctx, e.right, kids))
+        elif kind is Annot:
+            ty = e.ty
+            self.check(ctx, e.inner, ty, kids)
+            rule = "Annot"
+        elif kind is ModalLet:
+            g1, g2 = e.open_path, e.stack_path
+            bound_ty = self.infer(ctx_lock(ctx, g1), e.bound, kids)
+            core = peel_stack(bound_ty, g2)
+            if core is None:
                 raise TypeCheckError(
-                    "Infer", f"cannot infer the type of {_UNINFERABLE[type(e)]}", e.span)
-            case _:
-                raise TypeError(f"not an expression: {type(e).__name__}")
+                    "BelievesE",
+                    f"bound expression has type {type_str(bound_ty)}, which does not "
+                    f"carry the modality stack {path_str(g2)}",
+                    e.span)
+            rule, ty = "BelievesE", self.infer(
+                ctx_bind(ctx, e.var, core, path_concat(g1, g2)), e.body, kids)
+        elif kind is App:
+            fn_ty = self.infer(ctx, e.fn, kids)
+            if not isinstance(fn_ty, Arrow):
+                raise TypeCheckError(
+                    "App", f"applied expression has non-function type {type_str(fn_ty)}",
+                    e.span)
+            self.check(ctx, e.arg, fn_ty.dom, kids)
+            rule, ty = "App", fn_ty.cod
+        elif kind is Fst or kind is Snd:
+            rule = "Fst" if kind is Fst else "Snd"
+            ty = self.infer(ctx, e.inner, kids)
+            if not isinstance(ty, Product):
+                raise TypeCheckError(
+                    rule, f"{rule.lower()} of non-product type {type_str(ty)}", e.span)
+            ty = ty.left if kind is Fst else ty.right
+        elif kind is Down:
+            ty = self.infer(ctx, e.body, kids)
+            core = peel_stack(ty, e.path)
+            if core is None:
+                raise TypeCheckError(
+                    "Down",
+                    f"expected a type stacked with {path_str(e.path)}, got {type_str(ty)}",
+                    e.span)
+            viewpoint = locks_of(ctx)
+            comm = (path_concat(viewpoint, e.path), viewpoint, core)
+            self._require("Down", "candown", viewpoint, comm[0], viewpoint, e)
+            rule, ty = "Down", core
+        elif kind is Case:
+            left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
+            ty = self.infer(left, e.left_body, kids)
+            rt = self.infer(right, e.right_body, kids)
+            if ty != rt:
+                raise TypeCheckError(
+                    "Case", f"branch types differ: {type_str(ty)} vs {type_str(rt)}",
+                    e.span)
+            rule = "Case"
+        elif kind is Var:
+            rule, (ty, comm) = "Axiom", self._axiom(ctx, e)
+        elif kind is Up:
+            core = self.infer(ctx, e.body, kids)
+            viewpoint = locks_of(ctx)
+            comm = (viewpoint, path_concat(viewpoint, e.path), core)
+            self._require("Up", "canup", viewpoint, comm[1], viewpoint, e)
+            rule, ty = "Up", belief_stack(e.path, core)
+        elif kind in _UNINFERABLE:
+            raise TypeCheckError(
+                "Infer", f"cannot infer the type of {_UNINFERABLE[kind]}", e.span)
+        else:
+            raise TypeError(f"not an expression: {kind.__name__}")
         if out is not None:
             out.append(self.hook(rule, e, locks_of(ctx), ty, kids, comm))
         return ty
@@ -232,45 +240,45 @@ class Checker:
 
     def check(self, ctx: Context, e: Expr, ty: Type, out: Optional[list] = None) -> None:
         kids: Optional[list] = [] if out is not None else None
-        match e:
-            case Lam(var, body):
-                if not isinstance(ty, Arrow):
-                    raise TypeCheckError(
-                        "Lam", f"function checked against non-function type {type_str(ty)}",
-                        e.span)
-                self.check(ctx_bind(ctx, var, ty.dom, ()), body, ty.cod, kids)
-                rule = "Lam"
-            case Pair(left, right) if self._canonical and isinstance(ty, Product):
-                self.check(ctx, left, ty.left, kids)
-                self.check(ctx, right, ty.right, kids)
-                rule = "Pair"
-            case Located(agent, body) if (self._canonical and isinstance(ty, Believes)
-                                          and ty.agent == agent):
-                self.check(ctx_lock(ctx, (agent,)), body, ty.body, kids)
-                rule = "BelievesI"
-            case Inl(inner) | Inr(inner):
-                rule = "Inl" if isinstance(e, Inl) else "Inr"
-                if not isinstance(ty, Sum):
-                    raise TypeCheckError(
-                        rule, f"{rule.lower()} checked against non-sum type {type_str(ty)}",
-                        e.span)
-                self.check(ctx, inner, ty.left if rule == "Inl" else ty.right, kids)
-            case Absurd(inner):
-                self.check(ctx, inner, VOID, kids)
-                rule = "Absurd"
-            case Case():
-                left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
-                self.check(left, e.left_body, ty, kids)
-                self.check(right, e.right_body, ty, kids)
-                rule = "Case"
-            case _:
-                inferred = self.infer(ctx, e, kids)
-                if inferred != ty:
-                    raise TypeCheckError(
-                        "Mismatch",
-                        f"expected {type_str(ty)} but inferred {type_str(inferred)}",
-                        e.span)
-                rule = "Check"
+        kind = type(e)
+        if kind is Lam:
+            if not isinstance(ty, Arrow):
+                raise TypeCheckError(
+                    "Lam", f"function checked against non-function type {type_str(ty)}",
+                    e.span)
+            self.check(ctx_bind(ctx, e.var, ty.dom, ()), e.body, ty.cod, kids)
+            rule = "Lam"
+        elif kind is Inl or kind is Inr:
+            rule = "Inl" if kind is Inl else "Inr"
+            if not isinstance(ty, Sum):
+                raise TypeCheckError(
+                    rule, f"{rule.lower()} checked against non-sum type {type_str(ty)}",
+                    e.span)
+            self.check(ctx, e.inner, ty.left if kind is Inl else ty.right, kids)
+        elif kind is Case:
+            left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
+            self.check(left, e.left_body, ty, kids)
+            self.check(right, e.right_body, ty, kids)
+            rule = "Case"
+        elif kind is Pair and self._canonical and isinstance(ty, Product):
+            self.check(ctx, e.left, ty.left, kids)
+            self.check(ctx, e.right, ty.right, kids)
+            rule = "Pair"
+        elif (kind is Located and self._canonical and isinstance(ty, Believes)
+              and ty.agent == e.agent):
+            self.check(ctx_lock(ctx, (e.agent,)), e.body, ty.body, kids)
+            rule = "BelievesI"
+        elif kind is Absurd:
+            self.check(ctx, e.inner, VOID, kids)
+            rule = "Absurd"
+        else:
+            inferred = self.infer(ctx, e, kids)
+            if inferred != ty:
+                raise TypeCheckError(
+                    "Mismatch",
+                    f"expected {type_str(ty)} but inferred {type_str(inferred)}",
+                    e.span)
+            rule = "Check"
         if out is not None:
             out.append(self.hook(rule, e, locks_of(ctx), ty, kids, None))
 

@@ -11,7 +11,7 @@ Any change to the typechecker, its derivations or their rendering must
 leave this output byte for byte the same.  Regenerate the snapshot (only
 when a change of checker output is intended) with
 
-    PYTHONPATH=src python tests/test_derivation_golden.py
+    PYTHONPATH=src:bench python tests/test_derivation_golden.py
 """
 
 import contextlib

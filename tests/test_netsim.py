@@ -161,6 +161,20 @@ class TestAgreement:
         assert epp_agreement(program, [RoundRobin(), RandomPolicy(1)]).agree
         assert epp_agreement(parse_program(P3), [RoundRobin()]).agree
 
+    def test_a_value_shared_by_every_run_is_compared_once(self, monkeypatch):
+        # Runs of one network replay its logs, so every schedule returns
+        # the same object at the result address.
+        compared = []
+
+        def counting(got, expected):
+            compared.append(got)
+            return S.expr_equal(got, expected)
+        monkeypatch.setattr(netsim, "expr_equal", counting)
+        schedules = [RoundRobin()] + [RandomPolicy(s) for s in range(1, 12)]
+        report = epp_agreement(parse_program(fanout(4, 1)), schedules)
+        assert report.agree and len(report.outcomes) == 12
+        assert len(compared) == 1
+
     def test_schedule_confluence(self):
         for seed in (2, 7, 11):
             topo = load_preset("choreo")

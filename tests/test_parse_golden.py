@@ -15,7 +15,7 @@ the same; the spans are what `corps normalize --trace` reports.
 Regenerate the snapshot (only when a change of parser output is
 intended) with
 
-    PYTHONPATH=src python tests/test_parse_golden.py
+    PYTHONPATH=src:bench python tests/test_parse_golden.py
 """
 
 import json

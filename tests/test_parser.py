@@ -107,8 +107,12 @@ class TestPrograms:
     def test_duplicate_def_rejected(self):
         with pytest.raises(ParseError):
             parse_program("def f : unit = (); def f : unit = (); main : unit = ();")
-        with pytest.raises(ParseError, match="duplicate definition of 'b'"):
-            parse_program("input b : unit; input b : [A] unit; main : unit = ();")
+        text = "input b : unit; input b : [A] unit; main : unit = ();"
+        with pytest.raises(ParseError, match="duplicate definition of 'b'") as exc:
+            parse_program(text)
+        # Reported at the repeated name, not at the `;` that ends it.
+        span = exc.value.span
+        assert (span.start, span.end) == (22, 23) and text[22] == "b"
 
     def test_error_has_span_inside_input(self):
         text = "main : unit = fst ;"

@@ -13,7 +13,7 @@ Any change to projection or to the term machinery under it must leave
 this output byte for byte the same.  Regenerate both snapshots (only when
 a change of projection output is intended) with
 
-    PYTHONPATH=src python tests/test_projection_golden.py
+    PYTHONPATH=src:bench python tests/test_projection_golden.py
 """
 
 import json

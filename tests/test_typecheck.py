@@ -87,6 +87,18 @@ class TestCheckMode:
             self.checker.infer((), e)
         assert exc.value.rule == "Case"
 
+    @pytest.mark.parametrize("canonical", [False, True])
+    def test_local_only_node_is_not_an_expression(self, canonical):
+        # Not a rejected judgment: a node of the other language is a
+        # caller's error, named by its class, in either mode.
+        self.checker._canonical = canonical
+        e = S.Seq(S.SKIP, S.SKIP)
+        with pytest.raises(TypeError, match="^not an expression: Seq$"):
+            self.checker.infer((), e)
+        for ty in (S.UNIT, S.Product(S.UNIT, S.UNIT)):
+            with pytest.raises(TypeError, match="^not an expression: Seq$"):
+                self.checker.check((), e, ty)
+
 
 class TestAxiom:
     def test_rightmost_binding_only(self):
