@@ -11,7 +11,10 @@ the one at its leftmost position that holds no value.
 through its evaluation positions (`_HOLES`, from `syntax.eval_holes`:
 every position of a node that is not under a binder, except a
 sequence's rest) and acts at the first node that is no value and whose
-positions all hold values, by `_contract`.  `_contract` is the one copy
+positions all hold values, by `_contract`.  A local value is a node of one
+of the local value forms (`_VALUE_FORMS`: unit, skip, a function, a pair,
+an injection) whose positions all hold values; `is_local_value` is
+`syntax.value_test` over those two tables.  `_contract` is the one copy
 of the local redex rules, and `run` shares it.  A receive on an empty
 queue at that position blocks the whole process on its one source, and
 nothing right of it runs; concurrency comes only from interleaving
@@ -20,8 +23,8 @@ processes.  `_step_local` is the reference semantics, the role
 the tests replay runs through it.
 
 `run` is event-driven.  Each process runs on the refocusing machine that
-the normalizer shares (`syntax.Machine`, over `_HOLES` and the local
-value forms), focused at its leftmost position that holds no value.  A
+the normalizer shares (`syntax.Machine`, over `_HOLES` and
+`_VALUE_FORMS`), focused at its leftmost position that holds no value.  A
 step resumes at the focus.  A process whose focus waits is parked under
 the channel it waits on, and it rejoins the ready list, kept in address
 order, when a message arrives on that channel.  Each tick makes one pick
@@ -86,7 +89,7 @@ from .projection import Network, local_str, project_expr, project_network
 from .syntax import (
     SKIP, Absurd, App, Case, Fst, Inl, Inr, Lam, LocalExpr, Machine, Pair,
     Path, RecvFrom, SendTo, Seq, Skip, Snd, UnitVal, Var, eval_holes, expr_equal,
-    _frozen, match_located, split_stack, substitute,
+    _frozen, match_located, split_stack, substitute, value_test,
 )
 from .topology import Topology
 from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
@@ -189,17 +192,6 @@ class NetStuck(NetError):
     pass
 
 
-def is_local_value(e: LocalExpr) -> bool:
-    kind = type(e)
-    if kind is UnitVal or kind is Lam or kind is Skip:
-        return True
-    if kind is Pair:
-        return is_local_value(e.left) and is_local_value(e.right)
-    if kind is Inl or kind is Inr:
-        return is_local_value(e.inner)
-    return False
-
-
 def _step_local(e: LocalExpr, addr: Path,
                 chans: defaultdict[tuple[Path, Path], deque]):
     """One action of a single process.
@@ -241,12 +233,13 @@ class RunResult:
         return f"RunResult(values={self.values!r}, trace={self.trace!r}, steps={self.steps!r})"
 
 
-# The evaluation positions, for `_step_local` and the focused engine.  A
-# choreographic node has none and is no value form, so the engine stops
-# at it and `_contract` rejects it.
+# The evaluation positions and the value forms, read by the focused engine
+# and by the value test.  A choreographic node has no positions and is no
+# value form, so the engine stops at it and `_contract` rejects it.
 _HOLES = eval_holes(get_args(LocalExpr))
 _VALUE_FORMS = frozenset((UnitVal, Lam, Skip, Pair, Inl, Inr))
 _MACHINE = Machine(_HOLES, _VALUE_FORMS)
+is_local_value = value_test(_HOLES, _VALUE_FORMS)
 
 
 def _contract(e: LocalExpr, addr: Path,

@@ -187,7 +187,7 @@ def ni_check(program: Program, cfg: NIConfig,
     # Each value's network is projected once, for the flow universe and
     # for the runs.
     networks = _networks(program, cfg, topology)
-    universe = {cfg.observer}.union(*(network.universe for _, network in networks))
+    universe = {cfg.observer}.union(*(network.processes for _, network in networks))
     if flow_reachable(topology, source, cfg.observer, universe):
         return Verdict("FlowPermitted", source, cfg.observer)
     witness, runs = _compare(networks, cfg, fuel)

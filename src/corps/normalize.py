@@ -19,8 +19,11 @@ would leave reducts the bidirectional checker cannot re-type (a bare
 injection in an inference position), which would defeat type
 preservation testing.
 
-Two engines share one table of evaluation positions (`_HOLES`) and one
-copy of the redex rules (`_contract`):
+A value is a node of one of the value forms (`_VALUE_FORMS`) whose
+evaluation positions (`_HOLES`) all hold values; `is_value` is
+`syntax.value_test` over those two tables, and `is_positive_value` the
+same test over the forms without `Lam`.  Two engines share `_HOLES` and
+one copy of the redex rules (`_contract`):
 
 * `step` finds the next redex by searching from the root, so iterating
   it costs time quadratic in the number of steps along a deep context.
@@ -43,8 +46,8 @@ from typing import Callable, Optional, get_args
 
 from .syntax import (
     Absurd, Annot, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located, Machine,
-    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, children, eval_holes,
-    match_located, peel_located, substitute, unannot, wrap_located,
+    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, eval_holes, match_located,
+    peel_located, substitute, unannot, value_test, wrap_located,
 )
 
 
@@ -72,41 +75,14 @@ class StuckUnexpected(Exception):
         self.term = term
 
 
-def is_value(e: Expr) -> bool:
-    pending = [e]
-    while pending:
-        e = unannot(pending.pop())
-        kind = type(e)
-        if kind is Pair:
-            pending += (e.left, e.right)
-        elif kind is Located:
-            pending.append(e.body)
-        elif kind is Inl or kind is Inr:
-            pending.append(e.inner)
-        elif kind is not UnitVal and kind is not Lam:
-            return False
-    return True
-
-
-def _has_lam(e: Expr) -> bool:
-    pending = [e]
-    while pending:
-        e = pending.pop()
-        if isinstance(e, Lam):
-            return True
-        pending += children(e)
-    return False
-
-
-def is_positive_value(e: Expr) -> bool:
-    """A value with no function anywhere inside it."""
-    return is_value(e) and not _has_lam(e)
-
-
 Step = tuple[Expr, str, Optional[Span]]
 
 _HOLES = eval_holes(get_args(Expr))
-_MACHINE = Machine(_HOLES, frozenset((UnitVal, Lam, Located, Pair, Inl, Inr, Annot)))
+_VALUE_FORMS = frozenset((UnitVal, Lam, Located, Pair, Inl, Inr, Annot))
+_MACHINE = Machine(_HOLES, _VALUE_FORMS)
+is_value = value_test(_HOLES, _VALUE_FORMS)
+# A positive value holds no function anywhere inside it.
+is_positive_value = value_test(_HOLES, _VALUE_FORMS - {Lam})
 
 
 def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
@@ -204,7 +180,7 @@ def _blockers(e: Expr) -> set[str]:
     return out
 
 
-def classify(mode: EvalMode, e: Expr) -> NormalFormClass:
+def classify(e: Expr) -> NormalFormClass:
     """Classify a normal form; raises StuckUnexpected on internal errors."""
     if is_value(e):
         return NormalFormClass.VALUE
@@ -243,4 +219,4 @@ def normalize(mode: EvalMode, e: Expr, fuel: int,
             on_step(steps, r[1], focus.span)
         steps += 1
         frames, focus = refocus(frames, r[0])
-    return focus, classify(mode, focus), steps
+    return focus, classify(focus), steps

@@ -142,24 +142,22 @@ class Network:
     how its result is read."""
 
     def __init__(self, processes: dict[Path, LocalExpr], result_address: Path,
-                 lambda_wire: bool, universe: frozenset[Path] = frozenset()):
+                 lambda_wire: bool):
         self.processes, self.result_address = processes, result_address
-        self.lambda_wire, self.universe = lambda_wire, universe
+        self.lambda_wire = lambda_wire
         # The simulator's step logs, one per process by address (`netsim._Log`):
         # built by the first run of the network, replayed and extended by every run.
         self._logs: Optional[dict] = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return ((self.processes, self.result_address, self.lambda_wire, self.universe)
-                    == (other.processes, other.result_address, other.lambda_wire,
-                        other.universe))
+            return ((self.processes, self.result_address, self.lambda_wire)
+                    == (other.processes, other.result_address, other.lambda_wire))
         return NotImplemented
 
     def __repr__(self) -> str:
         return (f"Network(processes={self.processes!r}, result_address="
-                f"{self.result_address!r}, lambda_wire={self.lambda_wire!r}, "
-                f"universe={self.universe!r})")
+                f"{self.result_address!r}, lambda_wire={self.lambda_wire!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -396,4 +394,4 @@ def project_network(program: Program,
     _process(generic)
     processes = {address: _process(at.get(address, generic))
                  for address in sorted(universe)}
-    return Network(processes, result_address, lambda_wire, frozenset(universe))
+    return Network(processes, result_address, lambda_wire)

@@ -15,8 +15,9 @@ empty locks, no two adjacent locks.
 Choreographic expressions and the local processes that endpoint
 projection produces share one term schema (`SCHEMA`): per node class,
 its fields, its subterms and the binder scoping each subterm.  Children,
-free variables, substitution, alpha-equality and the refocusing machine
-that both languages' fast evaluators run are each written once over it.
+free variables, substitution, alpha-equality, the value test and the
+refocusing machine that both languages' fast evaluators run are each
+written once over it.
 
 Spans, types, nodes and context entries are records (`_frozen`), as are
 the other value classes of the package: slotted, immutable values that
@@ -459,6 +460,28 @@ def eval_holes(classes) -> dict[type, tuple[Hole, ...]]:
     return {cls: tuple(hole(cls, i) for i, binder in SCHEMA[cls].subterms
                        if binder is None and (cls, i) != (Seq, 1))
             for cls in classes}
+
+
+def value_test(holes: dict[type, tuple[Hole, ...]],
+               forms: frozenset[type]) -> Callable[[Node], bool]:
+    """The values of a language whose evaluation positions are `holes` and
+    whose value forms are `forms`: a term is a value when its class is a
+    value form and each of its evaluation positions holds a value.  The
+    walk keeps its own stack, so nesting depth costs no Python stack."""
+    getters = {cls: tuple(get for get, _ in holes.get(cls, ())) for cls in forms}
+
+    def is_value(e: Node) -> bool:
+        pending = [e]
+        while pending:
+            e = pending.pop()
+            gets = getters.get(type(e))
+            if gets is None:
+                return False
+            for get in gets:
+                pending.append(get(e))
+        return True
+
+    return is_value
 
 
 class Machine:

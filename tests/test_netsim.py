@@ -14,7 +14,7 @@ from corps.netsim import (
     PreconditionError, RandomPolicy, RoundRobin, RunResult, TraceEvent,
     _step_local, epp_agreement, expected_result, is_local_value, run,
 )
-from corps.normalize import EvalMode, step
+from corps.normalize import EvalMode, is_positive_value, step
 from corps.parser import Program, parse_program
 from corps.printer import path_str
 from corps.projection import (
@@ -24,6 +24,7 @@ from corps.topology import load_preset
 from corps.typecheck import inline_main
 import genprog
 from test_nicheck import FLOW_PROGRAM, SEALED_PROGRAM, cfg
+from test_normalize import assert_value_tests_agree_with_machines
 from test_projection import fanout, node_count
 
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
@@ -209,6 +210,27 @@ class TestLocalValues:
         assert not is_local_value(RecvFrom(("A",)))
         assert not is_local_value(Seq(SKIP, S.UnitVal()))
 
+    def test_a_choreographic_or_communicating_node_is_no_local_value(self):
+        assert not is_local_value(S.Pair(U, S.Located("A", U)))
+        assert not is_local_value(SendTo(B, U))
+
+    def test_a_payload_holding_skip_is_no_positive_value(self):
+        # `_contract` checks wire payloads with the choreography's test, in
+        # which skip is no value.
+        assert is_local_value(S.Pair(U, SKIP))
+        assert not is_positive_value(S.Pair(U, SKIP))
+
+    def test_value_test_agrees_with_the_machine(self):
+        processes = [process for network in generated_networks(range(20))
+                     for process in network.processes.values()]
+        processes += [process for procs, _ in HAND_BUILT.values()
+                      for process in procs.values()]
+        seen = set()
+        for process in processes:
+            seen |= assert_value_tests_agree_with_machines(
+                process, (is_local_value, netsim._MACHINE))
+        assert seen == {True, False}
+
 
 # ---------------------------------------------------------------------------
 # The event-driven engine against the reference semantics
@@ -310,10 +332,10 @@ def assert_replays(network: Network, policy, fuel: int = 100_000) -> None:
 POLICIES = [RoundRobin()] + [RandomPolicy(seed) for seed in (0, 1, 7, 42, 1234)]
 
 
-def generated_networks():
+def generated_networks(seeds=range(100)):
     for preset in ("choreo", "doxastic", "siblings"):
         topo = load_preset(preset)
-        for seed in range(100):
+        for seed in seeds:
             program = genprog.program(seed, preset, projectable=True)
             try:
                 yield project_network(program, topo)
@@ -397,7 +419,7 @@ RULES = {
 def fresh(network: Network) -> Network:
     """The same processes in a network that has not run yet."""
     return Network(dict(network.processes), network.result_address,
-                   network.lambda_wire, network.universe)
+                   network.lambda_wire)
 
 
 class TestEngine:

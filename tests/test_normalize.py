@@ -9,7 +9,7 @@ from corps.normalize import (
 )
 from corps.parser import parse_expr
 from corps.printer import expr_str
-from corps.syntax import expr_equal
+from corps.syntax import Machine, expr_equal
 from corps.topology import load_preset
 from corps.typecheck import Checker, inline_main
 import genprog
@@ -39,6 +39,47 @@ class TestValues:
 
     def test_annotated_value_is_a_value(self):
         assert is_value(parse_expr("(() : unit)"))
+
+    def test_annotated_injection_is_a_value(self):
+        assert is_value(parse_expr("(inl () : unit + unit)"))
+
+    def test_annotated_lambda_is_not_positive(self):
+        e = parse_expr("(fun x -> x : unit -> unit)")
+        assert is_value(e) and not is_positive_value(e)
+
+    def test_value_tests_agree_with_the_machine_on_generated_reducts(self):
+        positive = Machine(_HOLES, _MACHINE.values - {S.Lam})
+        seen = set()
+        for preset in ("choreo", "doxastic", "siblings"):
+            for seed in range(20):
+                main, _ = inline_main(genprog.program(seed, preset, projectable=True))
+                for e in _iterate_step(POS, main)[0]:
+                    seen |= assert_value_tests_agree_with_machines(
+                        e, (is_value, _MACHINE), (is_positive_value, positive))
+        assert seen == {True, False}
+
+
+def subterms(e):
+    """`e` and every node below it, binders or not."""
+    pending = [e]
+    while pending:
+        e = pending.pop()
+        yield e
+        pending += S.children(e)
+
+
+def assert_value_tests_agree_with_machines(e, *tests) -> set[bool]:
+    """Each (value test, machine) pair agrees on `e` and its subterms: a term
+    is a value exactly when the machine finds no stop in it.  The set of
+    verdicts given."""
+    verdicts = set()
+    for sub in subterms(e):
+        for is_value, machine in tests:
+            frames, focus = machine.refocus(None, sub)
+            verdict = frames is None and type(focus) in machine.values
+            assert is_value(sub) is verdict, expr_str(sub)
+            verdicts.add(verdict)
+    return verdicts
 
 
 class TestStep:
@@ -207,7 +248,7 @@ class TestSuiteProperties:
                             break
                         e = r[0]
                         checker.check((), e, ty)
-                    cls = classify(mode, e)
+                    cls = classify(e)
                     assert cls in (NormalFormClass.VALUE,
                                    NormalFormClass.COMM_NEUTRAL)
                 nf_cf, _, _ = normalize(CF, main, 100_000)
@@ -258,7 +299,7 @@ class TestRefocusedMachine:
                             mode, main, 100_000,
                             lambda i, rule, span: seen.append((i, rule, span)))
                         assert e == terms[-1] and expr_equal(e, terms[-1])
-                        assert cls is classify(mode, terms[-1])
+                        assert cls is classify(terms[-1])
                         assert steps == len(trail)
                         assert seen == [(i, *t) for i, t in enumerate(trail)]
                         for fuel in range(1, steps):
@@ -308,4 +349,4 @@ class TestRefocusedMachine:
         out, cls, steps = normalize(POS, value, 10)
         assert out is value and (cls, steps) == (NormalFormClass.VALUE, 0)
         assert is_positive_value(value)
-        assert classify(POS, open_term) is NormalFormClass.OPEN
+        assert classify(open_term) is NormalFormClass.OPEN
