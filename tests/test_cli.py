@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import os
 import random
 import shlex
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -557,24 +561,60 @@ FLAG_SETS = (
     ["ni", "--input", "x", "--observe", "[A]", "--values", "inl (),inr ()",
      "--fuel", "500"],
 )
+# Flags that are a fault of their own, so that a mutated program has two:
+# which of them is reported follows the CLI's reporting order.
+SECOND_FAULTS = (
+    ["check", "--topology", "missing.topo"],
+    ["normalize", "--fuel", "0"],
+    ["project"],
+    ["project", "--agent", "[a]"],
+    ["simulate", "--fuel", "0"],
+    ["simulate", "--runs", "0", "--fuel", "0"],
+    ["ni", "--input", "x", "--observe", "[A]", "--values", "inl (),inr ()",
+     "--fuel", "0"],
+    ["ni", "--input", "x", "--observe", "[a]", "--values", "(,"],
+)
+CLI_GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.json")
 
 
-def test_exit_codes_on_mutated_programs(tmp_path, capsys):
-    # Derandomized: generated programs, three in four of them mutated once,
-    # under every flag set; every run ends with a documented exit code.
-    path = tmp_path / "m.corps"
-    codes = set()
-    for preset in ("choreo", "siblings", "doxastic"):
-        for seed in range(30):
-            rng = random.Random(f"cli/{preset}/{seed}")
-            text = pretty_print(genprog.program(seed, preset, depth=5))
-            path.write_text(mutate(text, rng) if seed % 4 else text)
-            for flags in FLAG_SETS:
-                code = main([flags[0], str(path)] + flags[1:])
-                assert code in range(5), (flags, path.read_text())
-                codes.add(code)
-            capsys.readouterr()
+def cli_outputs() -> dict:
+    """Exit code, stdout and stderr of generated programs, three in four of
+    them mutated once, under every flag set.  The temporary directory the
+    program is written to reads `<tmp>`."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.corps")
+        for preset in ("choreo", "siblings", "doxastic"):
+            for seed in range(30):
+                rng = random.Random(f"cli/{preset}/{seed}")
+                text = pretty_print(genprog.program(seed, preset, depth=5))
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(mutate(text, rng) if seed % 4 else text)
+                for flags in FLAG_SETS + SECOND_FAULTS:
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([flags[0], path] + flags[1:])
+                    got[f"{preset}/{seed} {shlex.join(flags)}"] = {
+                        "exit": code, "stdout": out.getvalue().replace(tmp, "<tmp>"),
+                        "stderr": err.getvalue().replace(tmp, "<tmp>")}
+    return got
+
+
+def test_exit_codes_on_mutated_programs():
+    """Every run ends with a documented exit code, each code occurs, and
+    the output matches `cli_golden.json` byte for byte.  Regenerate the
+    golden (only when a change of CLI output is intended) with
+
+        PYTHONPATH=src:bench python tests/test_cli.py
+    """
+    got = cli_outputs()
+    codes = {record["exit"] for record in got.values()}
     assert codes == set(range(5))
+    with open(CLI_GOLDEN, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    assert got.keys() == expected.keys()
+    diffs = [key for key in expected if got[key] != expected[key]]
+    assert not diffs, (len(diffs), diffs[:3], [got[k] for k in diffs[:3]])
 
 
 # Arbitrary text, or a program that gets past the parser, under arbitrary
@@ -644,3 +684,9 @@ def test_any_text_under_any_flags_ends_with_an_exit_code(cli_dir, text, invocati
              else flag for flag in flags]
     code = main([command, str(path)] + flags)
     assert type(code) is int and code in range(5), (command, text, flags)
+
+
+if __name__ == "__main__":
+    with open(CLI_GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(cli_outputs(), handle, indent=1, sort_keys=True)
+        handle.write("\n")
