@@ -1,16 +1,25 @@
 """Command-line front end.
 
     corps check FILE [--topology NAME|FILE] [--derivation]
-    corps normalize FILE [--mode comm-free|positive] [--fuel N] [--trace FILE]
-    corps project FILE (--agent PATH | --all)
-    corps simulate FILE [--schedule rr|random] [--seed S] [--runs N] [--trace FILE]
-    corps ni FILE --input NAME --observe PATH --values V1,V2,... [--fuel N]
+    corps normalize FILE [--topology NAME|FILE] [--mode comm-free|positive]
+                         [--fuel N] [--trace FILE]
+    corps project FILE [--topology NAME|FILE] (--agent PATH | --all)
+    corps simulate FILE [--topology NAME|FILE] [--schedule rr|random] [--seed S]
+                        [--runs N] [--fuel N] [--trace FILE]
+    corps ni FILE [--topology NAME|FILE] --input NAME --observe PATH
+                  --values V1,V2,... [--fuel N]
 
 Exit codes: 0 success, 1 type or projection error, 2 parse error
-(including input that nests deeper than `parser.MAX_NESTING`), 3 runtime
-finding (deadlock, disagreement, interference; in `simulate` also
-normalize fuel running out, the network's fuel running out, or the first
-run getting stuck), 4 usage error.
+(including input that nests deeper than `parser.MAX_NESTING`, and a
+program or `.topo` file that is not UTF-8), 3 runtime finding (deadlock,
+disagreement, interference; in `simulate` also normalize fuel running
+out, the network's fuel running out, or the first run getting stuck),
+4 usage error.
+
+Every subcommand runs one prelude and reports the first fault it meets,
+in this order: a non-positive `--runs`, then `--fuel`; the file; the
+topology; the check, with every error it finds (a program is run only
+once it is a proof); then the subcommand's own usage checks; then its run.
 """
 
 from __future__ import annotations
@@ -27,9 +36,7 @@ from .parser import ParseError, parse_expr, parse_path, parse_program
 from .printer import expr_str, path_str, type_str
 from .projection import ProjectionError, local_str, project, project_network
 from .topology import TopologyError
-from .typecheck import (
-    Derivation, TypeCheckError, check_program, inline_main, resolve_topology,
-)
+from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
 
 OK, TYPE_ERROR, PARSE_ERROR, FINDING, USAGE = 0, 1, 2, 3, 4
 
@@ -38,28 +45,28 @@ class _Usage(Exception):
     pass
 
 
+class _NotText(Exception):
+    """The program file is not UTF-8 text."""
+
+
 def _load(path: str):
     if not os.path.exists(path):
         raise _Usage(f"no such file: {path}")
     with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read(), file=path)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise _NotText(f"{path}: {err}") from None
+    return parse_program(text, file=path)
 
 
-def _topology(program, args):
-    return resolve_topology(program, override=args.topology,
-                            base_dir=os.path.dirname(os.path.abspath(args.file)))
-
-
-def _topology_flag(args) -> str:
-    """The `--topology` option for a replay line: the one given, if any."""
-    return "" if args.topology is None else f" --topology {shlex.quote(args.topology)}"
-
-
-def _checked(program, topology, deriv=None):
-    errors = check_program(program, topology, deriv=deriv)
-    for err in errors:
-        print(err, file=sys.stderr)
-    return errors
+def _replay(args, *flags: str) -> str:
+    """The `replay:` line that repeats this run: the subcommand on the same
+    file with `flags`, and `--topology` when it was given, each argument
+    quoted for the shell."""
+    if args.topology is not None:
+        flags += ("--topology", args.topology)
+    return "replay: corps " + shlex.join((args.command, args.file) + flags)
 
 
 def _split_values(text: str) -> list[str]:
@@ -79,25 +86,17 @@ def _split_values(text: str) -> list[str]:
     return [p for p in parts if p.strip()]
 
 
-def cmd_check(args) -> int:
-    program = _load(args.file)
-    topology = _topology(program, args)
-    deriv: list[Derivation] = []
-    if _checked(program, topology, deriv if args.derivation else None):
-        return TYPE_ERROR
-    for node in deriv:
+# Each `cmd_*` takes the flags, the checked program, its topology and,
+# under `check --derivation`, the derivations (else None).
+
+def cmd_check(args, program, topology, deriv) -> int:
+    for node in deriv or ():
         print(node.render())
     print(f"OK : {type_str(program.main_type)}")
     return OK
 
 
-def cmd_normalize(args) -> int:
-    if args.fuel <= 0:
-        raise _Usage("--fuel must be positive")
-    program = _load(args.file)
-    topology = _topology(program, args)
-    if _checked(program, topology):
-        return TYPE_ERROR
+def cmd_normalize(args, program, topology, deriv) -> int:
     if program.inputs:
         raise _Usage("program has free inputs; normalize needs a closed program")
     mode = EvalMode.COMM_FREE if args.mode == "comm-free" else EvalMode.POSITIVE_COMM
@@ -126,11 +125,7 @@ def cmd_normalize(args) -> int:
     return OK
 
 
-def cmd_project(args) -> int:
-    program = _load(args.file)
-    topology = _topology(program, args)
-    if _checked(program, topology):
-        return TYPE_ERROR
+def cmd_project(args, program, topology, deriv) -> int:
     if args.agent is None and not args.all:
         raise _Usage("give --agent PATH or --all")
     if args.agent is not None:
@@ -148,15 +143,7 @@ def cmd_project(args) -> int:
     return OK
 
 
-def cmd_simulate(args) -> int:
-    if args.runs <= 0:
-        raise _Usage("--runs must be positive")
-    if args.fuel <= 0:
-        raise _Usage("--fuel must be positive")
-    program = _load(args.file)
-    topology = _topology(program, args)
-    if _checked(program, topology):
-        return TYPE_ERROR
+def cmd_simulate(args, program, topology, deriv) -> int:
     if program.inputs:
         raise _Usage("program has free inputs; give them values or use `corps ni`")
     if args.schedule == "rr":
@@ -174,8 +161,8 @@ def cmd_simulate(args) -> int:
         raise _Usage(str(err))
     except netsim.DeadlockError as err:
         print(err, file=sys.stderr)
-        print(f"replay: corps simulate {shlex.quote(args.file)} --schedule {args.schedule} "
-              f"--seed {args.seed}{_topology_flag(args)}", file=sys.stderr)
+        print(_replay(args, "--schedule", args.schedule, "--seed", str(args.seed)),
+              file=sys.stderr)
         return FINDING
     except FuelExhausted as err:
         print(f"fuel exhausted after {err.steps} steps of normalizing the choreography",
@@ -202,26 +189,17 @@ def cmd_simulate(args) -> int:
               f"{path_str(network.result_address)})")
         return OK
     print("DISAGREE", file=sys.stderr)
-    for label, outcome in report.outcomes:
+    for policy, (label, outcome) in zip(schedules, report.outcomes):
         if outcome == "agree":
             continue
         print(f"  {label}: {outcome}", file=sys.stderr)
-        if label.startswith("random"):
-            replay = (f"corps simulate {shlex.quote(args.file)} --schedule random "
-                      f"--seed {label.split(':')[-1]}")
-        else:
-            replay = f"corps simulate {shlex.quote(args.file)} --schedule rr"
-        print(f"  replay: {replay}{_topology_flag(args)}", file=sys.stderr)
+        flags = (("--schedule", "random", "--seed", str(policy.seed))
+                 if isinstance(policy, netsim.RandomPolicy) else ("--schedule", "rr"))
+        print(f"  {_replay(args, *flags)}", file=sys.stderr)
     return FINDING
 
 
-def cmd_ni(args) -> int:
-    if args.fuel <= 0:
-        raise _Usage("--fuel must be positive")
-    program = _load(args.file)
-    topology = _topology(program, args)
-    if _checked(program, topology):
-        return TYPE_ERROR
+def cmd_ni(args, program, topology, deriv) -> int:
     values = tuple(parse_expr(text, file="--values") for text in _split_values(args.values))
     cfg = nicheck.NIConfig(args.input, parse_path(args.observe, file="--observe"), values)
     try:
@@ -232,9 +210,8 @@ def cmd_ni(args) -> int:
     if verdict.kind == "InterferenceFound":
         witness = verdict.witness
         pair = f"{expr_str(witness.value_a)},{expr_str(witness.value_b)}"
-        print(f"replay: corps ni {shlex.quote(args.file)} --input {args.input} "
-              f"--observe {shlex.quote(args.observe)} --values {shlex.quote(pair)}"
-              f"{_topology_flag(args)}", file=sys.stderr)
+        print(_replay(args, "--input", args.input, "--observe", args.observe,
+                      "--values", pair), file=sys.stderr)
         return FINDING
     return OK
 
@@ -295,11 +272,23 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return USAGE if err.code not in (0, None) else OK
     try:
-        return args.fn(args)
+        for name in ("runs", "fuel"):
+            if getattr(args, name, 1) <= 0:
+                raise _Usage(f"--{name} must be positive")
+        program = _load(args.file)
+        topology = resolve_topology(program, override=args.topology,
+                                    base_dir=os.path.dirname(os.path.abspath(args.file)))
+        deriv = [] if getattr(args, "derivation", False) else None
+        errors = check_program(program, topology, deriv=deriv)
+        for err in errors:
+            print(err, file=sys.stderr)
+        if errors:
+            return TYPE_ERROR
+        return args.fn(args, program, topology, deriv)
     except _Usage as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE
-    except ParseError as err:
+    except (ParseError, _NotText) as err:
         print(err, file=sys.stderr)
         return PARSE_ERROR
     except TopologyError as err:

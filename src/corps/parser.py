@@ -370,6 +370,7 @@ class _Parser:
             self.pos += 1
             self.expect(";")
         inputs: list[tuple[str, Type]] = []
+        names: set[str] = set()  # the inputs and definitions so far
         while kinds[self.pos] == "input":
             self.pos += 1
             name_pos = self.pos
@@ -377,8 +378,9 @@ class _Parser:
             self.expect(":")
             ty = self.type_()
             self.expect(";")
-            if any(name == seen for seen, _ in inputs):
+            if name in names:
                 raise self.duplicate(name_pos)
+            names.add(name)
             inputs.append((name, ty))
         defs: list[tuple[str, Type, Expr]] = []
         while kinds[self.pos] == "def":
@@ -390,8 +392,9 @@ class _Parser:
             self.expect("=")
             body = self.expr()
             self.expect(";")
-            if any(name == seen for seen, _, _ in defs) or any(name == seen for seen, _ in inputs):
+            if name in names:
                 raise self.duplicate(name_pos)
+            names.add(name)
             defs.append((name, ty, body))
         self.expect("main")
         self.expect(":")
@@ -407,22 +410,21 @@ def parse_program(text: str, file: str = "<input>") -> Program:
     return _Parser(text, file).program()
 
 
-def parse_expr(text: str, file: str = "<input>") -> Expr:
+def _parse_all(rule, text: str, file: str):
+    """`text` parsed by the `_Parser` method `rule`, up to the end of input."""
     p = _Parser(text, file)
-    e = p.expr()
+    tree = rule(p)
     p.expect("eof", "end of input")
-    return e
+    return tree
+
+
+def parse_expr(text: str, file: str = "<input>") -> Expr:
+    return _parse_all(_Parser.expr, text, file)
 
 
 def parse_type(text: str, file: str = "<input>") -> Type:
-    p = _Parser(text, file)
-    ty = p.type_()
-    p.expect("eof", "end of input")
-    return ty
+    return _parse_all(_Parser.type_, text, file)
 
 
 def parse_path(text: str, file: str = "<input>") -> Path:
-    p = _Parser(text, file)
-    g = p.path()
-    p.expect("eof", "end of input")
-    return g
+    return _parse_all(_Parser.path, text, file)

@@ -52,7 +52,9 @@ from .syntax import (
     ctx_bind, ctx_lock, locks_of, path_concat, peel_stack, split_stack,
     substitute,
 )
-from .topology import PRESETS, Topology, load_preset, parse_topology, relation_holds
+from .topology import (
+    PRESETS, Topology, TopologyError, load_preset, parse_topology, relation_holds,
+)
 
 
 class TypeCheckError(Exception):
@@ -296,7 +298,11 @@ def resolve_topology(program: Program, override: Optional[str] = None,
         return load_preset(ref)
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
     with open(path, encoding="utf-8") as handle:
-        return parse_topology(handle.read(), name=ref)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as err:
+            raise TopologyError(f"{path}: {err}") from None
+    return parse_topology(text, name=ref)
 
 
 def check_program(program: Program, topology: Optional[Topology] = None,

@@ -484,6 +484,66 @@ def test_a_flag_that_fails_to_parse_is_named(tmp_path, capsys, flags, line):
     assert capsys.readouterr() == ("", line + "\n")
 
 
+# Two faults in one invocation: the exit code and the first line on stderr
+# are those of the fault that comes first in the reporting order (flags,
+# file, topology, check, the subcommand's own usage checks).
+OPEN_TYPE_ERROR = ("topology doxastic;\ninput b : [B] (unit + unit);\n"
+                   "main : unit = down [A] (A.());\n")
+
+
+@pytest.mark.parametrize("source, flags, code, first", [
+    ("main : unit = fst ;", ["simulate", "--runs", "0"], 4,
+     "usage error: --runs must be positive"),
+    ("main : unit = fst ;", ["simulate", "--runs", "0", "--fuel", "0"], 4,
+     "usage error: --runs must be positive"),
+    ("main : unit = fst ;", ["check", "--topology", "missing.topo"], 2,
+     "{path}:18-19: found ';' where an expression was expected "
+     "(expected (, (), agent, identifier)"),
+    (T_AXIOM, ["project"], 1,
+     "{path}:33-48: [Down] candown([], [A]) does not hold (viewpoint [])"),
+    (OPEN_TYPE_ERROR, ["simulate"], 1,
+     "{path}:62-77: [Down] candown([], [A]) does not hold (viewpoint [])"),
+    (OPEN_TYPE_ERROR, ["ni", "--input", "b", "--observe", "[a]", "--values", "(,"], 1,
+     "{path}:62-77: [Down] candown([], [A]) does not hold (viewpoint [])"),
+    (SEALED, ["simulate", "--fuel", "0"], 4, "usage error: --fuel must be positive"),
+], ids=["parse-runs", "parse-runs-fuel", "parse-topology", "type-project",
+        "type-open", "type-values", "open-fuel"])
+def test_the_first_fault_in_reporting_order_is_reported(tmp_path, capsys, source,
+                                                        flags, code, first):
+    path = tmp_path / "p.corps"
+    path.write_text(source)
+    assert main([flags[0], str(path), *flags[1:]]) == code
+    assert capsys.readouterr().err.splitlines()[0] == first.format(path=path)
+
+
+class TestNotUtf8:
+    """A program or `.topo` file that is not UTF-8 is a parse error (exit
+    2), reported in one line that names the file."""
+
+    BYTES = b"main : unit = \xff();\n"
+    REASON = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+    def test_program_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.corps"
+        path.write_bytes(self.BYTES)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"{path}: {self.REASON.format(14)}\n")
+
+    @pytest.mark.parametrize("where", ["header", "flag"])
+    def test_topology_file(self, tmp_path, capsys, where):
+        (tmp_path / "bad.topo").write_bytes(b"cansend: A => B\xff\n")
+        path = tmp_path / "p.corps"
+        if where == "header":
+            path.write_text('topology "bad.topo";\nmain : unit = ();\n')
+            flags = []
+        else:
+            path.write_text("main : unit = ();\n")
+            flags = ["--topology", "bad.topo"]
+        assert main(["check", str(path), *flags]) == 2
+        assert capsys.readouterr() == (
+            "", f"topology error: {tmp_path / 'bad.topo'}: {self.REASON.format(15)}\n")
+
+
 class TestReplayQuoting:
     """A replay line splits, as a shell splits it, into the arguments of the
     run it replays, also when the file or the topology file has a space in
@@ -648,7 +708,8 @@ TAKES = {
 }
 REQUIRED = {"ni": ["--input", "--observe", "--values"]}
 CLI_TEXTS = st.one_of(st.sampled_from((P4, T_AXIOM, SEALED, ESCAPING_DEF)),
-                      st.text(st.characters(blacklist_categories=("Cs",)), max_size=80))
+                      st.text(st.characters(blacklist_categories=("Cs",)), max_size=80),
+                      st.binary(max_size=80))
 
 
 @st.composite
@@ -679,7 +740,10 @@ def cli_dir(tmp_path_factory):
 def test_any_text_under_any_flags_ends_with_an_exit_code(cli_dir, text, invocation):
     command, flags = invocation
     path = cli_dir / "any.corps"
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     flags = [str(cli_dir / flag) if flag.endswith((".topo", ".jsonl")) or flag == "."
              else flag for flag in flags]
     code = main([command, str(path)] + flags)
