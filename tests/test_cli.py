@@ -529,16 +529,14 @@ class TestNotUtf8:
         assert main(["check", str(path)]) == 2
         assert capsys.readouterr() == ("", f"{path}: {self.REASON.format(14)}\n")
 
-    @pytest.mark.parametrize("where", ["header", "flag"])
-    def test_topology_file(self, tmp_path, capsys, where):
+    @pytest.mark.parametrize("source, flags", [
+        ('topology "bad.topo";\nmain : unit = ();\n', []),
+        ("main : unit = ();\n", ["--topology", "bad.topo"]),
+    ], ids=["header", "flag"])
+    def test_topology_file(self, tmp_path, capsys, source, flags):
         (tmp_path / "bad.topo").write_bytes(b"cansend: A => B\xff\n")
         path = tmp_path / "p.corps"
-        if where == "header":
-            path.write_text('topology "bad.topo";\nmain : unit = ();\n')
-            flags = []
-        else:
-            path.write_text("main : unit = ();\n")
-            flags = ["--topology", "bad.topo"]
+        path.write_text(source)
         assert main(["check", str(path), *flags]) == 2
         assert capsys.readouterr() == (
             "", f"topology error: {tmp_path / 'bad.topo'}: {self.REASON.format(15)}\n")
