@@ -10,8 +10,9 @@
                   --values V1,V2,... [--fuel N]
 
 Exit codes: 0 success, 1 type or projection error, 2 parse error
-(including input that nests deeper than `parser.MAX_NESTING`, and a
-program or `.topo` file that is not UTF-8), 3 runtime finding (deadlock,
+(including input that nests deeper than `parser.MAX_NESTING`, a
+program or `.topo` file that is not UTF-8, and a `.topo` file that
+cannot be read), 3 runtime finding (deadlock,
 disagreement, interference; in `simulate` also normalize fuel running
 out, the network's fuel running out, or the first run getting stuck),
 4 usage error.

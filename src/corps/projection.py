@@ -49,7 +49,10 @@ it is referenced.
 Errors are values, in walk order, as if each address had its own walk
 that stops at its first error.  A merge conflict, or a payload of a
 nested modality (which fails at every address), takes the place of the
-process, and a rule whose children hold errors keeps the first.  A rule
+process, and a rule whose children hold errors keeps the first.  No
+sparse projection holds an error until the walk makes one, so until then
+a rule combines its children's processes without testing them for
+errors; from the first error on, every rule tests them.  A rule
 that does not apply ends the walk with the checker's TypeCheckError, so
 `project_network` and `project` raise the first error `check_program`
 reports, if any.  Otherwise `project_network` raises the generic
@@ -180,6 +183,47 @@ def _apply(rule, parts: list[Local]) -> Local:
     return rule(*parts)
 
 
+def _guarded(rule, specs: tuple[Sparse, ...], special) -> Sparse:
+    """`_Projection._node` once the walk has made an error: an address
+    whose children hold errors keeps the first in walk order.
+
+    One child, and two without `special`, the most frequent nodes, read
+    each child's process at an address once and keep the first error
+    themselves, as `_apply` does.
+    """
+    generic = _apply(rule, [default for default, _ in specs])
+    if len(specs) == 1:
+        (d0, at0), = specs
+        if not at0 and not special:
+            return generic, _NOWHERE
+        at = {g: p if isinstance(p, ProjectionError) else rule(p)
+              for g, p in at0.items() if g not in special}
+        for g, own in special.items():
+            p = at0.get(g, d0)
+            at[g] = p if isinstance(p, ProjectionError) else own(p)
+        return generic, at
+    if len(specs) == 2 and not special:
+        (d0, at0), (d1, at1) = specs
+        if not at0 and not at1:
+            return generic, _NOWHERE
+        at = {}
+        for g in at0.keys() | at1.keys():
+            p0, p1 = at0.get(g, d0), at1.get(g, d1)
+            if isinstance(p0, ProjectionError):
+                at[g] = p0
+            elif isinstance(p1, ProjectionError):
+                at[g] = p1
+            else:
+                at[g] = rule(p0, p1)
+        return generic, at
+    keys = set(special).union(*[at for _, at in specs])
+    if not keys:
+        return generic, _NOWHERE
+    return generic, {
+        g: _apply(special.get(g, rule), [at.get(g, default) for default, at in specs])
+        for g in keys}
+
+
 def _process(local: Local) -> LocalExpr:
     if isinstance(local, ProjectionError):
         raise local
@@ -199,46 +243,46 @@ class _Projection:
         self.participants: set[Path] = set()
         self.lambda_wire = False
         self.defs: dict[int, tuple[Sparse, set[Path], bool]] = {}
+        # Whether the walk has made an error yet (see `_node`).  A
+        # definition's errors set it while the definition is walked, so
+        # it is set wherever a reference can bring an error in.
+        self.failed = False
 
     def _node(self, rule, *specs: Sparse, special=_NOWHERE) -> Sparse:
         """Apply `rule` to the children's processes, address by address;
         an address that `special` maps to a rule of its own applies that.
 
-        One child, and two without `special`, the most frequent nodes,
-        read each child's process at an address once and keep the first
-        error in walk order themselves, as `_apply` does.
+        Until the walk makes its first error no child holds one, so the
+        rules apply directly; from then on `_guarded` combines.  A node
+        of two children walks the larger map once, and the smaller one
+        patches it.
         """
-        generic = _apply(rule, [default for default, _ in specs])
+        if self.failed:
+            return _guarded(rule, specs, special)
+        generic = rule(*[default for default, _ in specs])
         if len(specs) == 1:
             (d0, at0), = specs
-            if not at0 and not special:
-                return generic, _NOWHERE
-            at = {g: p if isinstance(p, ProjectionError) else rule(p)
-                  for g, p in at0.items() if g not in special}
+            if not special:
+                return generic, {g: rule(p) for g, p in at0.items()} if at0 else _NOWHERE
+            at = {g: rule(p) for g, p in at0.items() if g not in special}
             for g, own in special.items():
-                p = at0.get(g, d0)
-                at[g] = p if isinstance(p, ProjectionError) else own(p)
+                at[g] = own(at0.get(g, d0))
             return generic, at
         if len(specs) == 2 and not special:
             (d0, at0), (d1, at1) = specs
-            if not at0 and not at1:
-                return generic, _NOWHERE
-            at = {}
-            for g in at0.keys() | at1.keys():
-                p0, p1 = at0.get(g, d0), at1.get(g, d1)
-                if isinstance(p0, ProjectionError):
-                    at[g] = p0
-                elif isinstance(p1, ProjectionError):
-                    at[g] = p1
-                else:
-                    at[g] = rule(p0, p1)
-            return generic, at
+            if len(at0) >= len(at1):
+                at = {g: rule(p0, d1) for g, p0 in at0.items() if g not in at1}
+                for g, p1 in at1.items():
+                    at[g] = rule(at0.get(g, d0), p1)
+            else:
+                at = {g: rule(d0, p1) for g, p1 in at1.items() if g not in at0}
+                for g, p0 in at0.items():
+                    at[g] = rule(p0, at1.get(g, d1))
+            return generic, at or _NOWHERE
         keys = set(special).union(*[at for _, at in specs])
-        if not keys:
-            return generic, _NOWHERE
         return generic, {
-            g: _apply(special.get(g, rule), [at.get(g, default) for default, at in specs])
-            for g in keys}
+            g: special.get(g, rule)(*[at.get(g, default) for default, at in specs])
+            for g in keys} if keys else _NOWHERE
 
     def visit(self, rule: str, e: Expr, L: Path, ty: Type, kids: list[Sparse],
               comm: Union[tuple[Path, Path, Type], int, None]) -> Sparse:
@@ -252,7 +296,7 @@ class _Projection:
                 self.participants.add(path_concat(L, (e.agent,)))
                 return kids[0]
             case "Pair":
-                return self._node(_mk_pair, *kids)
+                return self._node(_mk_pair, *kids) if self.failed else _pairs(*kids)
             case "Lam":
                 return self._node(lambda b: _mk_lam(e.var, b), *kids)
             case "BelievesE":
@@ -302,6 +346,7 @@ class _Projection:
             error = ProjectionError(
                 f"communicated value of type with a nested modality cannot be "
                 f"projected to a single message ({expr_str(site)})")
+            self.failed = True
             return self._node(lambda p: error, payload)
         if _mentions(moved_ty, Arrow):
             self.lambda_wire = True
@@ -326,11 +371,32 @@ class _Projection:
             try:
                 merge(l, substitute(r, rv, Var(lv)))
             except MergeConflict as err:
+                self.failed = True
                 return MergeConflict(
                     f"case at viewpoint {path_str(L)} is not projectable: {err}")
             return owner(s, l, r)
 
         return self._node(third_party, se, le, re_, special={L: owner})
+
+
+def _pairs(left: Sparse, right: Sparse) -> Sparse:
+    """`_Projection._node(_mk_pair, left, right)` on children that hold no
+    error, with `_mk_pair` inlined where the larger map is walked; the
+    smaller map's keys are then made over."""
+    (d0, at0), (d1, at1) = left, right
+    if len(at0) >= len(at1):
+        live = type(d1) is not Skip
+        at = {g: Pair(p0, d1) if live or type(p0) is not Skip else SKIP
+              for g, p0 in at0.items()}
+        for g, p1 in at1.items():
+            at[g] = _mk_pair(at0.get(g, d0), p1)
+    else:
+        live = type(d0) is not Skip
+        at = {g: Pair(d0, p1) if live or type(p1) is not Skip else SKIP
+              for g, p1 in at1.items()}
+        for g, p0 in at0.items():
+            at[g] = _mk_pair(p0, at1.get(g, d1))
+    return _mk_pair(d0, d1), at or _NOWHERE
 
 
 def _unary(ctor):

@@ -297,11 +297,13 @@ def resolve_topology(program: Program, override: Optional[str] = None,
     if ref in PRESETS:
         return load_preset(ref)
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        except UnicodeDecodeError as err:
-            raise TopologyError(f"{path}: {err}") from None
+    except OSError as err:
+        raise TopologyError(f"{path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise TopologyError(f"{path}: {err}") from None
     return parse_topology(text, name=ref)
 
 

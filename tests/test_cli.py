@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import tempfile
 
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corps.cli import main
+from corps.parser import parse_program
 from corps.printer import pretty_print
+from corps.topology import TopologyError
+from corps.typecheck import resolve_topology
 import genprog
 from test_parse_golden import mutate
 
@@ -540,6 +544,26 @@ class TestNotUtf8:
         assert main(["check", str(path), *flags]) == 2
         assert capsys.readouterr() == (
             "", f"topology error: {tmp_path / 'bad.topo'}: {self.REASON.format(15)}\n")
+
+
+@pytest.mark.parametrize("source, flags, name, reason", [
+    ("main : unit = ();\n", ["--topology", "missing.topo"], "missing.topo",
+     "No such file or directory"),
+    ('topology "missing.topo";\nmain : unit = ();\n', [], "missing.topo",
+     "No such file or directory"),
+    ("main : unit = ();\n", ["--topology", "rules"], "rules", "Is a directory"),
+], ids=["flag", "header", "directory"])
+def test_a_topology_file_that_cannot_be_read(tmp_path, capsys, source, flags, name, reason):
+    """A `.topo` file that is missing or is not a file is a topology error
+    (exit 2), reported in one line that names the path."""
+    (tmp_path / "rules").mkdir()
+    path = tmp_path / "p.corps"
+    path.write_text(source)
+    message = f"{tmp_path / name}: {reason}"
+    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+        resolve_topology(parse_program(source), flags[1] if flags else None, str(tmp_path))
+    assert main(["check", str(path), *flags]) == 2
+    assert capsys.readouterr() == ("", f"topology error: {message}\n")
 
 
 class TestReplayQuoting:

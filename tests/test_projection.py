@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from corps import syntax as S
 from corps.parser import Program, parse_program
+from corps import projection
 from corps.projection import (
-    SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq,
-    _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, _prefix_closure, local_str, merge,
-    project, project_expr, project_network,
+    SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq, _Projection,
+    _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, _prefix_closure, _project_program,
+    local_str, merge, project, project_expr, project_network,
 )
 from corps.topology import load_preset
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
@@ -371,6 +372,123 @@ class TestSinglePass:
                                        program.main_type, program.main_expr))
         assert ((got.processes, got.lambda_wire)
                 == (want.processes, want.lambda_wire))
+
+
+def outcome(run):
+    """What `run()` returns, or the type and text of the ProjectionError
+    it raises."""
+    try:
+        return run()
+    except ProjectionError as err:
+        return type(err), str(err)
+
+
+def guarded_from_the_start(monkeypatch):
+    """Every projection starts as if the walk had made an error, so every
+    node combines its children with the error-aware `_guarded`."""
+    init = _Projection.__init__
+
+    def failed_init(self):
+        init(self)
+        self.failed = True
+    monkeypatch.setattr(_Projection, "__init__", failed_init)
+
+
+def visit_log(monkeypatch, run) -> list[tuple[str, bool, bool, int]]:
+    """Each hook call of `run()` in walk order: its rule, whether the walk
+    had made an error before it and after it, and how often it combined
+    with `_guarded`."""
+    log, guarded_calls = [], [0]
+    visit, guarded = _Projection.visit, projection._guarded
+
+    def counted_guarded(*args):
+        guarded_calls[0] += 1
+        return guarded(*args)
+
+    def logged_visit(self, rule, *rest):
+        before, calls = self.failed, guarded_calls[0]
+        sparse = visit(self, rule, *rest)
+        log.append((rule, before, self.failed, guarded_calls[0] - calls))
+        return sparse
+
+    with monkeypatch.context() as m:
+        m.setattr(projection, "_guarded", counted_guarded)
+        m.setattr(_Projection, "visit", logged_visit)
+        run()
+    return log
+
+
+# The hook calls that hand children's projections on unchanged, or have
+# no children; every other rule combines them once.
+PASSING_ON = {"Check", "Annot", "Unit", "BelievesI", "Axiom"}
+
+
+class TestErrorFreePath:
+    """Until the walk makes its first error, no sparse projection holds one,
+    so `_node` applies the rules without the error-aware combination."""
+
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_an_error_free_fanout_never_guards(self, monkeypatch, k):
+        topo = load_preset("choreo")
+        program = parse_program(fanout(k, k // 3))
+        log = visit_log(monkeypatch, lambda: project_network(program, topo))
+        assert Counter(rule for rule, *_ in log)["Pair"] == k - 2
+        assert [entry for entry in log if entry[2] or entry[3]] == []
+
+    def test_guards_only_from_the_first_merge_conflict_on(self, monkeypatch):
+        divergent = TestCaseProjection.DIVERGENT.format(v="()")
+        program = parse_program(
+            "topology doxastic; main : [A] unit * ([A] unit * [A] (unit * unit)) = "
+            f"(A.(), ({divergent}, A.(((), ()))));")
+        got = []
+        log = visit_log(monkeypatch, lambda: got.append(outcome(lambda: project_network(program))))
+        born = [i for i, (_, before, after, _) in enumerate(log) if after and not before]
+        assert len(born) == 1 and log[born[0]][0] == "Case"
+        assert all(not calls for *_, calls in log[:born[0] + 1])
+        after = log[born[0] + 1:]
+        assert "Pair" in [rule for rule, *_ in after]
+        assert [calls for *_, calls in after] == [int(rule not in PASSING_ON) for rule, *_ in after]
+        # The first error is the case's merge conflict, as the error-aware
+        # combination reports it from the start.
+        assert got == [(MergeConflict, "case at viewpoint [] is not projectable: branches "
+                        "project to different processes: '()' vs "
+                        "'(fun z -> (z ; recv_from [A.A])) (send_to [A.A] ())'")]
+        with monkeypatch.context() as m:
+            guarded_from_the_start(m)
+            assert outcome(lambda: project_network(program)) == got[0]
+
+
+class TestFastPathAgainstGuarded:
+    """The error-free path gives what the error-aware combination gives, on
+    generated programs that are not steered to be projectable: merge
+    conflicts, payloads of nested modalities and functions on the wire all
+    occur."""
+
+    OUTSIDE = ("Z", "Z")  # an address outside every universe
+
+    def outcomes(self, program, topo) -> list:
+        """project_network's outcome, then project's at each address of the
+        universe and outside it."""
+        _, participants, _ = _project_program(program, topo)
+        result_address, _ = S.split_stack(program.main_type)
+        universe = sorted(_prefix_closure(participants | {result_address}))
+        return [outcome(lambda: project_network(program, topo))] + [
+            outcome(lambda: project(program, g, topo)) for g in universe + [self.OUTSIDE]]
+
+    def test_generated_programs_project_alike(self, monkeypatch):
+        seen: Counter = Counter()
+        for preset in ("choreo", "doxastic", "siblings"):
+            topo = load_preset(preset)
+            for seed in range(30):
+                program = genprog.program(seed, preset)
+                fast = self.outcomes(program, topo)
+                with monkeypatch.context() as m:
+                    guarded_from_the_start(m)
+                    assert self.outcomes(program, topo) == fast, (preset, seed)
+                network, *_ = fast
+                seen["function on the wire"] += getattr(network, "lambda_wire", False)
+                seen.update(got[0].__name__ for got in fast if type(got) is tuple)
+        assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
 class TestCheckerGradeErrors:
