@@ -381,8 +381,10 @@ class _Projection:
 
 def _pairs(left: Sparse, right: Sparse) -> Sparse:
     """`_Projection._node(_mk_pair, left, right)` on children that hold no
-    error, with `_mk_pair` inlined where the larger map is walked; the
-    smaller map's keys are then made over."""
+    error, with `_mk_pair` inlined where the larger map is walked.  That
+    walk pairs each key with the other child's generic process, and the
+    smaller map's keys are then paired again with their own: a key in
+    both maps costs one `Pair` more, less than testing every key."""
     (d0, at0), (d1, at1) = left, right
     if len(at0) >= len(at1):
         live = type(d1) is not Skip

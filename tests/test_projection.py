@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corps import syntax as S
+from corps import projection, syntax as S
 from corps.parser import Program, parse_program
-from corps import projection
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq, _Projection,
     _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, _prefix_closure, _project_program,
