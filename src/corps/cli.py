@@ -15,7 +15,7 @@ program or `.topo` file that is not UTF-8, and a `.topo` file that
 cannot be read), 3 runtime finding (deadlock,
 disagreement, interference; in `simulate` also normalize fuel running
 out, the network's fuel running out, or the first run getting stuck),
-4 usage error.
+4 usage error (including a `--trace` file that cannot be opened).
 
 Every subcommand runs one prelude and reports the first fault it meets,
 in this order: a non-positive `--runs`, then `--fuel`; the file; the
@@ -87,6 +87,13 @@ def _split_values(text: str) -> list[str]:
     return [p for p in parts if p.strip()]
 
 
+def _open_trace(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise _Usage(f"--trace {path}: {err.strerror}") from None
+
+
 # Each `cmd_*` takes the flags, the checked program, its topology and,
 # under `check --derivation`, the derivations (else None).
 
@@ -118,7 +125,7 @@ def cmd_normalize(args, program, topology, deriv) -> int:
               file=sys.stderr)
         return FINDING
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
+        with _open_trace(args.trace) as handle:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
     print(expr_str(nf))
@@ -173,7 +180,7 @@ def cmd_simulate(args, program, topology, deriv) -> int:
         print(f"run failed: {err}", file=sys.stderr)
         return FINDING
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
+        with _open_trace(args.trace) as handle:
             # The first line says what produced the run, so the file alone
             # replays it.
             seed = args.seed if args.schedule == "random" else None

@@ -28,8 +28,9 @@ such communications never fire choreographically; flagged networks are
 excluded from agreement checking.
 
 Case branches at every address other than the scrutinee's owner must
-merge, i.e. be alpha-equal; a conflict means some third party would
-need to know the outcome of a choice it cannot observe.
+merge, i.e. be alpha-equal under the branch binders, as `fun x -> l`
+and `fun y -> r` are; a conflict means some third party would need to
+know the outcome of a choice it cannot observe.
 
 Projection is a hook of the checker's walk (see `typecheck`): one walk
 both checks the program and projects every address at once.  Each rule
@@ -91,7 +92,11 @@ def merge(l1: LocalExpr, l2: LocalExpr) -> LocalExpr:
     """Equality merge of branch projections; conflicting behavior fails."""
     if expr_equal(l1, l2):
         return l1
-    raise MergeConflict(
+    raise _conflict(l1, l2)
+
+
+def _conflict(l1: LocalExpr, l2: LocalExpr) -> MergeConflict:
+    return MergeConflict(
         f"branches project to different processes: "
         f"{local_str(l1)!r} vs {local_str(l2)!r}")
 
@@ -368,13 +373,13 @@ class _Projection:
 
         def third_party(s, l, r) -> Local:
             # Third parties must behave identically whichever branch runs.
-            try:
-                merge(l, substitute(r, rv, Var(lv)))
-            except MergeConflict as err:
-                self.failed = True
-                return MergeConflict(
-                    f"case at viewpoint {path_str(L)} is not projectable: {err}")
-            return owner(s, l, r)
+            # The message shows the right branch renamed to the left binder.
+            if expr_equal(Lam(lv, l), Lam(rv, r)):
+                return owner(s, l, r)
+            self.failed = True
+            return MergeConflict(
+                f"case at viewpoint {path_str(L)} is not projectable: "
+                f"{_conflict(l, substitute(r, rv, Var(lv)))}")
 
         return self._node(third_party, se, le, re_, special={L: owner})
 

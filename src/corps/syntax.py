@@ -39,12 +39,13 @@ def _frozen(cls: type) -> type:
     annotates.
 
     The fields are the annotated names of the class and its bases, base
-    fields first (`cls._fields`).  A field named `span` is the source
-    position: keyword-only, None by default and left out of `==` and
-    `hash`; every other field is a positional parameter, in order, and
-    takes the value the class body gives it, if any, as its default (a
-    subclass inherits no default but the span's).  The record contract,
-    which `dataclass(frozen=True, slots=True)` would also give:
+    fields first (`cls._fields`).  Every field but `span` is a parameter,
+    in order, and takes the value the class body gives it, if any, as its
+    default (a subclass inherits no default but the span's).  A field
+    named `span` is the source position: the last parameter, positional
+    or keyword (positional is the faster call), None by default and left
+    out of `==` and `hash`.  The record contract, which
+    `dataclass(frozen=True, slots=True)` would also give:
 
     - the class is rebuilt with `__slots__` of its own fields, so its
       instances have no `__dict__`, and `__init__` stores each field
@@ -89,7 +90,7 @@ def _frozen(cls: type) -> type:
             name += f"=_default_{name}"
         params.append(name)
     if "span" in names:
-        params += ["*", "span=None"]
+        params.append("span=None")
     stores = "".join(f"    _set_{name}(self, {name})\n" for name in names)
     if hasattr(cls, "__post_init__"):
         stores += "    self.__post_init__()\n"
@@ -448,7 +449,7 @@ def hole(cls: type, i: int) -> Hole:
     def plug(e: Node, k: Node) -> Node:
         parts = [getattr(e, name) for name in names]
         parts[i] = k
-        return cls(*parts, span=e.span)
+        return cls(*parts, e.span)
 
     return attrgetter(names[i]), plug
 
@@ -594,6 +595,32 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
 
 _LEAVES = frozenset(cls for cls, shape in SCHEMA.items() if not shape.subterms)
 
+# Per node class, a reader of each subterm and of the binder scoping it.
+_SCOPES = {cls: tuple((attrgetter(shape.fields[i]),
+                       None if b is None else attrgetter(shape.fields[b]))
+                      for i, b in shape.subterms)
+           for cls, shape in SCHEMA.items()}
+
+
+def _occurs_free(e: Node, x: str) -> bool:
+    """Whether `x` occurs free in `e`, by a read-only walk that keeps its
+    own stack and does not enter the scope of a binder of `x`."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if type(e) is Var:
+            if e.name == x:
+                return True
+            continue
+        scopes = _SCOPES.get(type(e))
+        if scopes is None:
+            _shape_of(e)  # raises: not an expression
+        for get, binder in scopes:
+            if binder is None or binder(e) != x:
+                todo.append(get(e))
+    return False
+
+
 # The entries of substitute's work stack.
 _VISIT, _BUILD, _THEN = range(3)
 
@@ -601,12 +628,16 @@ _VISIT, _BUILD, _THEN = range(3)
 def substitute(e: Node, x: str, v: Node) -> Node:
     """Capture-avoiding substitution of `v` for free occurrences of `x`.
 
-    A binder that would capture a free variable of `v` is first renamed
-    to `fresh_name` of it, avoiding the free variables of `v` and of its
-    scope.  Subterms in which nothing changes are shared with `e`;
-    rebuilt nodes keep their spans.  The walk keeps its own stack, so
+    A substitution that changes nothing, because `x` does not occur free
+    in `e`, is one read-only scan of `e` and returns `e` itself.
+    Otherwise a binder that would capture a free variable of `v` is first
+    renamed to `fresh_name` of it, avoiding the free variables of `v` and
+    of its scope.  Subterms in which nothing changes are shared with `e`;
+    rebuilt nodes keep their spans.  Both walks keep their own stacks, so
     nesting depth costs no Python stack.
     """
+    if not _occurs_free(e, x):
+        return e
     # Each entry writes its result to dest[at], which holds the input
     # until something in it changes; the last item of dest then turns True.
     #   (_VISIT, e, sub, dest, at)    substitute sub = (x, v, free_vars(v)) in e
@@ -622,7 +653,7 @@ def substitute(e: Node, x: str, v: Node) -> Node:
         op, e, arg, dest, at = todo.pop()
         if op is _BUILD:
             if arg.pop():
-                dest[at] = type(e)(*arg, span=e.span)
+                dest[at] = type(e)(*arg, e.span)
                 dest[-1] = True
             continue
         if op is _THEN:

@@ -566,6 +566,19 @@ def test_a_topology_file_that_cannot_be_read(tmp_path, capsys, source, flags, na
     assert capsys.readouterr() == ("", f"topology error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["normalize", "simulate"])
+@pytest.mark.parametrize("target, reason", [
+    ("out", "Is a directory"), ("missing/steps.jsonl", "No such file or directory"),
+], ids=["directory", "missing-parent"])
+def test_a_trace_path_that_cannot_be_written(p4, tmp_path, capsys, command, target, reason):
+    """A `--trace` file that cannot be opened is a usage error (exit 4),
+    reported in one line that names the path."""
+    (tmp_path / "out").mkdir()
+    trace = str(tmp_path / target)
+    assert main([command, p4, "--trace", trace]) == 4
+    assert capsys.readouterr() == ("", f"usage error: --trace {trace}: {reason}\n")
+
+
 class TestReplayQuoting:
     """A replay line splits, as a shell splits it, into the arguments of the
     run it replays, also when the file or the topology file has a space in

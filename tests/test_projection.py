@@ -1,10 +1,13 @@
+import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corps import projection, syntax as S
+from corps.cli import main
 from corps.parser import Program, parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq, _Projection,
@@ -18,6 +21,11 @@ import genprog
 P4 = "topology choreo; main : [B] unit = send A.() to [B];"
 P3 = ("topology doxastic; "
       "main : [A] unit = let [] [A] x = A.(up [A] ()) in A.(down [A] x);")
+
+
+# Programs that projection once got wrong at a case's merge.
+MERGE_REGRESSIONS = json.loads(
+    (Path(__file__).parent / "merge_regressions.json").read_text())
 
 
 class TestProjectExamples:
@@ -176,6 +184,24 @@ class TestCaseProjection:
         assert type(err.value) is ProjectionError
         with pytest.raises(MergeConflict):
             project(program, ("A",))
+
+    @pytest.mark.parametrize("entry", MERGE_REGRESSIONS, ids=lambda entry: entry["name"])
+    def test_alpha_variants_meet_the_same_merge_conflict(self, entry, tmp_path, capsys):
+        # Branches merge when they are alpha-equal under their binders; a
+        # right branch renamed to the left binder must not capture a free
+        # name like that binder.
+        programs = [parse_program(entry[key]) for key in ("source", "variant")]
+        assert S.expr_equal(programs[0].main_expr, programs[1].main_expr)
+        for source, program, message in zip((entry["source"], entry["variant"]), programs,
+                                            entry["messages"]):
+            with pytest.raises(MergeConflict, match=f"^{re.escape(message)}$") as err:
+                project_network(program)
+            assert type(err.value) is MergeConflict
+            path = tmp_path / "p.corps"
+            path.write_text(source)
+            for command in ("project", "--all"), ("simulate",):
+                assert main([command[0], str(path), *command[1:]]) == 1
+                assert capsys.readouterr() == ("", f"not projectable: {message}\n")
 
     def test_owner_keeps_real_branches(self):
         src = ("main : unit = case (inl () : unit + unit) of inl x -> x"

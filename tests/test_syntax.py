@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import pickle
@@ -13,6 +14,7 @@ from corps import syntax as S
 from corps.netsim import AgreementReport, RandomPolicy, RoundRobin, RunResult, TraceEvent
 from corps.nicheck import NIConfig, Verdict, Witness
 from corps.parser import Program
+from corps.projection import ProjectionError, project_network
 from corps.syntax import (
     Binding, Lock, UnitVal, Var, expr_equal, locks_of, normalize_context,
     path_concat, substitute,
@@ -157,6 +159,47 @@ class TestSubstitution:
         out = substitute(S.Pair(left, Var("x")), "x", UnitVal())
         assert out.left is left and out.right == UnitVal()
 
+    def test_a_term_comes_back_itself_exactly_without_a_free_occurrence(self, monkeypatch):
+        # Every subterm of generated main expressions and of their projected
+        # processes, under every name they mention and one they do not.
+        terms, names = [], {"zfree"}
+        for seed in range(12):
+            for preset in ("choreo", "doxastic", "siblings"):
+                program = genprog.program(seed, preset, projectable=True)
+                roots = [program.main_expr]
+                with contextlib.suppress(ProjectionError):
+                    roots += project_network(program).processes.values()
+                todo = roots
+                while todo:
+                    e = todo.pop()
+                    terms.append(e)
+                    todo += S.children(e)
+                    names.update(getattr(e, field) for field in (
+                        "name", "var", "left_var", "right_var") if hasattr(e, field))
+        v = S.Pair(Var("y"), UnitVal())
+        absent = []
+        for e in terms:
+            free = S.free_vars(e)
+            for x in names:
+                assert (substitute(e, x, v) is e) == (x not in free), (e, x)
+                if x not in free:
+                    absent.append((e, x))
+        assert len(absent) > len(terms)
+        # A substitution that changes nothing builds no record, nor takes
+        # the free variables of what it would substitute.
+        hit = S.Lam("z", Var("x"))
+        built = []
+        for cls in S.SCHEMA:
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__: (
+                built.append(type(self)), _init(self, *args))[1])
+        monkeypatch.setattr(S, "free_vars", lambda e, _free_vars=S.free_vars: (
+            built.append("free_vars"), _free_vars(e))[1])
+        for e, x in absent:
+            substitute(e, x, v)
+        assert built == []
+        substitute(hit, "x", v)
+        assert built == ["free_vars", S.Lam]
+
 
 def _rename_bound(e, rng):
     """Alpha-rename one binder to produce an equivalent term."""
@@ -231,6 +274,13 @@ class TestDeepTerms:
         nf, cls, steps = normalize(EvalMode.POSITIVE_COMM, redex, 10)
         assert (cls, steps) == (NormalFormClass.VALUE, 1)
         assert expr_equal(nf, self.tower(UnitVal()))
+
+    def test_substitute_without_an_occurrence(self):
+        assert sys.getrecursionlimit() < self.DEPTH
+        tower = self.tower(UnitVal())
+        assert substitute(tower, "x", UnitVal()) is tower
+        shadowed = self.binders("x", 0)
+        assert substitute(shadowed, "x0", UnitVal()) is shadowed
 
     def test_expr_equal(self):
         assert expr_equal(self.tower(UnitVal()), self.tower(UnitVal()))
