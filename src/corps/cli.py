@@ -12,10 +12,10 @@
 Exit codes: 0 success, 1 type or projection error, 2 parse error
 (including input that nests deeper than `parser.MAX_NESTING`, a
 program or `.topo` file that is not UTF-8, and a `.topo` file that
-cannot be read), 3 runtime finding (deadlock,
-disagreement, interference; in `simulate` also normalize fuel running
-out, the network's fuel running out, or the first run getting stuck),
-4 usage error (including a `--trace` file that cannot be opened).
+cannot be read), 3 runtime finding (deadlock, disagreement,
+interference; in `simulate` also normalize fuel running out, the
+network's fuel running out, or the first run getting stuck), 4 usage
+error (including a FILE or `--trace` file that cannot be opened).
 
 Every subcommand runs one prelude and reports the first fault it meets,
 in this order: a non-positive `--runs`, then `--fuel`; the file; the
@@ -53,11 +53,13 @@ class _NotText(Exception):
 def _load(path: str):
     if not os.path.exists(path):
         raise _Usage(f"no such file: {path}")
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        except UnicodeDecodeError as err:
-            raise _NotText(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _NotText(f"{path}: {err}") from None
+    except OSError as err:
+        raise _Usage(f"{path}: {err.strerror}") from None
     return parse_program(text, file=path)
 
 

@@ -10,6 +10,10 @@ when the moved value is positive, i.e. contains no function anywhere:
     up [A1..An] v                    ->  A1.(...An.(v))
     down [A1..An] (A1.(...An.(v)))   ->  v
 
+`Located` and `Annot` are value forms whose only position is their body,
+so one positive walk decides `send` and `down`; the reducts of the three,
+and of `fst` and `snd` on a pair value, are values (`_VALUE_REDUCTS`).
+
 Modality elimination (modal-let) is not a communication and reduces in
 both modes.
 
@@ -34,9 +38,9 @@ one copy of the redex rules (`_contract`):
   semantics", 2004).  The machine stops at each node that is no value
   form and whose positions are normal; `normalize` contracts it and
   refocuses on the reduct in the same context rather than at the root,
-  since every position left of the hole is already normal, or, if the
-  node is normal too, climbs on past it.  Context depth costs no Python
-  stack.
+  since every position left of the hole is already normal.  It climbs
+  on past a node that is normal too, and past a value reduct without
+  entering it.  Context depth costs no Python stack.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from typing import Callable, Optional, get_args
 
 from .syntax import (
     Absurd, Annot, App, Case, Down, Expr, Fst, Inl, Inr, Lam, Located, Machine,
-    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, eval_holes, match_located,
-    peel_located, substitute, unannot, value_test, wrap_located,
+    ModalLet, Pair, Send, Snd, Span, UnitVal, Up, Var, eval_holes, located_core,
+    match_located, substitute, unannot, value_test, wrap_located,
 )
 
 
@@ -83,11 +87,13 @@ _MACHINE = Machine(_HOLES, _VALUE_FORMS)
 is_value = value_test(_HOLES, _VALUE_FORMS)
 # A positive value holds no function anywhere inside it.
 is_positive_value = value_test(_HOLES, _VALUE_FORMS - {Lam})
+_VALUE_REDUCTS = frozenset(("send", "up", "down", "fst", "snd"))
 
 
 def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
     """Fire the rule at the head of `e`, whose evaluation positions hold
     normal forms: the reduct and the rule tag, or None if `e` is no redex.
+    One positive walk decides `send` and `down` (see the module docstring).
     """
     kind = type(e)
     if kind is App:
@@ -101,29 +107,24 @@ def _contract(positive: bool, e: Expr) -> Optional[tuple[Expr, str]]:
     elif kind is Case:
         scrutinee = unannot(e.scrutinee)
         if isinstance(scrutinee, Inl) and is_value(scrutinee):
-            return (substitute(e.left_body, e.left_var, scrutinee.inner),
-                    "case-inl")
+            return substitute(e.left_body, e.left_var, scrutinee.inner), "case-inl"
         if isinstance(scrutinee, Inr) and is_value(scrutinee):
-            return (substitute(e.right_body, e.right_var, scrutinee.inner),
-                    "case-inr")
+            return substitute(e.right_body, e.right_var, scrutinee.inner), "case-inr"
     elif kind is ModalLet:
         if is_value(e.bound):
             core = match_located(e.bound, e.stack_path)
             if core is not None:
                 return substitute(e.body, e.var, core), "modal-let"
     elif kind is Send and positive:
-        if is_value(e.payload):
-            _, core = peel_located(e.payload)
-            if is_positive_value(core):
-                return wrap_located(e.dest, core), "send"
+        if is_positive_value(e.payload):
+            return wrap_located(e.dest, located_core(e.payload)), "send"
     elif kind is Up and positive:
         if is_positive_value(e.body):
             return wrap_located(e.path, e.body), "up"
     elif kind is Down and positive:
-        if is_value(e.body):
-            core = match_located(e.body, e.path)
-            if core is not None and is_positive_value(core):
-                return core, "down"
+        core = match_located(e.body, e.path)
+        if core is not None and is_positive_value(core):
+            return core, "down"
     elif kind not in _HOLES:
         raise TypeError(f"not an expression: {type(e).__name__}")
     return None
@@ -218,5 +219,5 @@ def normalize(mode: EvalMode, e: Expr, fuel: int,
         if on_step is not None:
             on_step(steps, r[1], focus.span)
         steps += 1
-        frames, focus = refocus(frames, r[0])
+        frames, focus = refocus(frames, r[0], r[1] in _VALUE_REDUCTS)
     return focus, classify(focus), steps

@@ -442,14 +442,15 @@ Hole = tuple[Callable[[Node], Node], Callable[[Node, Node], Node]]
 
 def hole(cls: type, i: int) -> Hole:
     """Field `i` of a `cls` node (span aside) as a pair: read the subterm
-    in it, and plug another subterm into it, which rebuilds the node with
-    its span."""
+    in it, and plug another subterm into it, which reads every field and
+    the span with one `attrgetter` call and rebuilds the node from that."""
     names = SCHEMA[cls].fields
+    read = attrgetter(*names, "span")
 
     def plug(e: Node, k: Node) -> Node:
-        parts = [getattr(e, name) for name in names]
+        parts = [*read(e)]
         parts[i] = k
-        return cls(*parts, e.span)
+        return cls(*parts)
 
     return attrgetter(names[i]), plug
 
@@ -737,18 +738,14 @@ def unannot(e: Expr) -> Expr:
     return e
 
 
-def peel_located(e: Expr) -> tuple[Path, Expr]:
-    """Strip the maximal located spine A1.(...An.(core)).
+def located_core(e: Expr) -> Expr:
+    """The core of the maximal located spine A1.(...An.(core)).
 
     Annotations along the spine are discarded; the core keeps its own.
     """
-    spine: list[str] = []
-    while True:
-        stripped = unannot(e)
-        if not isinstance(stripped, Located):
-            return tuple(spine), e
-        spine.append(stripped.agent)
+    while isinstance(stripped := unannot(e), Located):
         e = stripped.body
+    return e
 
 
 def match_located(e: Expr, g: Path) -> Optional[Expr]:

@@ -579,6 +579,15 @@ def test_a_trace_path_that_cannot_be_written(p4, tmp_path, capsys, command, targ
     assert capsys.readouterr() == ("", f"usage error: --trace {trace}: {reason}\n")
 
 
+@pytest.mark.parametrize("command", ["check", "normalize"])
+def test_a_program_path_that_cannot_be_read(tmp_path, capsys, command):
+    """A FILE that exists but cannot be read, such as a directory, is a
+    usage error (exit 4), reported in one line that names the path."""
+    path = str(tmp_path)
+    assert main([command, path]) == 4
+    assert capsys.readouterr() == ("", f"usage error: {path}: Is a directory\n")
+
+
 class TestReplayQuoting:
     """A replay line splits, as a shell splits it, into the arguments of the
     run it replays, also when the file or the topology file has a space in

@@ -4,8 +4,8 @@ import pytest
 
 from corps import syntax as S
 from corps.normalize import (
-    _HOLES, _MACHINE, EvalMode, FuelExhausted, NormalFormClass, StuckUnexpected,
-    classify, is_positive_value, is_value, normalize, step,
+    _HOLES, _MACHINE, _VALUE_REDUCTS, EvalMode, FuelExhausted, NormalFormClass,
+    StuckUnexpected, classify, is_positive_value, is_value, normalize, step,
 )
 from corps.parser import parse_expr
 from corps.printer import expr_str
@@ -275,6 +275,16 @@ def _iterate_step(mode, e):
     return terms, trail
 
 
+def _generated_mains():
+    """The mains of the generated suites, 40 programs per preset, projectable
+    or not, printed and parsed again so that every node has a span."""
+    for preset in ("doxastic", "choreo", "siblings"):
+        for projectable in (False, True):
+            for seed in range(40):
+                main, _ = inline_main(genprog.program(seed, preset, projectable=projectable))
+                yield parse_expr(expr_str(main))
+
+
 def _send_chain(n):
     """A.() sent n times, alternately to [B] and [A], built without the parser."""
     e = S.Located("A", S.UnitVal())
@@ -285,28 +295,43 @@ def _send_chain(n):
 
 class TestRefocusedMachine:
     def test_agrees_with_step_on_generated_suites(self):
-        for preset in ("doxastic", "choreo", "siblings"):
-            topo = load_preset(preset)
-            for projectable in (False, True):
-                for seed in range(40):
-                    program = genprog.program(seed, preset, projectable=projectable)
-                    main, _ = inline_main(program)
-                    main = parse_expr(expr_str(main))  # every node has a span
-                    for mode in (CF, POS):
-                        terms, trail = _iterate_step(mode, main)
-                        seen = []
-                        e, cls, steps = normalize(
-                            mode, main, 100_000,
-                            lambda i, rule, span: seen.append((i, rule, span)))
-                        assert e == terms[-1] and expr_equal(e, terms[-1])
-                        assert cls is classify(terms[-1])
-                        assert steps == len(trail)
-                        assert seen == [(i, *t) for i, t in enumerate(trail)]
-                        for fuel in range(1, steps):
-                            with pytest.raises(FuelExhausted) as exc:
-                                normalize(mode, main, fuel)
-                            assert exc.value.steps == fuel
-                            assert exc.value.last == terms[fuel]
+        for main in _generated_mains():
+            for mode in (CF, POS):
+                terms, trail = _iterate_step(mode, main)
+                seen = []
+                e, cls, steps = normalize(
+                    mode, main, 100_000,
+                    lambda i, rule, span: seen.append((i, rule, span)))
+                assert e == terms[-1] and expr_equal(e, terms[-1])
+                assert cls is classify(terms[-1])
+                assert steps == len(trail)
+                assert seen == [(i, *t) for i, t in enumerate(trail)]
+                for fuel in range(1, steps):
+                    with pytest.raises(FuelExhausted) as exc:
+                        normalize(mode, main, fuel)
+                    assert exc.value.steps == fuel
+                    assert exc.value.last == terms[fuel]
+
+    def test_the_reducts_it_climbs_past_are_values(self, monkeypatch):
+        # `normalize` climbs past the reduct of a rule in `_VALUE_REDUCTS`
+        # without entering it, which is sound only if that reduct is a value.
+        module = sys.modules["corps.normalize"]
+        contract, fired = module._contract, []
+
+        def recorded(positive, e):
+            r = contract(positive, e)
+            if r is not None:
+                fired.append(r)
+            return r
+
+        monkeypatch.setattr(module, "_contract", recorded)
+        for main in _generated_mains():
+            for mode in (CF, POS):
+                _iterate_step(mode, main)
+        climbed = [(reduct, rule) for reduct, rule in fired if rule in _VALUE_REDUCTS]
+        assert {rule for _, rule in climbed} == _VALUE_REDUCTS
+        assert [(rule, expr_str(reduct)) for reduct, rule in climbed
+                if not is_value(reduct)] == []
 
     def test_deep_context_needs_no_python_stack(self):
         # Far past the default recursion limit; never compare or print the
@@ -319,8 +344,10 @@ class TestRefocusedMachine:
     @pytest.mark.parametrize("n", [500, 2_000])
     def test_machine_visits_each_node_a_bounded_number_of_times(self, monkeypatch, n):
         # A visit is a lookup of a node's evaluation positions.  A chain of
-        # n sends has n + 2 nodes and takes n steps: each node and each
-        # reduct is entered once and left once.
+        # n sends has n + 2 nodes and takes n steps: each node is entered
+        # once on the way down, and the n + 1 frames above the leaf are each
+        # left once on the way up.  A reduct, a value, is climbed past and
+        # never entered.
         visits = 0
 
         class Counted(dict):
@@ -337,7 +364,27 @@ class TestRefocusedMachine:
         monkeypatch.setattr(_MACHINE, "holes", Counted(_HOLES))
         _, _, steps = normalize(POS, _send_chain(n), 100_000)
         assert steps == n
-        assert 0 < visits <= 3 * ((n + 2) + steps)
+        assert 0 < visits <= (n + 2) + steps + 1
+
+    def test_a_send_step_walks_its_payload_once(self, monkeypatch):
+        # A walk is a call of a value test.  Each send of a chain decides
+        # with one walk of its payload, and classifying the normal form
+        # takes one more.
+        module = sys.modules["corps.normalize"]
+        walks = 0
+
+        def counted(test):
+            def walk(e):
+                nonlocal walks
+                walks += 1
+                return test(e)
+            return walk
+
+        for name in ("is_value", "is_positive_value"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        _, cls, steps = normalize(POS, _send_chain(2_000), 100_000)
+        assert (cls, steps) == (NormalFormClass.VALUE, 2_000)
+        assert 0 < walks <= steps + 1
 
     def test_deep_value_needs_no_python_stack(self):
         # A.A.(...A.(())...) is a value already, so the classifier walks all

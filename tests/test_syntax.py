@@ -299,16 +299,15 @@ class TestStacks:
 
     def test_located_spine(self):
         e = S.wrap_located(("A", "B"), UnitVal())
-        assert S.peel_located(e) == (("A", "B"), UnitVal())
+        assert S.located_core(e) == UnitVal()
+        assert S.located_core(UnitVal()) == UnitVal()
         assert S.match_located(e, ("A",)) == S.Located("B", UnitVal())
         assert S.match_located(e, ("B",)) is None
 
     def test_spine_is_annotation_transparent(self):
         inner = S.Annot(UnitVal(), S.Unit())
         e = S.Annot(S.Located("A", inner), S.Believes("A", S.Unit()))
-        spine, core = S.peel_located(e)
-        assert spine == ("A",)
-        assert core == inner  # the core keeps its own annotation
+        assert S.located_core(e) is inner  # the core keeps its own annotation
 
 
 def declared(cls) -> dict:
@@ -509,6 +508,27 @@ class TestSchema:
             (S.Case, "left_body"): "left_var",
             (S.Case, "right_body"): "right_var",
         }
+
+    @pytest.mark.parametrize("module", ["corps.normalize", "corps.netsim"])
+    def test_a_plug_is_the_field_by_field_rebuild(self, module):
+        # Every evaluation position of the language against a rebuild that
+        # reads one field at a time: the same class and fields with the
+        # subterm in place, the span object itself, and the node it was
+        # given left as it was.  Each field holds its own marker, so a
+        # field read or stored in the wrong place shows.
+        span, k = S.Span("f.corps", 2, 9), UnitVal()
+        for cls, positions in sys.modules[module]._HOLES.items():
+            names = S.SCHEMA[cls].fields
+            parts = [object() for _ in names]
+            e = cls(*parts, span)
+            for get, plug in positions:
+                old = [k if part is get(e) else part for part in parts]
+                out = plug(e, k)
+                assert type(out) is cls and out == cls(*old, e.span)
+                assert all(getattr(out, name) is part for name, part in zip(names, old))
+                assert out.span is span
+                assert all(getattr(e, name) is part for name, part in zip(names, parts))
+                assert e.span is span
 
     def test_nodes_are_frozen_records(self):
         # Every class of the module but the schema's two is a record.
