@@ -9,7 +9,8 @@
     corps ni FILE [--topology NAME|FILE] --input NAME --observe PATH
                   --values V1,V2,... [--fuel N]
 
-Exit codes: 0 success, 1 type or projection error, 2 parse error
+Exit codes: 0 success, 1 type or projection error, or a network
+`simulate` cannot compare, 2 parse error
 (including input that nests deeper than `parser.MAX_NESTING`, a
 program or `.topo` file that is not UTF-8, and a `.topo` file that
 cannot be read), 3 runtime finding (deadlock, disagreement,
@@ -168,7 +169,8 @@ def cmd_simulate(args, program, topology, deriv) -> int:
         if isinstance(first, netsim.NetError):
             raise first
     except netsim.PreconditionError as err:
-        raise _Usage(str(err))
+        print(f"not comparable: {err}", file=sys.stderr)
+        return TYPE_ERROR
     except netsim.DeadlockError as err:
         print(err, file=sys.stderr)
         print(_replay(args, "--schedule", args.schedule, "--seed", str(args.seed)),

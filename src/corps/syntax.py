@@ -25,12 +25,16 @@ refuse assignment, compare and hash by their fields without the source
 `span`, print as `Cls(field=value, ...)` as a frozen dataclass would, and
 take part in `match` through `__match_args__`.  Assigning to one raises
 `dataclasses.FrozenInstanceError`, the error a frozen dataclass raises;
-`dataclasses` is imported only when that happens.
+`dataclasses` is imported only when that happens.  A record class
+compiles nothing: its `__init__`, `__eq__` and `__hash__` are copies, with
+its own names, of code compiled once per method shape and field count.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import attrgetter
+from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Optional, Union
 
 
@@ -61,11 +65,14 @@ def _frozen(cls: type) -> type:
       fields, and `__setstate__`, which stores it past the frozen
       `__setattr__`.
 
-    Compiling is most of what a record class costs at import, so only
-    `__init__`, `__eq__` and `__hash__` are compiled per class, from one
-    source, with the expressions dataclasses generates (the same cost per
-    call, the same hash values); the other methods are shared by all
-    records.
+    Compiling is most of what a record class costs at import, so no class
+    compiles anything: `__init__`, `__eq__` and `__hash__` each come from
+    a template compiled once per shape (`_template`), whose code a class
+    copies with its own parameter names (so signatures, keyword calls and
+    missing-argument messages are its own) and field names; a class's
+    slot setters are its functions' globals.  A method runs the code
+    dataclasses would generate (the same cost per call, the same hash
+    values); the other methods are shared by all records.
     """
     base = getattr(cls, "_fields", ())
     own = tuple(name for name in cls.__dict__.get("__annotations__", ())
@@ -82,30 +89,48 @@ def _frozen(cls: type) -> type:
         "_fields": names, "__match_args__": compared, "__repr__": _record_repr,
         "__setattr__": _record_setattr, "__delattr__": _record_delattr,
         "__getstate__": _record_getstate, "__setstate__": _record_setstate})
-    env = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    params = ["self"]
-    for name in compared:
-        if name in defaults:
-            env[f"_default_{name}"] = defaults[name]
-            name += f"=_default_{name}"
-        params.append(name)
-    if "span" in names:
-        params.append("span=None")
-    stores = "".join(f"    _set_{name}(self, {name})\n" for name in names)
-    if hasattr(cls, "__post_init__"):
-        stores += "    self.__post_init__()\n"
-    mine = "".join(f"self.{name}," for name in compared)
-    theirs = "".join(f"other.{name}," for name in compared)
-    exec(f"def __init__({', '.join(params)}):\n{stores or '    pass'}\n"
-         "def __eq__(self, other):\n"
-         "    if other.__class__ is self.__class__:\n"
-         f"        return ({mine})==({theirs})\n"
-         "    return NotImplemented\n"
-         f"def __hash__(self):\n    return hash(({mine}))\n", env)
-    for method in ("__init__", "__eq__", "__hash__"):
-        env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, env[method])
+    params = compared + ("span",) * ("span" in names)
+    with_default = tuple(name for name in compared if name in defaults)
+    if compared[len(compared) - len(with_default):] != with_default:
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with")
+    init = _template("__init__", len(params), hasattr(cls, "__post_init__"))
+    methods = {"__init__": (init.replace(co_varnames=("self", *params)), tuple(
+        defaults[name] for name in with_default) + (None,) * ("span" in names))}
+    rename = {f"_{i}": name for i, name in enumerate(compared)}
+    for method in ("__eq__", "__hash__"):
+        code = _template(method, len(compared))
+        methods[method] = (code.replace(co_names=tuple(
+            rename.get(name, name) for name in code.co_names)), None)
+    env = {f"_set_{i}": getattr(cls, name).__set__ for i, name in enumerate(params)}
+    for method, (code, argdefs) in methods.items():
+        function = FunctionType(code, env, method, argdefs)
+        function.__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, function)
     return cls
+
+
+@cache
+def _template(method: str, n: int, post_init: bool = False) -> CodeType:
+    """The code of `method` over `n` fields, compiled the first time a class
+    asks for it.  Fields are `_0`, `_1`, ...: parameters of `__init__`,
+    which stores `_i` through the global `_set_i`, and attributes of
+    `__eq__` and `__hash__`."""
+    mine = "".join(f"self._{i}," for i in range(n))
+    theirs = "".join(f"other._{i}," for i in range(n))
+    stores = "".join(f"    _set_{i}(self, _{i})\n" for i in range(n))
+    if post_init:
+        stores += "    self.__post_init__()\n"
+    sources = {
+        "__init__": f"def __init__(self, {''.join(f'_{i},' for i in range(n))}):\n"
+                    f"{stores or '    pass'}\n",
+        "__eq__": "def __eq__(self, other):\n"
+                  "    if other.__class__ is self.__class__:\n"
+                  f"        return ({mine})==({theirs})\n"
+                  "    return NotImplemented\n",
+        "__hash__": f"def __hash__(self):\n    return hash(({mine}))\n"}
+    env: dict = {}
+    exec(sources[method], env)
+    return env[method].__code__
 
 
 def _record_repr(self) -> str:

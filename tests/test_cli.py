@@ -314,6 +314,19 @@ class TestSimulate:
         path.write_text(SEALED)
         assert main(["simulate", str(path)]) == 4
 
+    def test_a_network_it_cannot_compare_exit_1(self, tmp_path, capsys):
+        # Well typed and projectable, but a function crosses the wire, so
+        # the choreography's normal form is not a value to compare with:
+        # neither the invocation nor the program is at fault.
+        path = tmp_path / "fn.corps"
+        path.write_text("main : [A] (unit -> unit) = send ((fun x -> () : unit -> unit)) "
+                        "to [A];\n")
+        assert main(["project", str(path), "--all"]) == 0
+        capsys.readouterr()
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr() == ("", "not comparable: a communication payload "
+                                           "mentions a function; excluded from agreement\n")
+
     def test_deadlock_finding_exit_3(self, p4, capsys, monkeypatch):
         # No well-typed program deadlocks, so splice the cyclic fixture in
         # behind the projection to drive the finding path end to end.

@@ -5,6 +5,11 @@ dataclasses, so the import loads neither `dataclasses` nor `inspect`
 (with `ast`, `dis` and `tokenize` behind it), and makes no
 `inspect.signature` call.  The import still loads every module of the
 package, so no import work is deferred to a first call.
+
+Compiling is most of what a record class costs at import, so a record
+class compiles nothing: the import compiles one source per method shape
+that its records use, and a count of those sources pinned here shows a
+compile per class coming back (there were 43, one per class).
 """
 
 import json
@@ -48,6 +53,24 @@ import json
 print(json.dumps(new))
 """
 
+# The source strings the package's code passes to `exec` or `compile`
+# while `import corps` runs (the import system compiles the modules
+# themselves from bytes, and `typing` its string annotations).
+SOURCES = """
+import builtins, json, sys
+
+sources = []
+for name in ("exec", "compile"):
+    def counting(source, *args, real=getattr(builtins, name), **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if isinstance(source, str) and caller.split(".")[0] == "corps":
+            sources.append(source)
+        return real(source, *args, **kwargs)
+    setattr(builtins, name, counting)
+import corps
+print(json.dumps(sources))
+"""
+
 
 def fresh(script: str):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -70,3 +93,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     new = fresh(NEW_MODULES)
     assert "corps.syntax" in new
     assert "dataclasses" not in new and "inspect" not in new
+
+
+def test_import_compiles_one_source_per_record_method_shape():
+    sources = fresh(SOURCES)
+    assert len(sources) == len(set(sources)) == 20
+    assert all(source.startswith(("def __init__(", "def __eq__(", "def __hash__("))
+               for source in sources)

@@ -1,6 +1,8 @@
+import builtins
 import contextlib
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 import sys
@@ -425,6 +427,15 @@ RECORDS += [
 ]
 EXAMPLES = [record for record, _ in RECORDS]
 
+# The class-body defaults of the record classes; the other fields have none.
+DEFAULTS = {
+    Topology: {"name": None},
+    TopoRule: {"const": None, "lhs": None, "rhs": None},
+    TraceEvent: {"peer": None, "payload": None},
+    Verdict: {"runs": 0, "witness": None},
+    AgreementReport: {"first": None},
+}
+
 
 def _class_name(record) -> str:
     return type(record).__name__
@@ -481,6 +492,66 @@ class TestRecords:
         for cls in type(record).__mro__[:-1]:
             assert "__slots__" in vars(cls), cls
         assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", EXAMPLES, ids=_class_name)
+    def test_signature_keywords_and_missing_argument_message(self, record):
+        # The declared fields in order, each with its class-body default,
+        # then `span=None`; a field left out is named in the error.
+        cls = type(record)
+        fields = declared(cls)
+        empty = inspect.Parameter.empty
+        want = [(name, DEFAULTS.get(cls, {}).get(name, empty))
+                for name in fields if name != "span"] + [("span", None)] * ("span" in fields)
+        assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == want
+        assert cls(**{name: getattr(record, name) for name in fields}) == record
+        required = [name for name, default in want if default is empty]
+        if required:
+            with pytest.raises(TypeError) as err:
+                cls(*compared(record)[:len(required) - 1])
+            assert str(err.value) == (f"{cls.__qualname__}.__init__() missing 1 required "
+                                      f"positional argument: '{required[-1]}'")
+
+    def test_records_of_equal_arity_share_their_code(self):
+        codes = {}
+        for cls in {type(record) for record in EXAMPLES}:
+            fields = declared(cls)
+            n = len(fields) - ("span" in fields)
+            for method, shape in (("__init__", (len(fields), hasattr(cls, "__post_init__"))),
+                                  ("__eq__", n), ("__hash__", n)):
+                codes.setdefault((method, shape), set()).add(getattr(cls, method).__code__.co_code)
+        assert all(len(code) == 1 for code in codes.values())
+
+    def test_a_class_of_an_arity_in_use_compiles_nothing(self, monkeypatch):
+        calls = []
+        for name in ("exec", "compile"):
+            real = getattr(builtins, name)
+            monkeypatch.setattr(builtins, name,
+                                lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
+
+        @S._frozen
+        class Twin(S.Node):
+            left: S.Expr
+            right: S.Expr
+
+        monkeypatch.undo()
+        assert calls == []
+        for method in ("__init__", "__eq__", "__hash__"):
+            assert (getattr(Twin, method).__code__.co_code
+                    == getattr(S.Pair, method).__code__.co_code)
+        twin = Twin(UnitVal(), Var("x"), span=SPAN)
+        assert (twin.left, twin.right, twin.span) == (UnitVal(), Var("x"), SPAN)
+        assert twin == Twin(UnitVal(), Var("x")) and twin != S.Pair(UnitVal(), Var("x"))
+        assert hash(twin) == hash((UnitVal(), Var("x")))
+        assert inspect.signature(Twin) == inspect.signature(S.Pair)
+
+    def test_a_field_without_a_default_may_not_follow_one_with(self):
+        # As in a `def`: the defaults close the parameter list, so none is
+        # bound to the wrong parameter.
+        with pytest.raises(TypeError, match="Late: a field without a default follows"):
+            @S._frozen
+            class Late:
+                early: int = 0
+                late: int
 
 
 class TestSchema:
