@@ -6,8 +6,8 @@ projection error, for a fixed set of generated projectable programs.
 `projection_errors_golden.json`: the error path.  For generated programs
 that need not be projectable, the `project_network` result or its error
 (class and message), and `project` at the root, at the viewpoint of every
-case (the owner of its scrutinee) and at one address outside every
-universe.
+case (the owner of its scrutinee), at one address outside every universe
+and at every address of the universe.
 
 Any change to projection or to the term machinery under it must leave
 this output byte for byte the same.  Regenerate both snapshots (only when
@@ -22,7 +22,8 @@ import os
 from corps import syntax as S
 from corps.printer import path_str
 from corps.projection import (
-    MergeConflict, ProjectionError, local_str, project, project_network,
+    MergeConflict, ProjectionError, _prefix_closure, _project_program, local_str,
+    project, project_network,
 )
 from corps.topology import load_preset
 from corps.typecheck import inline_main
@@ -91,6 +92,13 @@ def _project_errors(seed: int, preset: str) -> dict:
             at[path_str(address)] = local_str(project(program, address, topo))
         except (MergeConflict, ProjectionError) as err:
             at[path_str(address)] = _error(err)
+    # The rest of the universe, read from one walk as `project` reads it.
+    (generic, sparse), participants, _ = _project_program(program, topo)
+    result_address, _ = S.split_stack(program.main_type)
+    for address in _prefix_closure(participants | {result_address}):
+        local = sparse.get(address, generic)
+        at.setdefault(path_str(address), _error(local)
+                      if isinstance(local, ProjectionError) else local_str(local))
     return {"network": whole, "project": at}
 
 
