@@ -16,9 +16,11 @@ construct becomes one message between two addresses:
 
 A process that both sends and receives the same message (a self
 communication) sequences the send before the receive, which is safe
-because channels are asynchronous.  The sender keeps the value it sent;
-only the addresses a value's type says can use it ever consult it, so
-the retained copy is inert.
+because channels are asynchronous.  The sender keeps the value it sent,
+as `send_to` reduces to its payload (see `netsim`).  That copy is not
+inert: it stays in the sender's result where the choreography's value
+projects to `skip`, so agreement fails (ROADMAP item 1).  At [],
+`main : unit * [A] unit = ((), send () to [A]);` ends with `((), ())`.
 
 The moved value must be entirely local to the sender: its type may not
 mention a belief modality (such a payload would need messages between
@@ -53,8 +55,9 @@ nested modality (which fails at every address), takes the place of the
 process, and a rule whose children hold errors keeps the first.  No
 sparse projection holds an error until the walk makes one, so until then
 a rule combines its children's processes without testing them for
-errors; from the first error on, every rule tests them.  A rule
-that does not apply ends the walk with the checker's TypeCheckError, so
+errors; from the first error on, `_node` wraps every rule so that the
+first error among its parts stands for the result.  A rule that does not
+apply ends the walk with the checker's TypeCheckError, so
 `project_network` and `project` raise the first error `check_program`
 reports, if any.  Otherwise `project_network` raises the generic
 process's error, then the error at the smallest address of the universe
@@ -180,53 +183,15 @@ _NOWHERE: dict[Path, Local] = {}  # shared; no sparse map is ever mutated
 _UNIT_VAL = UnitVal()  # shared, as every record is immutable
 
 
-def _apply(rule, parts: list[Local]) -> Local:
-    # The first error in walk order stands for the whole node.
-    for part in parts:
-        if isinstance(part, ProjectionError):
-            return part
-    return rule(*parts)
-
-
-def _guarded(rule, specs: tuple[Sparse, ...], special) -> Sparse:
-    """`_Projection._node` once the walk has made an error: an address
-    whose children hold errors keeps the first in walk order.
-
-    One child, and two without `special`, the most frequent nodes, read
-    each child's process at an address once and keep the first error
-    themselves, as `_apply` does.
-    """
-    generic = _apply(rule, [default for default, _ in specs])
-    if len(specs) == 1:
-        (d0, at0), = specs
-        if not at0 and not special:
-            return generic, _NOWHERE
-        at = {g: p if isinstance(p, ProjectionError) else rule(p)
-              for g, p in at0.items() if g not in special}
-        for g, own in special.items():
-            p = at0.get(g, d0)
-            at[g] = p if isinstance(p, ProjectionError) else own(p)
-        return generic, at
-    if len(specs) == 2 and not special:
-        (d0, at0), (d1, at1) = specs
-        if not at0 and not at1:
-            return generic, _NOWHERE
-        at = {}
-        for g in at0.keys() | at1.keys():
-            p0, p1 = at0.get(g, d0), at1.get(g, d1)
-            if isinstance(p0, ProjectionError):
-                at[g] = p0
-            elif isinstance(p1, ProjectionError):
-                at[g] = p1
-            else:
-                at[g] = rule(p0, p1)
-        return generic, at
-    keys = set(special).union(*[at for _, at in specs])
-    if not keys:
-        return generic, _NOWHERE
-    return generic, {
-        g: _apply(special.get(g, rule), [at.get(g, default) for default, at in specs])
-        for g in keys}
+def _absorbing(rule):
+    """`rule` once the walk has made an error: the first error among its
+    parts, in walk order, stands for the whole node."""
+    def absorbing(*parts: Local) -> Local:
+        for part in parts:
+            if isinstance(part, ProjectionError):
+                return part
+        return rule(*parts)
+    return absorbing
 
 
 def _process(local: Local) -> LocalExpr:
@@ -258,12 +223,11 @@ class _Projection:
         an address that `special` maps to a rule of its own applies that.
 
         Until the walk makes its first error no child holds one, so the
-        rules apply directly; from then on `_guarded` combines.  A node
-        of two children walks the larger map once, and the smaller one
-        patches it.
+        rules apply as they are; from then on each rule is `_absorbing`.
         """
         if self.failed:
-            return _guarded(rule, specs, special)
+            rule = _absorbing(rule)
+            special = {g: _absorbing(own) for g, own in special.items()}
         generic = rule(*[default for default, _ in specs])
         if len(specs) == 1:
             (d0, at0), = specs
@@ -273,17 +237,6 @@ class _Projection:
             for g, own in special.items():
                 at[g] = own(at0.get(g, d0))
             return generic, at
-        if len(specs) == 2 and not special:
-            (d0, at0), (d1, at1) = specs
-            if len(at0) >= len(at1):
-                at = {g: rule(p0, d1) for g, p0 in at0.items() if g not in at1}
-                for g, p1 in at1.items():
-                    at[g] = rule(at0.get(g, d0), p1)
-            else:
-                at = {g: rule(d0, p1) for g, p1 in at1.items() if g not in at0}
-                for g, p0 in at0.items():
-                    at[g] = rule(p0, at1.get(g, d1))
-            return generic, at or _NOWHERE
         keys = set(special).union(*[at for _, at in specs])
         return generic, {
             g: special.get(g, rule)(*[at.get(g, default) for default, at in specs])
@@ -385,10 +338,10 @@ class _Projection:
 
 
 def _pairs(left: Sparse, right: Sparse) -> Sparse:
-    """`_Projection._node(_mk_pair, left, right)` on children that hold no
-    error, with `_mk_pair` inlined where the larger map is walked.  That
-    walk pairs each key with the other child's generic process, and the
-    smaller map's keys are then paired again with their own: a key in
+    """`_Projection._node(_mk_pair, left, right)` before the walk has made
+    an error, in one pass over the larger map with `_mk_pair` inlined.
+    That pass pairs each key with the other child's generic process, and
+    the smaller map's keys are then paired again with their own: a key in
     both maps costs one `Pair` more, less than testing every key."""
     (d0, at0), (d1, at1) = left, right
     if len(at0) >= len(at1):

@@ -410,7 +410,7 @@ def outcome(run):
 
 def guarded_from_the_start(monkeypatch):
     """Every projection starts as if the walk had made an error, so every
-    node combines its children with the error-aware `_guarded`."""
+    node applies its rules `_absorbing`: each guarded by an error test."""
     init = _Projection.__init__
 
     def failed_init(self):
@@ -421,23 +421,23 @@ def guarded_from_the_start(monkeypatch):
 
 def visit_log(monkeypatch, run) -> list[tuple[str, bool, bool, int]]:
     """Each hook call of `run()` in walk order: its rule, whether the walk
-    had made an error before it and after it, and how often it combined
-    with `_guarded`."""
-    log, guarded_calls = [], [0]
-    visit, guarded = _Projection.visit, projection._guarded
+    had made an error before it and after it, and how many rules it made
+    `_absorbing`."""
+    log, wrapped = [], [0]
+    visit, absorbing = _Projection.visit, projection._absorbing
 
-    def counted_guarded(*args):
-        guarded_calls[0] += 1
-        return guarded(*args)
+    def counted_absorbing(rule):
+        wrapped[0] += 1
+        return absorbing(rule)
 
     def logged_visit(self, rule, *rest):
-        before, calls = self.failed, guarded_calls[0]
+        before, calls = self.failed, wrapped[0]
         sparse = visit(self, rule, *rest)
-        log.append((rule, before, self.failed, guarded_calls[0] - calls))
+        log.append((rule, before, self.failed, wrapped[0] - calls))
         return sparse
 
     with monkeypatch.context() as m:
-        m.setattr(projection, "_guarded", counted_guarded)
+        m.setattr(projection, "_absorbing", counted_absorbing)
         m.setattr(_Projection, "visit", logged_visit)
         run()
     return log
@@ -450,7 +450,7 @@ PASSING_ON = {"Check", "Annot", "Unit", "BelievesI", "Axiom"}
 
 class TestErrorFreePath:
     """Until the walk makes its first error, no sparse projection holds one,
-    so `_node` applies the rules without the error-aware combination."""
+    so `_node` applies the rules as they are, none of them `_absorbing`."""
 
     @pytest.mark.parametrize("k", [16, 64])
     def test_an_error_free_fanout_never_guards(self, monkeypatch, k):
@@ -472,9 +472,9 @@ class TestErrorFreePath:
         assert all(not calls for *_, calls in log[:born[0] + 1])
         after = log[born[0] + 1:]
         assert "Pair" in [rule for rule, *_ in after]
-        assert [calls for *_, calls in after] == [int(rule not in PASSING_ON) for rule, *_ in after]
-        # The first error is the case's merge conflict, as the error-aware
-        # combination reports it from the start.
+        assert [calls > 0 for *_, calls in after] == [rule not in PASSING_ON for rule, *_ in after]
+        # The first error is the case's merge conflict, as absorbing rules
+        # report it from the start.
         assert got == [(MergeConflict, "case at viewpoint [] is not projectable: branches "
                         "project to different processes: '()' vs "
                         "'(fun z -> (z ; recv_from [A.A])) (send_to [A.A] ())'")]
@@ -484,10 +484,10 @@ class TestErrorFreePath:
 
 
 class TestFastPathAgainstGuarded:
-    """The error-free path gives what the error-aware combination gives, on
-    generated programs that are not steered to be projectable: merge
-    conflicts, payloads of nested modalities and functions on the wire all
-    occur."""
+    """The error-free path gives what every rule `_absorbing` from the
+    start gives, on generated programs that are not steered to be
+    projectable: merge conflicts, payloads of nested modalities and
+    functions on the wire all occur."""
 
     OUTSIDE = ("Z", "Z")  # an address outside every universe
 
