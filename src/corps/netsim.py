@@ -68,11 +68,12 @@ A run terminates when every process is a local value (or skip) and all
 queues are empty.  If the ready list empties while some process waits,
 the run is reported as a deadlock together with the waiting graph.
 
-Being a Kahn network, a network's values, steps, deadlock or error type
-are the same under every schedule.  One thing is not: when two or more
-processes get stuck, the run stops at the first `NetStuck` the schedule
-meets, so the error text names that process.  A network projected from
-a well-typed program never gets stuck (progress).
+Being a Kahn network, a network's values, steps, deadlock or error are
+the same under every schedule.  A process that gets stuck leaves the
+ready list and the others run on as far as they can, so the run raises
+the `NetStuck` of the smallest stuck address, whichever the schedule met
+first.  A network projected from a well-typed program never gets stuck
+(progress).
 """
 
 from __future__ import annotations
@@ -393,6 +394,7 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
         else:
             ready.append(n)
     waiting: dict[Path, tuple[int, Path]] = {}  # parked address -> (index, source)
+    stuck: dict[int, NetStuck] = {}  # index into order -> its error
     # The random policy's draw is `randrange(len(ready))`, inlined: the same
     # bits from the same generator, so every seed keeps its interleaving.
     getrandbits = (random.Random(policy.seed).getrandbits
@@ -412,7 +414,12 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
                 k = getrandbits(width)
         n = ready[k]
         addr, log, i = order[n], logs[n], at[n]
-        action, peer, payload = _step(log, i, addr, chans)
+        try:
+            action, peer, payload = _step(log, i, addr, chans)
+        except NetStuck as err:
+            del ready[k]
+            stuck[n] = err
+            continue
         if action == "Blocked":
             del ready[k]
             waiting[addr] = n, peer
@@ -433,6 +440,8 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
                 insort(ready, parked[0])
         turn = n + 1
 
+    if stuck:
+        raise stuck[min(stuck)]
     # A run that completes or deadlocks leaves every process at its log's
     # end (see the module's docstring), so the logs hold its outcome.
     if waiting:

@@ -658,13 +658,11 @@ def test_outcomes_are_schedule_independent():
     # source, a network is a Kahn process network (Kahn, 1974): every
     # schedule gives the same values and steps, or the same error, waiting
     # graph and residuals, and each address makes the same sends and
-    # receives with the same payloads in the same order.  The one exception
-    # is the error text when two or more processes get stuck: it names the
-    # first one the schedule meets, so this holds only for networks with
-    # at most one stuck process.  The step logs that runs replay rest on
-    # this, so each run here starts cold and replays nothing; and so does
-    # `nicheck`'s one run per input value, since an address's own sends and
-    # receives are what it observes.
+    # receives with the same payloads in the same order.  When two or more
+    # processes get stuck, the error names the smallest address.  The step
+    # logs that runs replay rest on this, so each run here starts cold and
+    # replays nothing; and so does `nicheck`'s one run per input value,
+    # since an address's own sends and receives are what it observes.
     def comms(trace) -> dict:
         events = {}
         for ev in trace:
@@ -682,8 +680,9 @@ def test_outcomes_are_schedule_independent():
             return type(err), str(err)
         return result.values, result.steps, comms(result.trace)
 
+    two_stuck = Network({A: S.Fst(U), B: S.Snd(S.Inl(U))}, A, False)
     networks = list(generated_networks()) + [
-        Network(processes, A, False) for processes, _ in HAND_BUILT.values()]
+        Network(processes, A, False) for processes, _ in HAND_BUILT.values()] + [two_stuck]
     kinds = set()
     talked = 0
     for network in networks:
@@ -694,6 +693,7 @@ def test_outcomes_are_schedule_independent():
             assert ending(network, policy) == first, (network, policy)
     assert len(networks) > 200 and talked > 100
     assert {None, DeadlockError, NetStuck, TypeError} <= kinds
+    assert ending(two_stuck, POLICIES[0]) == (NetStuck, "fst of non-pair in [A]")
 
 
 def test_a_first_run_holds_memory_linear_in_nodes_and_steps():
