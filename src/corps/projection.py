@@ -224,8 +224,6 @@ class _Projection:
 
         Until the walk makes its first error no child holds one, so the
         rules apply as they are; from then on each rule is `_absorbing`.
-        A node of two children walks the larger map once, and the smaller
-        one patches it.
         """
         if self.failed:
             rule = _absorbing(rule)
@@ -239,17 +237,6 @@ class _Projection:
             for g, own in special.items():
                 at[g] = own(at0.get(g, d0))
             return generic, at
-        if len(specs) == 2 and not special:
-            (d0, at0), (d1, at1) = specs
-            if len(at0) >= len(at1):
-                at = {g: rule(p0, d1) for g, p0 in at0.items() if g not in at1}
-                for g, p1 in at1.items():
-                    at[g] = rule(at0.get(g, d0), p1)
-            else:
-                at = {g: rule(d0, p1) for g, p1 in at1.items() if g not in at0}
-                for g, p0 in at0.items():
-                    at[g] = rule(p0, at1.get(g, d1))
-            return generic, at or _NOWHERE
         keys = set(special).union(*[at for _, at in specs])
         return generic, {
             g: special.get(g, rule)(*[at.get(g, default) for default, at in specs])

@@ -472,7 +472,9 @@ class TestErrorFreePath:
         assert all(not calls for *_, calls in log[:born[0] + 1])
         after = log[born[0] + 1:]
         assert "Pair" in [rule for rule, *_ in after]
-        assert [calls > 0 for *_, calls in after] == [rule not in PASSING_ON for rule, *_ in after]
+        # Each combining node after it applies one rule and no special
+        # one, so it wraps exactly one rule.
+        assert [calls for *_, calls in after] == [int(rule not in PASSING_ON) for rule, *_ in after]
         # The first error is the case's merge conflict, as absorbing rules
         # report it from the start.
         assert got == [(MergeConflict, "case at viewpoint [] is not projectable: branches "
