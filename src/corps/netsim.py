@@ -70,10 +70,15 @@ the run is reported as a deadlock together with the waiting graph.
 
 Being a Kahn network, a network's values, steps, deadlock or error are
 the same under every schedule.  A process that gets stuck leaves the
-ready list and the others run on as far as they can, so the run raises
-the `NetStuck` of the smallest stuck address, whichever the schedule met
-first.  A network projected from a well-typed program never gets stuck
-(progress).
+ready list and the others run on until they end or wait, so the run
+raises the `NetStuck` of the smallest stuck address, whichever the
+schedule met first.  Two outcomes can still depend on the schedule.  If
+the fuel runs out, the run raises the `NetStuck` of the smallest address
+stuck by then, or `NetFuelExhausted` if none is, and which processes are
+stuck by then depends on the schedule.  A process that is no local form
+raises TypeError when it is first stepped, so with two such processes
+the text names the one the schedule met first.  A network projected from
+a well-typed program never gets stuck (progress).
 """
 
 from __future__ import annotations
@@ -426,6 +431,8 @@ def run(network: Network, policy: SchedulerPolicy, fuel: int = 100_000) -> RunRe
             trace += (steps, addr, action, peer, None)
             continue
         if steps >= fuel:
+            if stuck:
+                break
             raise NetFuelExhausted(steps)
         at[n] = i = i + 1
         trace += (steps, addr, action, peer, payload)

@@ -659,7 +659,8 @@ def test_outcomes_are_schedule_independent():
     # schedule gives the same values and steps, or the same error, waiting
     # graph and residuals, and each address makes the same sends and
     # receives with the same payloads in the same order.  When two or more
-    # processes get stuck, the error names the smallest address.  The step
+    # processes get stuck, the error names the smallest address (the fuel
+    # limit and a node that is no local form aside, see `netsim`).  The step
     # logs that runs replay rest on this, so each run here starts cold and
     # replays nothing; and so does `nicheck`'s one run per input value,
     # since an address's own sends and receives are what it observes.
@@ -694,6 +695,18 @@ def test_outcomes_are_schedule_independent():
     assert len(networks) > 200 and talked > 100
     assert {None, DeadlockError, NetStuck, TypeError} <= kinds
     assert ending(two_stuck, POLICIES[0]) == (NetStuck, "fst of non-pair in [A]")
+
+
+def test_a_stuck_process_beside_a_diverging_one_is_reported_at_the_fuel_limit():
+    # The others run on after a process gets stuck, so a process that never
+    # ends takes the run to its fuel limit; the stuck one is reported then.
+    omega = S.Lam("x", S.App(S.Var("x"), S.Var("x")))
+    diverging = S.App(omega, omega)
+    for policy in POLICIES:
+        with pytest.raises(NetFuelExhausted):
+            run(Network({B: diverging}, B, False), policy, fuel=500)
+        with pytest.raises(NetStuck, match=r"^fst of non-pair in \[A\]$"):
+            run(Network({A: S.Fst(U), B: diverging}, A, False), policy, fuel=500)
 
 
 def test_a_first_run_holds_memory_linear_in_nodes_and_steps():
