@@ -13,7 +13,7 @@ from .topology import (
 from .typecheck import Checker, TypeCheckError, check_program, inline_main
 from .normalize import EvalMode, NormalFormClass, is_positive_value, is_value, normalize, step
 from .projection import (
-    MergeConflict, Network, ProjectionError, local_str, merge, project,
+    MergeConflict, Network, ProjectionError, local_str, project,
     project_network,
 )
 from .netsim import DeadlockError, RandomPolicy, RoundRobin, epp_agreement, run

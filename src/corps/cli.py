@@ -37,6 +37,7 @@ from .normalize import EvalMode, FuelExhausted, StuckUnexpected, normalize
 from .parser import ParseError, parse_expr, parse_path, parse_program
 from .printer import expr_str, path_str, type_str
 from .projection import ProjectionError, local_str, project, project_network
+from .syntax import split_stack
 from .topology import TopologyError
 from .typecheck import TypeCheckError, check_program, inline_main, resolve_topology
 
@@ -161,10 +162,8 @@ def cmd_simulate(args, program, topology, deriv) -> int:
         schedules = [netsim.RoundRobin()] * args.runs
     else:
         schedules = [netsim.RandomPolicy(args.seed + i) for i in range(args.runs)]
-    network = project_network(program, topology)
     try:
-        report = netsim.epp_agreement(program, schedules, topology, fuel=args.fuel,
-                                      network=network)
+        report = netsim.epp_agreement(program, schedules, topology, fuel=args.fuel)
         first = report.first
         if isinstance(first, netsim.NetError):
             raise first
@@ -198,7 +197,7 @@ def cmd_simulate(args, program, topology, deriv) -> int:
         print(f"{path_str(address)}: {local_str(first.values[address])}")
     if report.agree:
         print(f"AGREE ({len(schedules)} runs; expected {report.expected} at "
-              f"{path_str(network.result_address)})")
+              f"{path_str(split_stack(program.main_type)[0])})")
         return OK
     print("DISAGREE", file=sys.stderr)
     for policy, (label, outcome) in zip(schedules, report.outcomes):

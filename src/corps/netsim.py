@@ -494,27 +494,23 @@ def expected_result(program: Program, topology: Topology,
     core = match_located(nf, stack)
     if core is None:
         raise PreconditionError("normal form does not carry the declared stack")
-    return project_expr(core, core_ty, stack, stack, topology)
+    return project_expr(core, core_ty, stack, topology)
 
 
 def epp_agreement(program: Program, schedules: list[SchedulerPolicy],
                   topology: Optional[Topology] = None, fuel: int = 100_000,
-                  network: Optional[Network] = None) -> AgreementReport:
-    """Run the projected network under each schedule and compare the value
-    at the result address with the choreography's normal form.
-
-    A caller that has already projected the program under `topology`
-    passes that network, so it is not projected again.
-    """
-    if network is None:
-        if topology is None:
-            topology = resolve_topology(program)
-        try:
-            network = project_network(program, topology)
-        except TypeCheckError:
-            # Checked again, to list every error and not only the first.
-            raise PreconditionError("program does not typecheck: " + "; ".join(
-                str(e) for e in check_program(program, topology))) from None
+                  ) -> AgreementReport:
+    """Project the program, run its network under each schedule and compare
+    the value at the result address with the choreography's normal form.
+    A ProjectionError passes through."""
+    if topology is None:
+        topology = resolve_topology(program)
+    try:
+        network = project_network(program, topology)
+    except TypeCheckError:
+        # Checked again, to list every error and not only the first.
+        raise PreconditionError("program does not typecheck: " + "; ".join(
+            str(e) for e in check_program(program, topology))) from None
     if network.lambda_wire:
         raise PreconditionError(
             "a communication payload mentions a function; excluded from agreement")

@@ -23,8 +23,8 @@ from .parser import Program
 from .printer import expr_str, path_str, type_str
 from .projection import SKIP, Network, local_str, project_network
 from .syntax import (
-    Annot, Arrow, Believes, Expr, Inl, Inr, Lam, Located, Pair, Path,
-    Product, Sum, Type, Unit, UnitVal, _frozen, split_stack, substitute,
+    Annot, Believes, Expr, Inl, Inr, Located, Pair, Path, Product, Sum,
+    Type, Unit, UnitVal, _frozen, split_stack, substitute,
 )
 from .topology import Topology, flow_reachable
 from .typecheck import Checker, TypeCheckError, check_program, resolve_topology
@@ -81,17 +81,19 @@ def observation(result: RunResult, observer: Path) -> tuple:
 
 
 def elaborate_value(value: Expr, ty: Type) -> Expr:
-    """Annotate the non-inferable parts of a canonical value of `ty`.
+    """Annotate the injections of a canonical value of `ty`.
 
-    Injections and functions only check against a known type; a value
-    substituted into a program must infer on its own, so they get an
-    annotation recording the type they were declared at.  The function
-    case recurses into the body, so it applies only to values whose
-    bodies are themselves canonical.
+    `value` is a closed positive value (`_validate` rejects any other), so
+    it holds no function.  An injection only checks against a known type;
+    a value substituted into a program must infer on its own, so each gets
+    an annotation recording the type it was declared at.  A value already
+    annotated with `ty` is elaborated as its inner value.
     """
     kind, ty_kind = type(value), type(ty)
     if kind is UnitVal and ty_kind is Unit:
         return value
+    if kind is Annot and value.ty == ty:
+        return elaborate_value(value.inner, ty)
     if kind is Pair and ty_kind is Product:
         return Pair(elaborate_value(value.left, ty.left),
                     elaborate_value(value.right, ty.right))
@@ -101,8 +103,6 @@ def elaborate_value(value: Expr, ty: Type) -> Expr:
         return Annot(Inr(elaborate_value(value.inner, ty.right)), ty)
     if kind is Located and ty_kind is Believes and value.agent == ty.agent:
         return Located(value.agent, elaborate_value(value.body, ty.body))
-    if kind is Lam and ty_kind is Arrow:
-        return Annot(Lam(value.var, elaborate_value(value.body, ty.cod)), ty)
     raise ValueError(f"{expr_str(value)} is not a canonical value of type "
                      f"{type_str(ty)}")
 

@@ -91,19 +91,6 @@ class MergeConflict(ProjectionError):
 local_str = expr_str
 
 
-def merge(l1: LocalExpr, l2: LocalExpr) -> LocalExpr:
-    """Equality merge of branch projections; conflicting behavior fails."""
-    if expr_equal(l1, l2):
-        return l1
-    raise _conflict(l1, l2)
-
-
-def _conflict(l1: LocalExpr, l2: LocalExpr) -> MergeConflict:
-    return MergeConflict(
-        f"branches project to different processes: "
-        f"{local_str(l1)!r} vs {local_str(l2)!r}")
-
-
 # ---------------------------------------------------------------------------
 # Smart constructors: a node whose parts are all skip carries nothing.  Skip
 # has no fields, so `type(x) is Skip` is exactly `x == SKIP`.
@@ -332,7 +319,8 @@ class _Projection:
             self.failed = True
             return MergeConflict(
                 f"case at viewpoint {path_str(L)} is not projectable: "
-                f"{_conflict(l, substitute(r, rv, Var(lv)))}")
+                f"branches project to different processes: "
+                f"{local_str(l)!r} vs {local_str(substitute(r, rv, Var(lv)))!r}")
 
         return self._node(third_party, se, le, re_, special={L: owner})
 
@@ -391,18 +379,17 @@ def _project_program(program: Program, topology: Optional[Topology]
     return projection.defs[len(ctx)]
 
 
-def project_expr(e: Expr, ty: Type, viewpoint: Path, target: Path,
-                 topology: Topology) -> LocalExpr:
+def project_expr(e: Expr, ty: Type, viewpoint: Path, topology: Topology) -> LocalExpr:
     """Project a closed value in normal form, located at `viewpoint`, for
-    one target address.  Its injections need no annotations: the walk
-    checks pairs and located values against their types (see `typecheck`).
+    that address.  Its injections need no annotations: the walk checks
+    pairs and located values against their types (see `typecheck`).
     """
     checker = Checker(topology, hook=_Projection().visit)
     checker._canonical = True
     out: list[Sparse] = []
     checker.check(ctx_lock((), viewpoint), e, ty, out)
     generic, at = out[0]
-    return _process(at.get(target, generic))
+    return _process(at.get(viewpoint, generic))
 
 
 def project(program: Program, g: Path,

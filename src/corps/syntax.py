@@ -162,8 +162,6 @@ def _record_setstate(self, state: tuple) -> None:
 
 Path = tuple[str, ...]
 
-ROOT: Path = ()
-
 
 def is_agent_name(name: str) -> bool:
     return bool(name) and name[0].isupper() and name.replace("_", "").isalnum()
@@ -693,8 +691,6 @@ def substitute(e: Node, x: str, v: Node) -> Node:
                 dest[-1] = True
             continue
         shape = _shape_of(e)
-        if not shape.subterms:
-            continue
         parts = [getattr(e, name) for name in shape.fields]
         parts.append(False)
         todo.append((_BUILD, e, parts, dest, at))

@@ -327,15 +327,24 @@ class TestSimulate:
         assert capsys.readouterr() == ("", "not comparable: a communication payload "
                                            "mentions a function; excluded from agreement\n")
 
-    def test_deadlock_finding_exit_3(self, p4, capsys, monkeypatch):
-        # No well-typed program deadlocks, so splice the cyclic fixture in
-        # behind the projection to drive the finding path end to end.
-        from corps import cli
-        from corps.projection import Network, RecvFrom
+    def test_the_program_is_projected_once(self, p4, capsys, monkeypatch):
+        # The agreement check projects the program; the command does not
+        # project it again.
+        from corps import projection
 
-        cyclic = Network({("A",): RecvFrom(("B",)), ("B",): RecvFrom(("A",))},
-                         ("A",), False)
-        monkeypatch.setattr(cli, "project_network", lambda *a, **k: cyclic)
+        walks = []
+        real = projection._project_program
+        monkeypatch.setattr(projection, "_project_program",
+                            lambda *a: walks.append(a) or real(*a))
+        assert main(["simulate", p4, "--schedule", "random", "--runs", "3"]) == 0
+        assert len(walks) == 1
+        assert "AGREE (3 runs; expected () at [B])" in capsys.readouterr().out
+
+    def test_deadlock_finding_exit_3(self, p4, capsys, monkeypatch):
+        # No well-typed program deadlocks, so a cycle of two waits stands
+        # in for the agreement check to drive the finding path end to end.
+        from corps import cli
+
         monkeypatch.setattr(cli.netsim, "epp_agreement",
                             lambda *a, **k: (_ for _ in ()).throw(
                                 cli.netsim.DeadlockError({("A",): (("B",),),
@@ -473,6 +482,21 @@ class TestNi:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "usage error: run failed for input B.(inl ()): "
                                   "network made no progress to completion within 1 steps\n")
+
+    def test_value_annotated_with_the_input_type(self, tmp_path, capsys):
+        path = tmp_path / "sealed.corps"
+        path.write_text(SEALED)
+        for annotated in ("(inl () : unit + unit)", "inl ()"):
+            assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
+                         "--values", f"B.({annotated}),B.(inr ())"]) == 0
+            assert capsys.readouterr().out == (
+                "Secure: 2 runs, observer [A] saw identical observations for every "
+                "input value\n")
+        assert main(["ni", str(path), "--input", "b", "--observe", "[A]",
+                     "--values", "B.((inl () : unit + void)),B.(inr ())"]) == 4
+        assert capsys.readouterr().err == (
+            "usage error: (inl () : unit + void) is not a canonical value of type "
+            "unit + unit\n")
 
     def test_bad_values_usage_error(self, tmp_path, capsys):
         path = tmp_path / "sealed.corps"

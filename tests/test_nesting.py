@@ -80,8 +80,7 @@ def run_every_stage(source: str) -> None:
     network = project_network(program, topology)
     for process in network.processes.values():
         local_str(process)
-    assert netsim.epp_agreement(program, [netsim.RoundRobin()], topology,
-                                network=network).agree
+    assert netsim.epp_agreement(program, [netsim.RoundRobin()], topology).agree
     expr_str(program.main_expr)
 
 

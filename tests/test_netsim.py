@@ -140,6 +140,12 @@ class TestAgreement:
         program = parse_program(P4)
         assert expected_result(program, load_preset("choreo")) == S.UnitVal()
 
+    def test_expected_result_of_a_comm_neutral_normal_form(self):
+        program = parse_program("topology choreo; main : [A] (unit -> unit) = "
+                                "send ((fun x -> () : unit -> unit)) to [A];")
+        with pytest.raises(PreconditionError, match="normal form is CommNeutral, not a value"):
+            expected_result(program, load_preset("choreo"))
+
     def test_lambda_wire_excluded(self):
         src = ("topology choreo; main : [B] (unit -> unit) = "
                "send A.((fun x -> x : unit -> unit)) to [B];")
@@ -897,7 +903,7 @@ def test_agreement_matches_fresh_unshared_runs():
         seed += 1
         try:
             network = project_network(program, topo)
-            report = epp_agreement(program, schedules, topo, network=network)
+            report = epp_agreement(program, schedules, topo)
         except (ProjectionError, PreconditionError):
             continue
         programs += 1

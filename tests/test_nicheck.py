@@ -33,6 +33,22 @@ class TestElaborate:
         assert out == S.Located(
             "B", S.Annot(S.Inl(S.UnitVal()), S.Sum(S.Unit(), S.Unit())))
 
+    def test_pair_elaborates_each_component(self):
+        out = elaborate_value(parse_expr("B.((inl (), ()))"),
+                              parse_type("[B] ((unit + unit) * unit)"))
+        assert out == S.Located("B", S.Pair(
+            S.Annot(S.Inl(S.UnitVal()), S.Sum(S.Unit(), S.Unit())), S.UnitVal()))
+
+    def test_value_annotated_with_its_type_elaborates_as_its_inner_value(self):
+        ty = parse_type("[B] (unit + unit)")
+        assert (elaborate_value(parse_expr("B.((inl () : unit + unit))"), ty)
+                == elaborate_value(parse_expr("B.(inl ())"), ty))
+
+    def test_value_annotated_with_another_type_rejected(self):
+        with pytest.raises(ValueError, match="is not a canonical value of type unit"):
+            elaborate_value(parse_expr("B.((inl () : unit + void))"),
+                            parse_type("[B] (unit + unit)"))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             elaborate_value(parse_expr("A.()"), parse_type("[B] unit"))
@@ -62,6 +78,16 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             ni_check(parse_program(CONSTANT_PROGRAM),
                      NIConfig("b", ("A",), (BOOLISH[0],)))
+
+    def test_ill_typed_program_rejected(self):
+        program = parse_program(CONSTANT_PROGRAM.replace("A.()", "A.(b)"))
+        with pytest.raises(ValueError, match="program does not typecheck"):
+            ni_check(program, cfg())
+
+    def test_function_value_rejected(self):
+        values = (parse_expr("fun x -> x"), BOOLISH[1])
+        with pytest.raises(ValueError, match="is not a closed positive value"):
+            ni_check(parse_program(CONSTANT_PROGRAM), NIConfig("b", ("A",), values))
 
     def test_ill_typed_value_rejected(self):
         with pytest.raises(ValueError):

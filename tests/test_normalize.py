@@ -166,6 +166,12 @@ class TestNormalize:
         with pytest.raises(StuckUnexpected):
             normalize(POS, S.App(S.UnitVal(), S.UnitVal()), 10)
 
+    def test_down_of_a_value_not_located_at_its_path_is_stuck(self):
+        # Its body is a value, but not one `down [A]` can open: stuck, not
+        # a communication waiting to fire.
+        with pytest.raises(StuckUnexpected):
+            classify(parse_expr("down [A] ()"))
+
     @pytest.mark.parametrize("node", [
         S.SKIP, S.Seq(S.UnitVal(), S.UnitVal()), S.SendTo(("B",), S.UnitVal()),
         S.RecvFrom(("B",))], ids=["skip", "sequence", "send to", "receive from"])

@@ -12,7 +12,7 @@ from corps.parser import Program, parse_program
 from corps.projection import (
     SKIP, MergeConflict, ProjectionError, RecvFrom, SendTo, Seq, _Projection,
     _mk_app, _mk_case, _mk_lam, _mk_pair, _mk_seq, _prefix_closure, _project_program,
-    local_str, merge, project, project_expr, project_network,
+    local_str, project, project_expr, project_network,
 )
 from corps.topology import load_preset
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
@@ -76,24 +76,6 @@ class TestNetworkExamples:
         p = parse_program(P3)
         assert project(p, ("C",)) == SKIP
         assert project(p, ("B", "B")) == SKIP
-
-
-class TestMerge:
-    def test_skip_merges_with_skip(self):
-        assert merge(SKIP, SKIP) == SKIP
-
-    def test_identical_sends_merge(self):
-        a = SendTo(("B",), S.UnitVal())
-        assert merge(a, SendTo(("B",), S.UnitVal())) == a
-
-    def test_send_vs_skip_conflicts(self):
-        with pytest.raises(MergeConflict):
-            merge(SendTo(("B",), S.UnitVal()), SKIP)
-
-    def test_alpha_equal_branches_merge(self):
-        a = S.Lam("x", S.Var("x"))
-        b = S.Lam("y", S.Var("y"))
-        assert merge(a, b) == a
 
 
 class TestSmartConstructors:
@@ -581,8 +563,8 @@ class TestCheckerGradeErrors:
         # project_expr checks a pair or a located value against its type;
         # project_network infers it, as `corps check` does.
         program = parse_program("main : [A] ((unit + unit) * unit) = A.((inl (), ()));")
-        ty = program.main_type
-        assert local_str(project_expr(program.main_expr, ty, (), ("A",),
+        core, ty = program.main_expr.body, program.main_type.body
+        assert local_str(project_expr(core, ty, ("A",),
                                       load_preset("choreo"))) == "(inl (), ())"
         with pytest.raises(TypeCheckError, match="injection; annotate it"):
             project_network(program)

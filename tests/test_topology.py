@@ -27,6 +27,10 @@ class TestPresets:
         t = load_preset("doxastic")
         assert relation_holds(t, "candown", ("A",), ("A", "A"))
 
+    def test_unknown_relation_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown relation kind 'cansee'"):
+            relation_holds(load_preset("choreo"), "cansee", ("A",), ("B",))
+
     def test_doxastic_root_has_no_down(self):
         t = load_preset("doxastic")
         assert not relation_holds(t, "candown", (), ("A",))
