@@ -2,10 +2,7 @@
 
 from .parser import ParseError, Program, parse_expr, parse_path, parse_program, parse_type
 from .printer import expr_str, path_str, pretty_print, type_str
-from .syntax import (
-    Expr, Path, Type, expr_equal, locks_of, normalize_context, path_concat,
-    substitute,
-)
+from .syntax import Expr, Path, Type, expr_equal, path_concat, substitute
 from .topology import (
     Topology, TopologyError, flow_reachable, load_preset, parse_topology,
     relation_holds,

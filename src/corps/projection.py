@@ -72,8 +72,8 @@ from .parser import Program
 from .printer import expr_str, path_str
 from .syntax import (
     SKIP, App, Arrow, Believes, Case, Expr, Lam, LocalExpr, Pair, Path,
-    Product, RecvFrom, SendTo, Seq, Skip, Sum, Type, UnitVal, Var, ctx_lock,
-    expr_equal, path_concat, split_stack, substitute,
+    Product, RecvFrom, SendTo, Seq, Skip, Sum, Type, UnitVal, Var, expr_equal,
+    path_concat, split_stack, substitute,
 )
 from .topology import Topology
 from .typecheck import Checker, judgments, resolve_topology
@@ -387,7 +387,7 @@ def project_expr(e: Expr, ty: Type, viewpoint: Path, topology: Topology) -> Loca
     checker = Checker(topology, hook=_Projection().visit)
     checker._canonical = True
     out: list[Sparse] = []
-    checker.check(ctx_lock((), viewpoint), e, ty, out)
+    checker.check((), e, ty, out, viewpoint)
     generic, at = out[0]
     return _process(at.get(viewpoint, generic))
 

@@ -6,11 +6,12 @@ the root (ground truth); each extension steps one level further into an
 agent's beliefs, so ("A", "B") is "A's version of B".  Paths form a
 monoid under concatenation, which is why they are plain tuples here.
 
-Typing contexts are ordered sequences of variable bindings and locks.
-A lock shifts the viewpoint of everything to its right; a binding is
-tagged with the path of locks that must be crossed after it before the
-variable becomes usable.  Contexts are kept in a canonical form: no
-empty locks, no two adjacent locks.
+A typing context is an ordered sequence of variable bindings.  Each
+binding records the viewpoint it was bound at, and its tag is the path
+that extends that viewpoint to the one the variable may be used at (see
+`typecheck`).  The viewpoint itself is not in the context: the checker's
+walk passes it down, so a context holds no locks and has no canonical
+form.
 
 Choreographic expressions and the local processes that endpoint
 projection produces share one term schema (`SCHEMA`): per node class,
@@ -19,7 +20,7 @@ free variables, substitution, alpha-equality, the value test and the
 refocusing machine that both languages' fast evaluators run are each
 written once over it.
 
-Spans, types, nodes and context entries are records (`_frozen`), as are
+Spans, types, nodes and bindings are records (`_frozen`), as are
 the other value classes of the package: slotted, immutable values that
 refuse assignment, compare and hash by their fields without the source
 `span`, print as `Cls(field=value, ...)` as a frozen dataclass would, and
@@ -793,50 +794,7 @@ class Binding:
     name: str
     ty: Type
     tag: Path
+    at: Path
 
 
-@_frozen
-class Lock:
-    path: Path
-
-
-ContextEntry = Union[Binding, Lock]
-Context = tuple[ContextEntry, ...]
-
-
-def locks_of(ctx: Context) -> Path:
-    """Concatenation, in order, of every lock path in the context."""
-    acc: Path = ()
-    for entry in ctx:
-        if isinstance(entry, Lock):
-            acc = path_concat(acc, entry.path)
-    return acc
-
-
-def normalize_context(ctx: Context) -> Context:
-    """Canonical form: drop empty locks, fuse adjacent locks."""
-    out: list[ContextEntry] = []
-    for entry in ctx:
-        if isinstance(entry, Lock):
-            if not entry.path:
-                continue
-            if out and isinstance(out[-1], Lock):
-                out[-1] = Lock(path_concat(out[-1].path, entry.path))
-            else:
-                out.append(entry)
-        else:
-            out.append(entry)
-    return tuple(out)
-
-
-def ctx_lock(ctx: Context, g: Path) -> Context:
-    """Extend a canonical context with a lock, staying canonical."""
-    if not g:
-        return ctx
-    if ctx and isinstance(ctx[-1], Lock):
-        return ctx[:-1] + (Lock(path_concat(ctx[-1].path, g)),)
-    return ctx + (Lock(g),)
-
-
-def ctx_bind(ctx: Context, name: str, ty: Type, tag: Path) -> Context:
-    return ctx + (Binding(name, ty, tag),)
+Context = tuple[Binding, ...]

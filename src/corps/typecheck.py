@@ -1,13 +1,22 @@
 """Bidirectional typechecker; doubles as the proof checker for the logic.
 
-A judgment ctx |- e : t is read as "e computes a t at the viewpoint
-locks_of(ctx)".  Axiom lookup uses the rightmost binding of a variable
-and requires the locks of the context segment to its right to equal the
-binding's tag; there is no fallback to shadowed bindings.  The three
-communication rules consult the topology on absolute addresses: with
-L = locks_of(ctx), `up g`/`down g` query (L, L ++ g), and `send e to g2`
-queries (L ++ g1, L ++ g2) where g1 is the full modality stack of the
-payload's inferred type.
+A judgment ctx |-_L e : t is read as "e computes a t from the viewpoint
+L".  The walk passes L down: it grows by A under a located `A.(e)` and
+by g1 in the bound expression of `let [g1] [g2] x = ...`, and stays put
+everywhere else.  The context holds only bindings, each recording the
+viewpoint it was bound at (`Binding.at`).  Axiom takes the rightmost
+binding b of the variable, with no fallback to shadowed ones, and
+accepts it exactly when b.at ++ b.tag = L.  That is the Fitch rule
+(Clouston, FoSSaCS 2018), whose contexts keep locks between bindings
+and ask that the locks right of b spell b.tag: the locks left of b
+concatenate to b.at and all of them to L, so in a context the walk
+builds b.at is a prefix of L and the locks right of b spell the rest.
+The equation, unlike a test of that rest alone, also refuses a binding
+whose `at` is no prefix of L, which only a hand-built context can hold.
+The three communication rules consult the topology on absolute
+addresses: `up g`/`down g` query (L, L ++ g), and `send e to g2` queries
+(L ++ g1, L ++ g2) where g1 is the full modality stack of the payload's
+inferred type.
 
 Checking mode exists so functions, injections, absurd and case branches
 need no annotations when the expected type is known; everything else
@@ -49,8 +58,7 @@ from .syntax import (
     UNIT, VOID, Absurd, Annot, App, Arrow, Believes, Binding, Case, Context,
     Down, Expr, Fst, Inl, Inr, Lam, Located, ModalLet, Pair, Path, Product,
     Send, Snd, Span, Sum, Type, UnitVal, Up, Var, _frozen, belief_stack,
-    ctx_bind, ctx_lock, locks_of, path_concat, peel_stack, split_stack,
-    substitute,
+    path_concat, peel_stack, split_stack, substitute,
 )
 from .topology import (
     PRESETS, Topology, TopologyError, load_preset, parse_topology, relation_holds,
@@ -105,7 +113,8 @@ _UNINFERABLE = {Lam: "an unannotated function", Inl: "an injection; annotate it"
 class Checker:
     """The bidirectional walk (see the module docstring).
 
-    Given a list `out`, the walk builds each node's result with the hook
+    `infer` and `check` take the viewpoint of the node they judge, the
+    root by default.  Given a list `out`, the walk builds each node's result with the hook
     (`derive` unless another is given) and appends it there: to the
     caller's list for the root, to the parent's children below it.
     Without one, it builds nothing.
@@ -126,56 +135,56 @@ class Checker:
                 rule, f"{kind}({path_str(a)}, {path_str(b)}) does not hold "
                 f"(viewpoint {path_str(viewpoint)}{payload})", e.span, (kind, a, b))
 
-    def _axiom(self, ctx: Context, e: Var) -> tuple[Type, int]:
+    def _axiom(self, ctx: Context, e: Var, viewpoint: Path) -> tuple[Type, int]:
         for i in range(len(ctx) - 1, -1, -1):
-            entry = ctx[i]
-            if isinstance(entry, Binding) and entry.name == e.name:
-                after = locks_of(ctx[i + 1:])
-                if after != entry.tag:
+            b = ctx[i]
+            if b.name == e.name:
+                if path_concat(b.at, b.tag) != viewpoint:
                     raise TypeCheckError(
                         "Axiom",
-                        f"variable {e.name!r} is tagged {path_str(entry.tag)} but is "
-                        f"used under locks {path_str(after)} past its binding "
-                        f"(viewpoint {path_str(locks_of(ctx))})",
+                        f"variable {e.name!r} is tagged {path_str(b.tag)} but is "
+                        f"used under locks {path_str(viewpoint[len(b.at):])} past its "
+                        f"binding (viewpoint {path_str(viewpoint)})",
                         e.span)
-                return entry.ty, i
+                return b.ty, i
         raise TypeCheckError("Axiom", f"unbound variable {e.name!r}", e.span)
 
-    def _branches(self, ctx: Context, e: Case, scrut_ty: Type) -> tuple[Context, Context]:
+    def _branches(self, ctx: Context, e: Case, scrut_ty: Type,
+                  viewpoint: Path) -> tuple[Context, Context]:
         """The contexts of the two branches, given the scrutinee's type."""
         if not isinstance(scrut_ty, Sum):
             raise TypeCheckError(
                 "Case", f"case scrutinee has non-sum type {type_str(scrut_ty)}", e.span)
-        return (ctx_bind(ctx, e.left_var, scrut_ty.left, ()),
-                ctx_bind(ctx, e.right_var, scrut_ty.right, ()))
+        return (ctx + (Binding(e.left_var, scrut_ty.left, (), viewpoint),),
+                ctx + (Binding(e.right_var, scrut_ty.right, (), viewpoint),))
 
     # -- inference ----------------------------------------------------------
 
-    def infer(self, ctx: Context, e: Expr, out: Optional[list] = None) -> Type:
+    def infer(self, ctx: Context, e: Expr, out: Optional[list] = None,
+              viewpoint: Path = ()) -> Type:
         kids: Optional[list] = [] if out is not None else None
         comm = None  # the hook's `comm` (see the module docstring)
         kind = type(e)
         if kind is UnitVal:
             rule, ty = "Unit", UNIT
         elif kind is Located:
-            rule, ty = "BelievesI", Believes(
-                e.agent, self.infer(ctx_lock(ctx, (e.agent,)), e.body, kids))
+            rule, ty = "BelievesI", Believes(e.agent, self.infer(
+                ctx, e.body, kids, path_concat(viewpoint, (e.agent,))))
         elif kind is Send:
-            g1, core = split_stack(self.infer(ctx, e.payload, kids))
-            viewpoint = locks_of(ctx)
+            g1, core = split_stack(self.infer(ctx, e.payload, kids, viewpoint))
             comm = (path_concat(viewpoint, g1), path_concat(viewpoint, e.dest), core)
             self._require("Send", "cansend", comm[0], comm[1], viewpoint, e, g1)
             rule, ty = "Send", belief_stack(e.dest, core)
         elif kind is Pair:
-            rule, ty = "Pair", Product(self.infer(ctx, e.left, kids),
-                                       self.infer(ctx, e.right, kids))
+            rule, ty = "Pair", Product(self.infer(ctx, e.left, kids, viewpoint),
+                                       self.infer(ctx, e.right, kids, viewpoint))
         elif kind is Annot:
             ty = e.ty
-            self.check(ctx, e.inner, ty, kids)
+            self.check(ctx, e.inner, ty, kids, viewpoint)
             rule = "Annot"
         elif kind is ModalLet:
             g1, g2 = e.open_path, e.stack_path
-            bound_ty = self.infer(ctx_lock(ctx, g1), e.bound, kids)
+            bound_ty = self.infer(ctx, e.bound, kids, path_concat(viewpoint, g1))
             core = peel_stack(bound_ty, g2)
             if core is None:
                 raise TypeCheckError(
@@ -184,48 +193,48 @@ class Checker:
                     f"carry the modality stack {path_str(g2)}",
                     e.span)
             rule, ty = "BelievesE", self.infer(
-                ctx_bind(ctx, e.var, core, path_concat(g1, g2)), e.body, kids)
+                ctx + (Binding(e.var, core, path_concat(g1, g2), viewpoint),),
+                e.body, kids, viewpoint)
         elif kind is App:
-            fn_ty = self.infer(ctx, e.fn, kids)
+            fn_ty = self.infer(ctx, e.fn, kids, viewpoint)
             if not isinstance(fn_ty, Arrow):
                 raise TypeCheckError(
                     "App", f"applied expression has non-function type {type_str(fn_ty)}",
                     e.span)
-            self.check(ctx, e.arg, fn_ty.dom, kids)
+            self.check(ctx, e.arg, fn_ty.dom, kids, viewpoint)
             rule, ty = "App", fn_ty.cod
         elif kind is Fst or kind is Snd:
             rule = "Fst" if kind is Fst else "Snd"
-            ty = self.infer(ctx, e.inner, kids)
+            ty = self.infer(ctx, e.inner, kids, viewpoint)
             if not isinstance(ty, Product):
                 raise TypeCheckError(
                     rule, f"{rule.lower()} of non-product type {type_str(ty)}", e.span)
             ty = ty.left if kind is Fst else ty.right
         elif kind is Down:
-            ty = self.infer(ctx, e.body, kids)
+            ty = self.infer(ctx, e.body, kids, viewpoint)
             core = peel_stack(ty, e.path)
             if core is None:
                 raise TypeCheckError(
                     "Down",
                     f"expected a type stacked with {path_str(e.path)}, got {type_str(ty)}",
                     e.span)
-            viewpoint = locks_of(ctx)
             comm = (path_concat(viewpoint, e.path), viewpoint, core)
             self._require("Down", "candown", viewpoint, comm[0], viewpoint, e)
             rule, ty = "Down", core
         elif kind is Case:
-            left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
-            ty = self.infer(left, e.left_body, kids)
-            rt = self.infer(right, e.right_body, kids)
+            left, right = self._branches(
+                ctx, e, self.infer(ctx, e.scrutinee, kids, viewpoint), viewpoint)
+            ty = self.infer(left, e.left_body, kids, viewpoint)
+            rt = self.infer(right, e.right_body, kids, viewpoint)
             if ty != rt:
                 raise TypeCheckError(
                     "Case", f"branch types differ: {type_str(ty)} vs {type_str(rt)}",
                     e.span)
             rule = "Case"
         elif kind is Var:
-            rule, (ty, comm) = "Axiom", self._axiom(ctx, e)
+            rule, (ty, comm) = "Axiom", self._axiom(ctx, e, viewpoint)
         elif kind is Up:
-            core = self.infer(ctx, e.body, kids)
-            viewpoint = locks_of(ctx)
+            core = self.infer(ctx, e.body, kids, viewpoint)
             comm = (viewpoint, path_concat(viewpoint, e.path), core)
             self._require("Up", "canup", viewpoint, comm[1], viewpoint, e)
             rule, ty = "Up", belief_stack(e.path, core)
@@ -235,12 +244,13 @@ class Checker:
         else:
             raise TypeError(f"not an expression: {kind.__name__}")
         if out is not None:
-            out.append(self.hook(rule, e, locks_of(ctx), ty, kids, comm))
+            out.append(self.hook(rule, e, viewpoint, ty, kids, comm))
         return ty
 
     # -- checking -------------------------------------------------------------
 
-    def check(self, ctx: Context, e: Expr, ty: Type, out: Optional[list] = None) -> None:
+    def check(self, ctx: Context, e: Expr, ty: Type, out: Optional[list] = None,
+              viewpoint: Path = ()) -> None:
         kids: Optional[list] = [] if out is not None else None
         kind = type(e)
         if kind is Lam:
@@ -248,7 +258,8 @@ class Checker:
                 raise TypeCheckError(
                     "Lam", f"function checked against non-function type {type_str(ty)}",
                     e.span)
-            self.check(ctx_bind(ctx, e.var, ty.dom, ()), e.body, ty.cod, kids)
+            self.check(ctx + (Binding(e.var, ty.dom, (), viewpoint),), e.body, ty.cod,
+                       kids, viewpoint)
             rule = "Lam"
         elif kind is Inl or kind is Inr:
             rule = "Inl" if kind is Inl else "Inr"
@@ -256,25 +267,26 @@ class Checker:
                 raise TypeCheckError(
                     rule, f"{rule.lower()} checked against non-sum type {type_str(ty)}",
                     e.span)
-            self.check(ctx, e.inner, ty.left if kind is Inl else ty.right, kids)
+            self.check(ctx, e.inner, ty.left if kind is Inl else ty.right, kids, viewpoint)
         elif kind is Case:
-            left, right = self._branches(ctx, e, self.infer(ctx, e.scrutinee, kids))
-            self.check(left, e.left_body, ty, kids)
-            self.check(right, e.right_body, ty, kids)
+            left, right = self._branches(
+                ctx, e, self.infer(ctx, e.scrutinee, kids, viewpoint), viewpoint)
+            self.check(left, e.left_body, ty, kids, viewpoint)
+            self.check(right, e.right_body, ty, kids, viewpoint)
             rule = "Case"
         elif kind is Pair and self._canonical and isinstance(ty, Product):
-            self.check(ctx, e.left, ty.left, kids)
-            self.check(ctx, e.right, ty.right, kids)
+            self.check(ctx, e.left, ty.left, kids, viewpoint)
+            self.check(ctx, e.right, ty.right, kids, viewpoint)
             rule = "Pair"
         elif (kind is Located and self._canonical and isinstance(ty, Believes)
               and ty.agent == e.agent):
-            self.check(ctx_lock(ctx, (e.agent,)), e.body, ty.body, kids)
+            self.check(ctx, e.body, ty.body, kids, path_concat(viewpoint, (e.agent,)))
             rule = "BelievesI"
         elif kind is Absurd:
-            self.check(ctx, e.inner, VOID, kids)
+            self.check(ctx, e.inner, VOID, kids, viewpoint)
             rule = "Absurd"
         else:
-            inferred = self.infer(ctx, e, kids)
+            inferred = self.infer(ctx, e, kids, viewpoint)
             if inferred != ty:
                 raise TypeCheckError(
                     "Mismatch",
@@ -282,7 +294,7 @@ class Checker:
                     e.span)
             rule = "Check"
         if out is not None:
-            out.append(self.hook(rule, e, locks_of(ctx), ty, kids, None))
+            out.append(self.hook(rule, e, viewpoint, ty, kids, None))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +344,10 @@ def judgments(program: Program) -> Iterator[tuple[Context, Expr, Type]]:
     `len(ctx)` of the context its body is checked in."""
     ctx: Context = ()
     for name, ty in program.inputs:
-        ctx = ctx_bind(ctx, name, ty, ())
+        ctx += (Binding(name, ty, (), ()),)
     for name, ty, body in program.defs:
         yield ctx, body, ty
-        ctx = ctx_bind(ctx, name, ty, ())
+        ctx += (Binding(name, ty, (), ()),)
     yield ctx, program.main_expr, program.main_type
 
 

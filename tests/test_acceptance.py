@@ -21,13 +21,12 @@ from corps.normalize import EvalMode, NormalFormClass, normalize, step
 from corps.parser import parse_expr, parse_program
 from corps.printer import pretty_print
 from corps.projection import ProjectionError, RecvFrom
-from corps.syntax import (
-    Binding, Lock, expr_equal, locks_of, normalize_context, path_concat,
-)
+from corps.syntax import expr_equal, path_concat
 from corps.topology import load_preset, parse_topology
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main
 from progen import AGENTS
 import genprog
+from test_typecheck import Bind, Lock, axiom_oracle, fitch
 
 GOLDEN = Path(__file__).parent / "golden_logic_suite.json"
 CF, POS = EvalMode.COMM_FREE, EvalMode.POSITIVE_COMM
@@ -249,10 +248,13 @@ def test_criterion_9_monoid_and_context_algebra():
     for g1, g2, g3 in itertools.product(paths, repeat=3):
         assert path_concat(path_concat(g1, g2), g3) == \
             path_concat(g1, path_concat(g2, g3))
-    # context algebra, exhaustively over small contexts
+    # Axiom against the Fitch rule, exhaustively over small contexts of
+    # locks and bindings of x: x is usable exactly when the locks right of
+    # its rightmost binding spell that binding's tag.
+    checker = Checker(load_preset("choreo"))
     lock_paths = [p for p in paths if len(p) <= 2]
     entries = [Lock(p) for p in lock_paths] + \
-        [Binding("x", S.Unit(), p) for p in lock_paths if len(p) <= 1]
+        [Bind("x", S.Unit(), p) for p in lock_paths if len(p) <= 1]
     contexts = [()]
     contexts += [(e,) for e in entries]
     contexts += [(e1, e2) for e1 in entries for e2 in entries]
@@ -260,15 +262,13 @@ def test_criterion_9_monoid_and_context_algebra():
     contexts += [tuple(rng.choice(entries) for _ in range(3))
                  for _ in range(3000)]
     for ctx in contexts:
-        normalized = normalize_context(ctx)
-        assert locks_of(normalized) == locks_of(ctx)
-        assert normalize_context(normalized) == normalized
-        for i, entry in enumerate(normalized):
-            if isinstance(entry, Lock):
-                assert entry.path
-                assert i + 1 >= len(normalized) or \
-                    not isinstance(normalized[i + 1], Lock)
-        assert [e for e in normalized if isinstance(e, Binding)] == \
-            [e for e in ctx if isinstance(e, Binding)]
+        usable = axiom_oracle(ctx, "x") is not None
+        bindings, viewpoint = fitch(ctx)
+        try:
+            checker.infer(bindings, S.Var("x"), None, viewpoint)
+        except TypeCheckError as err:
+            assert err.rule == "Axiom" and not usable, ctx
+        else:
+            assert usable, ctx
     print(f"\nACCEPTANCE 9 monoid-context-algebra: PASS "
           f"({len(paths)} paths exhaustive, {len(contexts)} contexts)")

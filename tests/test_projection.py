@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -379,6 +380,46 @@ class TestSinglePass:
                                        program.main_type, program.main_expr))
         assert ((got.processes, got.lambda_wire)
                 == (want.processes, want.lambda_wire))
+
+
+def let_chain(n: int) -> Program:
+    """`let [] [A] x_i = A.(x_{i-1}) in ... A.(x_{n-1})`, x_0 bound to A.()."""
+    lets = "".join(f"let [] [A] x{i} = A.({f'x{i - 1}' if i else '()'}) in "
+                   for i in range(n))
+    return parse_program(f"topology choreo; main : [A] unit = {lets}A.(x{n - 1});")
+
+
+def instructions(run) -> int:
+    """The bytecode instructions `run()` executes, counted by a tracer."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestGrowth:
+    # Each let binds one more variable, so a node that costs time in the
+    # length of its context makes the walk superlinear along the chain.
+    # Instructions, unlike time, count the same on every machine.
+    @pytest.mark.parametrize("walk", [project_network, check_program])
+    def test_let_chains_cost_twice_as_much_per_doubling(self, walk):
+        topo = load_preset("choreo")
+        short, long = let_chain(50), let_chain(100)
+        walk(short, topo)  # work done once per process is not counted
+        ratio = instructions(lambda: walk(long, topo)) / instructions(lambda: walk(short, topo))
+        assert ratio <= 2.05
 
 
 def outcome(run):

@@ -17,7 +17,6 @@ API_ONLY = {
     "MergeConflict": "the ProjectionError of a case whose third-party branches differ",
     "Verdict": "the type `ni_check` returns; callers read its kind, runs and witness",
     "is_value": "the value test, next to `is_positive_value`; the normalizer uses it within",
-    "normalize_context": "the canonical form of a context (empty locks dropped, locks fused)",
     "parse_type": "parses a type on its own, as `parse_expr` an expression",
     "pretty_print": "prints a whole program back to source text",
     "step": "the reference one-step semantics `normalize` is tested against",

@@ -17,10 +17,7 @@ from corps.netsim import AgreementReport, RandomPolicy, RoundRobin, RunResult, T
 from corps.nicheck import NIConfig, Verdict, Witness
 from corps.parser import Program
 from corps.projection import ProjectionError, project_network
-from corps.syntax import (
-    Binding, Lock, UnitVal, Var, expr_equal, locks_of, normalize_context,
-    path_concat, substitute,
-)
+from corps.syntax import Binding, UnitVal, Var, expr_equal, path_concat, substitute
 from corps.normalize import EvalMode, NormalFormClass, normalize
 from corps.topology import PathPattern, TopoRule, Topology
 from corps.typecheck import Derivation
@@ -30,27 +27,6 @@ import genprog
 
 def random_path(rng: random.Random, max_len: int = 6) -> S.Path:
     return tuple(rng.choice(AGENTS) for _ in range(rng.randint(0, max_len)))
-
-
-def random_context(rng: random.Random) -> S.Context:
-    entries = []
-    for _ in range(rng.randint(0, 6)):
-        if rng.random() < 0.5:
-            entries.append(S.Lock(random_path(rng, 3)))
-        else:
-            entries.append(S.Binding(f"v{rng.randint(0, 9)}", S.Unit(),
-                                     random_path(rng, 2)))
-    return tuple(entries)
-
-
-def locks_oracle(ctx):
-    # Independent right-recursive definition, transcribed case by case.
-    if not ctx:
-        return ()
-    rest, last = ctx[:-1], ctx[-1]
-    if isinstance(last, Binding):
-        return locks_oracle(rest)
-    return path_concat(locks_oracle(rest), last.path)
 
 
 paths = st.lists(st.sampled_from(AGENTS), max_size=6).map(tuple)
@@ -81,47 +57,6 @@ class TestPathMonoid:
         assert path_concat((), ()) == ()
         assert path_concat(("A",), ("B", "C")) == ("A", "B", "C")
         assert path_concat(("A", "B"), ()) == ("A", "B")
-
-
-class TestContexts:
-    def test_locks_of_empty(self):
-        assert locks_of(()) == ()
-
-    def test_locks_of_mixed(self):
-        ctx = (Binding("x", S.Unit(), ()), Lock(("A",)),
-               Binding("y", S.Unit(), ()), Lock(("B",)))
-        assert locks_of(ctx) == ("A", "B")
-        assert locks_oracle(ctx) == ("A", "B")
-
-    def test_empty_lock_contributes_identity(self):
-        assert locks_of((Lock(()),)) == ()
-
-    def test_normalize_fuses_adjacent_locks(self):
-        ctx = (Binding("x", S.Unit(), ()), Lock(("A",)), Lock(("B",)))
-        assert normalize_context(ctx) == (Binding("x", S.Unit(), ()), Lock(("A", "B")))
-
-    def test_normalize_drops_empty_lock(self):
-        ctx = (Binding("x", S.Unit(), ()), Lock(()))
-        assert normalize_context(ctx) == (Binding("x", S.Unit(), ()),)
-
-    def test_random_contexts(self):
-        rng = random.Random(7)
-        for _ in range(2000):
-            ctx = random_context(rng)
-            normalized = normalize_context(ctx)
-            # locks value is preserved and matches the oracle
-            assert locks_of(normalized) == locks_of(ctx) == locks_oracle(ctx)
-            # canonical form: no empty locks, no adjacent locks
-            for i, entry in enumerate(normalized):
-                if isinstance(entry, Lock):
-                    assert entry.path
-                    if i + 1 < len(normalized):
-                        assert not isinstance(normalized[i + 1], Lock)
-            # idempotent
-            assert normalize_context(normalized) == normalized
-            # binding order and tags unchanged
-            assert [e for e in normalized if isinstance(e, Binding)] == \
-                [e for e in ctx if isinstance(e, Binding)]
 
 
 class TestSubstitution:
@@ -376,8 +311,8 @@ RECORDS = [
     (S.RecvFrom(("A",), span=SPAN), f"RecvFrom(span={SPAN_REPR}, src=('A',))"),
     (S.Seq(S.Skip(), S.RecvFrom(("A",)), span=SPAN),
      f"Seq(span={SPAN_REPR}, first=Skip(span=None), rest=RecvFrom(span=None, src=('A',)))"),
-    (Binding("x", S.UNIT, ("A",)), "Binding(name='x', ty=Unit(), tag=('A',))"),
-    (Lock(("A", "B")), "Lock(path=('A', 'B'))"),
+    (Binding("x", S.UNIT, ("A",), ("B",)),
+     "Binding(name='x', ty=Unit(), tag=('A',), at=('B',))"),
 ]
 SYNTAX_RECORDS = len(RECORDS)
 
@@ -607,7 +542,7 @@ class TestSchema:
                    if isinstance(cls, type) and cls.__module__ == S.__name__}
         assert {type(record) for record in EXAMPLES[:SYNTAX_RECORDS]} == classes - {
             S.Shape, S.Machine}
-        assert SYNTAX_RECORDS == 31
+        assert SYNTAX_RECORDS == 30
         for record in EXAMPLES:
             cls = type(record)
             fields = tuple(declared(cls))
@@ -636,7 +571,7 @@ class TestSchema:
                              "left=UnitVal(span=None), "
                              "right=Lam(span=None, var='y', body=UnitVal(span=None)))")
         for obj, name in ((out, "left"), (out, "span"), (out.right, "var"),
-                          (span, "start"), (Binding("x", S.UNIT, ()), "tag"),
+                          (span, "start"), (Binding("x", S.UNIT, (), ()), "tag"),
                           (S.Arrow(S.UNIT, S.VOID), "dom")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)

@@ -1,17 +1,76 @@
 import json
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from corps import syntax as S
 from corps.parser import parse_expr, parse_program, parse_type
-from corps.syntax import Binding, Lock, locks_of
+from corps.syntax import Binding, path_concat
 from corps.topology import load_preset, parse_topology
 from corps.typecheck import Checker, TypeCheckError, check_program, inline_main, judgments
 import genprog
+from test_syntax import random_path
 
 GOLDEN = Path(__file__).parent / "golden_logic_suite.json"
+
+
+# Fitch-style contexts, as the logic writes them: locks and bindings in
+# one sequence, each binding tagged with the locks it must be used under.
+
+class Lock(NamedTuple):
+    path: S.Path
+
+
+class Bind(NamedTuple):
+    name: str
+    ty: S.Type
+    tag: S.Path
+
+
+def fitch(entries) -> tuple[S.Context, S.Path]:
+    """The checker's reading of a Fitch-style context: its bindings, each
+    recording the locks left of it as its viewpoint, and all the locks."""
+    bindings, viewpoint = [], ()
+    for entry in entries:
+        if isinstance(entry, Lock):
+            viewpoint = path_concat(viewpoint, entry.path)
+        else:
+            bindings.append(Binding(entry.name, entry.ty, entry.tag, viewpoint))
+    return tuple(bindings), viewpoint
+
+
+def random_context(rng: random.Random) -> tuple:
+    entries = []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.5:
+            entries.append(Lock(random_path(rng, 3)))
+        else:
+            entries.append(Bind(f"v{rng.randint(0, 9)}", S.Unit(), random_path(rng, 2)))
+    return tuple(entries)
+
+
+def locks_oracle(entries) -> S.Path:
+    # Independent right-recursive definition, transcribed case by case.
+    if not entries:
+        return ()
+    rest, last = entries[:-1], entries[-1]
+    if isinstance(last, Bind):
+        return locks_oracle(rest)
+    return path_concat(locks_oracle(rest), last.path)
+
+
+def axiom_oracle(entries, name: str):
+    """The Fitch rule: the index among the bindings of the rightmost
+    binding of `name`, if the locks right of it spell its tag, else None."""
+    for i in range(len(entries) - 1, -1, -1):
+        entry = entries[i]
+        if isinstance(entry, Bind) and entry.name == name:
+            if locks_oracle(entries[i + 1:]) != entry.tag:
+                return None
+            return sum(isinstance(e, Bind) for e in entries[:i])
+    return None
 
 
 def _topology(ref: str):
@@ -72,7 +131,7 @@ class TestCheckMode:
         assert exc.value.rule == "Mismatch"
 
     def test_absurd_checks_against_anything(self):
-        ctx = ((Binding("v", S.Void(), ())),)
+        ctx = (Binding("v", S.Void(), (), ()),)
         self.checker.check(ctx, parse_expr("absurd v"), parse_type("[A] unit"))
 
     def test_case_propagates_annotation(self):
@@ -105,18 +164,49 @@ class TestAxiom:
         # an older matching binding does not rescue a mismatched rightmost one
         topo = load_preset("doxastic")
         checker = Checker(topo)
-        ctx = (Binding("x", S.Unit(), ()),
-               Lock(("A",)),
-               Binding("x", S.Unit(), ("B",)))
+        ctx = (Binding("x", S.Unit(), ("A",), ()),
+               Binding("x", S.Unit(), ("B",), ("A",)))
+        assert checker.infer(ctx[:1], S.Var("x"), None, ("A",)) == S.Unit()
         with pytest.raises(TypeCheckError) as exc:
-            checker.infer(ctx, S.Var("x"))
+            checker.infer(ctx, S.Var("x"), None, ("A",))
         assert exc.value.rule == "Axiom"
 
     def test_tag_consumed_by_following_locks(self):
         topo = load_preset("doxastic")
         checker = Checker(topo)
-        ctx = (Binding("x", S.Unit(), ("A", "B")), Lock(("A",)), Lock(("B",)))
-        assert checker.infer(ctx, S.Var("x")) == S.Unit()
+        ctx = (Binding("x", S.Unit(), ("A", "B"), ()),)
+        assert checker.infer(ctx, S.Var("x"), None, ("A", "B")) == S.Unit()
+
+    def test_binding_from_another_viewpoint(self):
+        # The locks past [B] would spell the tag [X] at [B.X], but x was
+        # bound at [B], which the viewpoint [A.X] does not extend.
+        checker = Checker(load_preset("choreo"))
+        ctx = (Binding("x", S.UNIT, ("X",), ("B",)),)
+        assert checker.infer(ctx, S.Var("x"), None, ("B", "X")) == S.UNIT
+        with pytest.raises(TypeCheckError) as exc:
+            checker.infer(ctx, S.Var("x"), None, ("A", "X"))
+        assert exc.value.rule == "Axiom"
+
+    def test_random_contexts_against_the_fitch_rule(self):
+        # The hook's `comm` for Axiom is the position of the binding found.
+        checker = Checker(load_preset("choreo"), hook=lambda rule, e, viewpoint, ty, kids, comm: comm)
+        rng = random.Random(7)
+        accepted = 0
+        for _ in range(2000):
+            entries = random_context(rng)
+            bindings, viewpoint = fitch(entries)
+            assert viewpoint == locks_oracle(entries)
+            for name in (f"v{i}" for i in range(10)):
+                expected = axiom_oracle(entries, name)
+                out: list = []
+                try:
+                    assert checker.infer(bindings, S.Var(name), out, viewpoint) == S.UNIT
+                except TypeCheckError as err:
+                    assert err.rule == "Axiom" and expected is None, (entries, name)
+                else:
+                    assert out == [expected], (entries, name)
+                    accepted += 1
+        assert accepted > 100
 
     def test_unbound(self):
         checker = Checker(load_preset("choreo"))
@@ -154,23 +244,23 @@ class TestWeakening:
         rng = random.Random(5)
         topo = load_preset("choreo")
         checker = Checker(topo)
-        base = (Binding("u", S.Unit(), ()),
+        base = (Bind("u", S.Unit(), ()),
                 Lock(("A",)),
-                Binding("v", S.Believes("B", S.Unit()), ("B",)),
+                Bind("v", S.Believes("B", S.Unit()), ("B",)),
                 Lock(("B",)))
         judged = [
-            (base, S.Var("v"), S.Believes("B", S.Unit())),
-            (base, S.Located("C", S.UnitVal()), S.Believes("C", S.Unit())),
-            (base, parse_expr("send C.() to [D]"),
-             S.Believes("D", S.Unit())),
+            (S.Var("v"), S.Believes("B", S.Unit())),
+            (S.Located("C", S.UnitVal()), S.Believes("C", S.Unit())),
+            (parse_expr("send C.() to [D]"), S.Believes("D", S.Unit())),
         ]
-        for ctx, expr, ty in judged:
-            checker.check(ctx, expr, ty)
-            for position in range(len(ctx) + 1):
-                extra = Binding("unused_w", S.Unit(), tuple(
+        ctx, viewpoint = fitch(base)
+        for expr, ty in judged:
+            checker.check(ctx, expr, ty, None, viewpoint)
+            for position in range(len(base) + 1):
+                extra = Bind("unused_w", S.Unit(), tuple(
                     rng.choice("AB") for _ in range(rng.randint(0, 2))))
-                widened = ctx[:position] + (extra,) + ctx[position:]
-                checker.check(widened, expr, ty)
+                widened, at = fitch(base[:position] + (extra,) + base[position:])
+                checker.check(widened, expr, ty, None, at)
 
     def test_weakening_on_generated_programs(self):
         rng = random.Random(6)
@@ -181,43 +271,57 @@ class TestWeakening:
             main, ty = inline_main(program)
             checker.check((), main, ty)
             extra = Binding("unused_w", S.Unit(), tuple(
-                rng.choice("AB") for _ in range(rng.randint(0, 2))))
+                rng.choice("AB") for _ in range(rng.randint(0, 2))), ())
             checker.check((extra,), main, ty)
+
+
+def viewpoints(e: S.Expr, at: S.Path = ()):
+    """Each node of `e` with its viewpoint, read off the syntax tree: `at`,
+    then the agents of the enclosing located nodes and the open paths of
+    the enclosing let-bound expressions, outermost first."""
+    todo = [(e, at)]
+    while todo:
+        e, at = todo.pop()
+        yield e, at
+        if type(e) is S.Located:
+            todo.append((e.body, at + (e.agent,)))
+        elif type(e) is S.ModalLet:
+            todo += [(e.bound, at + e.open_path), (e.body, at)]
+        else:
+            todo += [(child, at) for child in S.children(e)]
 
 
 class TestViewpointSoundness:
     def test_queries_are_anchored_at_the_viewpoint(self, monkeypatch):
-        # Every relation query's first argument is locks_of at the query
-        # site: exactly for up/down, extended by the payload stack for send.
-        # The queries are the ones `_require` makes; the viewpoint is read
-        # off the context of the inference running when it makes them.
+        # Every relation query's first argument is the viewpoint of its
+        # site: exactly for up/down, extended by the payload stack for
+        # send; its second is the viewpoint extended by the path or the
+        # destination.  The queries are the ones `_require` makes; the
+        # viewpoint is computed from the syntax tree, not by the checker.
         topo = load_preset("choreo")
-        queries, sites = [], []
-        infer, require = Checker.infer, Checker._require
+        queries = []
+        require = Checker._require
 
-        def recording_infer(self, ctx, e, *rest):
-            sites.append(locks_of(ctx))
-            try:
-                return infer(self, ctx, e, *rest)
-            finally:
-                sites.pop()
+        def recording_require(self, rule, kind, a, b, viewpoint, e, *rest):
+            queries.append((kind, a, b, viewpoint, e))
+            return require(self, rule, kind, a, b, viewpoint, e, *rest)
 
-        def recording_require(self, rule, kind, a, b, *rest):
-            queries.append((kind, a, b, sites[-1]))
-            return require(self, rule, kind, a, b, *rest)
-
-        monkeypatch.setattr(Checker, "infer", recording_infer)
         monkeypatch.setattr(Checker, "_require", recording_require)
+        sites = {}
         for seed in range(80):
             program = genprog.program(seed, "choreo")
             assert not check_program(program, topo)
+            for _, e, _ in judgments(program):
+                sites.update((id(node), at) for node, at in viewpoints(e))
         assert {kind for kind, *_ in queries} == {"cansend", "canup", "candown"}
-        for kind, a, b, viewpoint in queries:
+        for kind, a, b, viewpoint, e in queries:
+            at = sites[id(e)]
+            assert viewpoint == at
             if kind in ("canup", "candown"):
-                assert a == viewpoint
+                assert (a, b) == (at, at + e.path)
             else:
-                assert a[:len(viewpoint)] == viewpoint
-            assert b[:len(viewpoint)] == viewpoint
+                assert a[:len(at)] == at
+                assert b == at + e.dest
 
 
 class TestHook:
